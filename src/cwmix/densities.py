@@ -1,6 +1,6 @@
 """Elementary densities, distances, and special functions.
 
-Everything downstream (mixture evaluation, EM, the trimming rule) is built on
+Everything downstream (mixture evaluation, EM, the metrics) is built on
 the pieces here: Gaussian and Student-t log-densities of any dimension,
 squared Mahalanobis distance, log-gamma, digamma, and the chi-squared
 CDF/quantile pair.  All density work happens in log space; exponentiation is
@@ -228,6 +228,11 @@ def _log_gamma_scalar(x: float) -> float:
 
 def log_gamma(x):
     """Natural log of the Gamma function for x > 0 (scalar or array)."""
+    if isinstance(x, (float, int)):
+        # scalar fast path: skips the 0-d array round trip, same result
+        if not (x > 0.0 and math.isfinite(x)):
+            raise ValueError(f"log_gamma requires x > 0, got {x}")
+        return _log_gamma_scalar(float(x))
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"log_gamma requires x > 0, got {x}")

@@ -3,8 +3,10 @@
 Gaussian variants use plain EM. Student-t variants use ECM: the E-step adds
 latent precision weights u = (dof + q) / (dof + mahalanobis), and the dof
 update is a one-dimensional conditional maximization solved by bisection.
-The fmrc gating M-step is a penalized Newton ascent (GEM), so every accepted
-step keeps the observed-data log-likelihood non-decreasing.
+The fmrc gating M-step is generalized EM: each iteration takes one guarded,
+penalized Newton step from the previous gating instead of solving the gating
+problem to convergence.  The step is halved until the gating objective does
+not decrease, so the observed-data log-likelihood stays non-decreasing.
 """
 
 from __future__ import annotations
@@ -258,10 +260,18 @@ def _latent_weights(model: CwmModel | None, x, y, z) -> _Weights:
 
 
 def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating) -> list[Gating]:
-    """Penalized Newton ascent on the gating log-likelihood, warm-started;
-    step-halving keeps this a GEM update (never decreases the objective)."""
+    """One penalized Newton (IRLS) step on the gating objective
+    sum(resp * log_gate), taken from the previous gating.
+
+    The step is halved until the objective does not decrease, which makes the
+    update a GEM step: the observed-data log-likelihood cannot fall.  If no
+    halving is accepted, or the ridged Hessian cannot be factored, the old
+    gating is kept.  Repeated on fixed responsibilities, the steps converge to
+    the full gating M-step's maximizer.
+    """
     n, d = x.shape
     G = resp.shape[1]
+    m, k = G - 1, (G - 1) * (d + 1)
     design = np.column_stack([x, np.ones(n)])
     theta = np.array([np.append(g.w, g.w0) for g in old_gating[1:]])
 
@@ -270,39 +280,34 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating) -> list[Gating]:
         logits[:, 1:] = design @ th.T
         return logits - log_sum_exp(logits, axis=1)[:, None]
 
-    def objective(th):
-        return float(np.sum(resp * log_gate(th)))
+    def gating(th):
+        return [Gating(np.zeros(d), 0.0)] + [
+            Gating(th[i, :d].copy(), float(th[i, d])) for i in range(m)
+        ]
 
-    value = objective(theta)
-    k = (G - 1) * (d + 1)
-    for _ in range(25):
-        prob = np.exp(log_gate(theta))
-        grad = ((resp - prob)[:, 1:, None] * design[:, None, :]).sum(axis=0)
-        if np.max(np.abs(grad)) < 1e-10:
-            break
-        hess = np.zeros((k, k))  # negated Hessian, positive semidefinite
-        for g in range(1, G):
-            for h in range(1, G):
-                w = prob[:, g] * ((1.0 if g == h else 0.0) - prob[:, h])
-                block = (design * w[:, None]).T @ design
-                hess[(g - 1) * (d + 1):g * (d + 1), (h - 1) * (d + 1):h * (d + 1)] = block
-        try:
-            step = solve_spd(hess + 1e-6 * np.eye(k), grad.ravel()).reshape(G - 1, d + 1)
-        except ValueError:
-            break
-        scale = 1.0
-        for _ in range(20):
-            candidate = theta + scale * step
-            new_value = objective(candidate)
-            if new_value >= value - 1e-12:
-                break
-            scale *= 0.5
-        else:
-            break
-        theta, value = candidate, new_value
-    return [Gating(np.zeros(d), 0.0)] + [
-        Gating(theta[i, :d].copy(), float(theta[i, d])) for i in range(G - 1)
-    ]
+    current = log_gate(theta)
+    value = float(np.sum(resp * current))
+    prob = np.exp(current[:, 1:])
+    grad = (resp[:, 1:] - prob).T @ design
+    if np.max(np.abs(grad)) < 1e-10:
+        return gating(theta)
+    # negated Hessian, positive semidefinite: block (g, h) is
+    # X' diag(p_g (delta_gh - p_h)) X, every block from one product
+    w = prob[:, :, None] * (np.eye(m) - prob[:, None, :])
+    outer = design[:, :, None] * design[:, None, :]
+    hess = (w.reshape(n, m * m).T @ outer.reshape(n, -1)).reshape(m, m, d + 1, d + 1)
+    hess = hess.transpose(0, 2, 1, 3).reshape(k, k)
+    try:
+        step = solve_spd(hess + 1e-6 * np.eye(k), grad.ravel()).reshape(m, d + 1)
+    except ValueError:
+        return gating(theta)
+    scale = 1.0
+    for _ in range(20):
+        candidate = theta + scale * step
+        if float(np.sum(resp * log_gate(candidate))) >= value - 1e-12:
+            return gating(candidate)
+        scale *= 0.5
+    return gating(theta)
 
 
 def _next_dofs(config, old_model, g, d, r, ux, uy):

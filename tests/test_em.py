@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from cwmix.datagen import builtin_scenario, generate
 from cwmix.densities import GaussianParams
-from cwmix.em import DegenerateFitError, FitConfig, estimate_dof, fit, initialize
-from cwmix.model import VARIANTS, Dataset, classify, fmg_to_cwm
+from cwmix.em import DegenerateFitError, FitConfig, _fit_gating, estimate_dof, fit, initialize
+from cwmix.model import VARIANTS, Dataset, Gating, classify, fmg_to_cwm
 
 mp.dps = 50
 
@@ -214,7 +215,7 @@ def test_fit_given_labels_stays_near_truth():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fit_trace_monotone_rows_normalized(variant):
-    r = np.random.default_rng(abs(hash(variant)) % 2**32)
+    r = np.random.default_rng(VARIANTS.index(variant))
     n = 80
     x = r.normal(size=(n, 2), scale=2)
     y = x @ np.array([1.0, -0.5]) + r.normal(size=n, scale=3)
@@ -280,6 +281,73 @@ def test_fit_fmrc_recovers_gated_structure():
     data = Dataset(x[:, None], y, grp)
     res = fit(data, FitConfig(G=2, variant="fmrc", n_starts=4, seed=11))
     assert two_group_error(grp, classify(res.model, data)) <= 0.05
+    assert np.all(np.diff(res.loglik_trace) >= -1e-8)
+
+
+# --------------------------------------------------------------- fmrc gating
+
+def gating_problem(seed, n=300, d=2, G=3):
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, d), scale=2)
+    resp = r.dirichlet(np.full(G, 0.7), size=n)
+    return x, resp
+
+
+def gating_theta(gating):
+    return np.array([np.append(g.w, g.w0) for g in gating[1:]])
+
+
+def gating_objective_and_grad(x, resp, theta):
+    # independent of cwmix: sum(resp * log softmax) and its gradient
+    design = np.column_stack([x, np.ones(x.shape[0])])
+    logits = np.column_stack([np.zeros(x.shape[0]), design @ theta.T])
+    top = logits.max(axis=1, keepdims=True)
+    log_gate = logits - top - np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
+    grad = (resp[:, 1:] - np.exp(log_gate[:, 1:])).T @ design
+    return float(np.sum(resp * log_gate)), grad
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_gating_step_never_decreases_objective(seed):
+    x, resp = gating_problem(seed)
+    r = np.random.default_rng(100 + seed)
+    for spread in (0.1, 1.0, 10.0):
+        warm = [Gating(np.zeros(2), 0.0)] + [
+            Gating(r.normal(size=2, scale=spread), float(r.normal(scale=spread))) for _ in range(2)
+        ]
+        before, _ = gating_objective_and_grad(x, resp, gating_theta(warm))
+        after, _ = gating_objective_and_grad(x, resp, gating_theta(_fit_gating(x, resp, warm)))
+        assert after >= before - 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_gating_repeated_steps_reach_full_m_step_optimum(seed):
+    from scipy.optimize import minimize
+
+    x, resp = gating_problem(seed)
+    gating = [Gating(np.zeros(2), 0.0)] * 3
+    for _ in range(50):
+        gating = _fit_gating(x, resp, gating)
+    theta = gating_theta(gating)
+    value, grad = gating_objective_and_grad(x, resp, theta)
+    assert np.max(np.abs(grad)) < 1e-8
+    assert np.all(gating[0].w == 0.0) and gating[0].w0 == 0.0
+    # independent optimizer on the same concave objective finds no better point
+    ref = minimize(
+        lambda t: -gating_objective_and_grad(x, resp, t.reshape(theta.shape))[0],
+        np.zeros(theta.size),
+        jac=lambda t: -gating_objective_and_grad(x, resp, t.reshape(theta.shape))[1].ravel(),
+        method="BFGS",
+        options={"gtol": 1e-10},
+    )
+    assert value >= -ref.fun - 1e-9
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_fit_fmrc_ex4_s2_trace_non_decreasing(seed):
+    data = generate(builtin_scenario("ex4_s2").with_seed(seed))
+    res = fit(data, FitConfig(G=3, variant="fmrc", n_starts=1, seed=seed))
+    assert res.n_iter > 2
     assert np.all(np.diff(res.loglik_trace) >= -1e-8)
 
 
