@@ -1,8 +1,14 @@
 """EM / ECM fitting for every model variant, with multi-start initialization.
 
-Gaussian variants use plain EM. Student-t variants use ECM: the E-step adds
-latent precision weights u = (dof + q) / (dof + mahalanobis), and the dof
-update is a one-dimensional conditional maximization solved by bisection.
+Every variant takes the same per-component M-step, read off the variant's row
+in ``model.VARIANT_SPECS``: y is fitted on x by weighted least squares, and
+when x is modelled its mean and covariance are weighted moments.  Gaussian
+variants use plain EM, so fmg takes gaussian_cwm's update exactly (the Schur
+complement of the weighted joint moments of (x, y) is that least-squares fit).
+Student-t variants use ECM: the E-step adds latent precision weights
+u = (dof + q) / (dof + mahalanobis), and the dof update is a one-dimensional
+conditional maximization solved by bisection.  fmt's joint t gives x and y one
+shared weight, (nu + d + 1) / (nu + delta_x + resid^2 / sigma^2).
 The fmrc gating M-step is generalized EM: each iteration takes one guarded,
 penalized Newton step from the previous gating instead of solving the gating
 problem to convergence.  The step is halved until the gating objective does
@@ -28,6 +34,7 @@ from .densities import (
     solve_spd,
 )
 from .model import (
+    VARIANT_SPECS,
     VARIANTS,
     Component,
     Conditional,
@@ -36,7 +43,6 @@ from .model import (
     Gating,
     LinearMap,
     _log_component_terms,
-    fmg_to_cwm,
 )
 
 DOF_BRACKET = (0.5, 200.0)
@@ -222,40 +228,24 @@ def _weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarra
     return beta[:-1], float(beta[-1])
 
 
-def _fmt_joint_params(comp: Component) -> StudentParams:
-    """Reassemble the (d+1)-variate t scale from the decomposed component."""
-    marg, cond = comp.x_marginal, comp.y_conditional
-    d = marg.dim
-    slope = cond.map.slope
-    sxy = marg.scale @ slope
-    scale = np.empty((d + 1, d + 1))
-    scale[:d, :d] = marg.scale
-    scale[:d, d] = sxy
-    scale[d, :d] = sxy
-    scale[d, d] = cond.noise_scale**2 + float(slope @ sxy)
-    return StudentParams(np.append(marg.location, cond.map(marg.location)), scale, marg.dof)
-
-
-def _latent_weights(model: CwmModel | None, x, y, z) -> _Weights:
-    """Per-point t precision weights from the current parameters; the joint
-    weight for fmt rides in the x slot."""
-    if model is None or model.variant not in ("t_cwm", "fmt"):
+def _latent_weights(model: CwmModel | None, x, y) -> _Weights:
+    """Per-point t precision weights from the current parameters; a joint t
+    (fmt) gives x and y the one weight of its (d+1)-variate law."""
+    if model is None or model.spec.x_law != "t":
         return _Weights(None, None)
-    n, G = x.shape[0], model.G
-    if model.variant == "fmt":
-        uz = np.empty((n, G))
-        for g, comp in enumerate(model.components):
-            joint = _fmt_joint_params(comp)
-            uz[:, g] = (joint.dof + z.shape[1]) / (joint.dof + mahalanobis_sq(z, joint))
-        return _Weights(uz, None)
+    (n, d), G = x.shape, model.G
     ux = np.empty((n, G))
     uy = np.empty((n, G))
     for g, comp in enumerate(model.components):
         nu = comp.x_marginal.dof
-        ux[:, g] = (nu + x.shape[1]) / (nu + mahalanobis_sq(x, comp.x_marginal))
+        delta_x = mahalanobis_sq(x, comp.x_marginal)
         cond = comp.y_conditional
         delta_y = (y - cond.map(x)) ** 2 / cond.noise_scale**2
-        uy[:, g] = (cond.dof + 1.0) / (cond.dof + delta_y)
+        if model.spec.y_law == "joint_t":
+            ux[:, g] = uy[:, g] = (nu + d + 1.0) / (nu + delta_x + delta_y)
+        else:
+            ux[:, g] = (nu + d) / (nu + delta_x)
+            uy[:, g] = (cond.dof + 1.0) / (cond.dof + delta_y)
     return _Weights(ux, uy)
 
 
@@ -310,22 +300,24 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating) -> list[Gating]:
     return gating(theta)
 
 
-def _next_dofs(config, old_model, g, d, r, ux, uy):
+def _next_dofs(config, spec, old_model, g, d, r, u):
+    """(x dof, y dof) of component g's t laws; a joint t ties y's to nu + d."""
+    joint = spec.y_law == "joint_t"
     if config.dof_mode != "estimate":
-        return float(config.dof_mode), float(config.dof_mode)
-    if old_model is None:
-        return _INIT_DOF, _INIT_DOF
-    old = old_model.components[g]
-    return (
-        _solve_dof(old.x_marginal.dof, d, r, ux[:, g]),
-        _solve_dof(old.y_conditional.dof, 1, r, uy[:, g]),
-    )
+        nu = zeta = float(config.dof_mode)
+    elif old_model is None:
+        nu = zeta = _INIT_DOF
+    else:
+        old = old_model.components[g]
+        nu = _solve_dof(old.x_marginal.dof, d + 1 if joint else d, r, u.x[:, g])
+        zeta = None if joint else _solve_dof(old.y_conditional.dof, 1, r, u.y[:, g])
+    return nu, nu + d if joint else zeta
 
 
-def _m_step(data, z, config, resp, u, old_model):
+def _m_step(data, config, resp, u, old_model):
     x, y = data.x, data.y
     d, G = data.d, config.G
-    variant = config.variant
+    spec = VARIANT_SPECS[config.variant]
     mass = resp.sum(axis=0)
     if np.any(mass < d + 2):
         raise _DegenerateStart("cluster responsibility mass below d + 2")
@@ -338,78 +330,37 @@ def _m_step(data, z, config, resp, u, old_model):
     comps = []
     for g in range(G):
         r = resp[:, g]
-        if variant in ("gaussian_cwm", "t_cwm"):
+        nu = zeta = None
+        if spec.x_law == "t":
+            nu, zeta = _next_dofs(config, spec, old_model, g, d, r, u)
+        marg = None
+        if spec.x_law is not None:
             wx = r if u.x is None else r * u.x[:, g]
             mu = (wx[:, None] * x).sum(axis=0) / wx.sum()
             centered = x - mu
-            cov = (wx[:, None] * centered).T @ centered / mass[g]
-            cov, ridged = _regularize_cov(cov)
+            cov, ridged = _regularize_cov((wx[:, None] * centered).T @ centered / mass[g])
             used_ridge |= ridged
-            wy = r if u.y is None else r * u.y[:, g]
-            slope, intercept = _weighted_ls(x, y, wy)
-            resid = y - (x @ slope + intercept)
-            noise_var = float((wy * resid**2).sum() / mass[g])
-            if not noise_var > var_floor:
-                raise _DegenerateStart("collapsed noise variance")
-            if variant == "gaussian_cwm":
-                comps.append(Component(
-                    weights[g],
-                    GaussianParams(mu, cov),
-                    Conditional(LinearMap(slope, intercept), math.sqrt(noise_var)),
-                ))
-            else:
-                nu, zeta = _next_dofs(config, old_model, g, d, r, u.x, u.y)
-                comps.append(Component(
-                    weights[g],
-                    StudentParams(mu, cov, nu),
-                    Conditional(LinearMap(slope, intercept), math.sqrt(noise_var), dof=zeta),
-                ))
-        elif variant in ("fmg", "fmt"):
-            w = r if u.x is None else r * u.x[:, g]
-            center = (w[:, None] * z).sum(axis=0) / w.sum()
-            centered = z - center
-            scale = (w[:, None] * centered).T @ centered / mass[g]
-            scale, ridged = _regularize_cov(scale)
-            used_ridge |= ridged
-            if variant == "fmg":
-                comps.append(fmg_to_cwm(GaussianParams(center, scale), weights[g]))
-            else:
-                if config.dof_mode != "estimate":
-                    nu = float(config.dof_mode)
-                elif old_model is None:
-                    nu = _INIT_DOF
-                else:
-                    nu = _solve_dof(old_model.components[g].x_marginal.dof, d + 1, r, u.x[:, g])
-                slope = solve_spd(scale[:d, :d], scale[:d, d])
-                intercept = float(center[d] - slope @ center[:d])
-                schur = float(scale[d, d] - scale[:d, d] @ slope)
-                comps.append(Component(
-                    weights[g],
-                    StudentParams(center[:d], scale[:d, :d], nu),
-                    Conditional(LinearMap(slope, intercept), math.sqrt(schur), dof=nu + d),
-                ))
-        else:  # fmr, fmrc
-            slope, intercept = _weighted_ls(x, y, r)
-            resid = y - (x @ slope + intercept)
-            noise_var = float((r * resid**2).sum() / mass[g])
-            if not noise_var > var_floor:
-                raise _DegenerateStart("collapsed noise variance")
-            comps.append(Component(
-                weights[g], None, Conditional(LinearMap(slope, intercept), math.sqrt(noise_var))
-            ))
+            marg = GaussianParams(mu, cov) if nu is None else StudentParams(mu, cov, nu)
+        wy = r if u.y is None else r * u.y[:, g]
+        slope, intercept = _weighted_ls(x, y, wy)
+        resid = y - (x @ slope + intercept)
+        noise_var = float((wy * resid**2).sum() / mass[g])
+        if not noise_var > var_floor:
+            raise _DegenerateStart("collapsed noise variance")
+        cond = Conditional(LinearMap(slope, intercept), math.sqrt(noise_var), dof=zeta)
+        comps.append(Component(weights[g], marg, cond))
     gating = None
-    if variant == "fmrc":
+    if spec.gated:
         old_gating = old_model.gating if old_model is not None else [Gating(np.zeros(d), 0.0)] * G
         gating = tuple(_fit_gating(x, resp, old_gating))
-    return CwmModel(variant, tuple(comps), gating), used_ridge
+    return CwmModel(config.variant, tuple(comps), gating), used_ridge
 
 
 # -------------------------------------------------------------------- driver
 
 def _run_start(data, config, resp, start_index):
     x, y = data.x, data.y
-    z = np.column_stack([x, y])
-    model, ridged = _m_step(data, z, config, resp, _Weights(None, None), None)
+    model, ridged = _m_step(data, config, resp, _Weights(None, None), None)
     streak = 1 if ridged else 0
     trace = []
     converged = False
@@ -426,8 +377,8 @@ def _run_start(data, config, resp, start_index):
             break
         if it == config.max_iter - 1:
             break
-        u = _latent_weights(model, x, y, z)
-        model, ridged = _m_step(data, z, config, resp, u, model)
+        u = _latent_weights(model, x, y)
+        model, ridged = _m_step(data, config, resp, u, model)
         streak = streak + 1 if ridged else 0
         if streak >= 3:
             raise _DegenerateStart("covariance required repeated regularization")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .densities import GaussianParams, gaussian_logpdf
 from .em import FitResult
-from .model import NOISE, CwmModel, Dataset, posterior
+from .model import NOISE, VARIANT_SPECS, CwmModel, Dataset, posterior
 
 
 @dataclass
@@ -136,19 +136,16 @@ def misclassification(true_labels, predicted_labels, G: int):
 
 def free_parameters(variant: str, G: int, d: int) -> int:
     """Free-parameter count per variant (marginal + regression + mixing/gating)."""
-    marginal = d + d * (d + 1) // 2
-    regression = d + 2
-    if variant == "gaussian_cwm" or variant == "fmg":
-        return G * (marginal + regression) + (G - 1)
-    if variant == "t_cwm":
-        return G * (marginal + regression + 2) + (G - 1)
-    if variant == "fmt":
-        return G * (marginal + regression + 1) + (G - 1)
-    if variant == "fmr":
-        return G * regression + (G - 1)
-    if variant == "fmrc":
-        return G * regression + (G - 1) * (d + 1)
-    raise ValueError(f"unknown variant {variant!r}")
+    spec = VARIANT_SPECS.get(variant)
+    if spec is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    per_component = d + 2  # slope, intercept, noise variance
+    if spec.x_law is not None:
+        per_component += d + d * (d + 1) // 2
+    # one dof per t law; a joint t's conditional dof is tied to the marginal's
+    per_component += (spec.x_law == "t") + (spec.y_law == "t")
+    mixing = (G - 1) * (d + 1) if spec.gated else G - 1
+    return G * per_component + mixing
 
 
 def bic(fit: FitResult, N: int) -> float:
@@ -168,7 +165,7 @@ def bic_joint_nested(fit: FitResult, data: Dataset) -> float:
     with joint models; joint fits pass through to plain bic().
     """
     model = fit.model
-    if model.variant not in ("fmr", "fmrc"):
+    if model.spec.x_law is not None:
         return bic(fit, data.n)
     if not fit.converged:
         warnings.warn("BIC computed from a non-converged fit", RuntimeWarning)

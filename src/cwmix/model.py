@@ -3,20 +3,19 @@ and the constructive maps between nested variants.
 
 A model is a weighted list of components, each pairing an x-marginal law
 (Gaussian, Student-t, or absent) with a linear conditional law for y given x.
-The ``variant`` tag selects how the pieces combine:
-
-    gaussian_cwm  pi_g * N(x) * N(y | b'x + b0)
-    t_cwm         pi_g * t(x) * t(y | b'x + b0)
-    fmg           joint-Gaussian mixture in CWM form (same evaluation as above)
-    fmt           joint-t mixture in decomposed form; the conditional scale
-                  depends on x and the conditional dof is tied to nu + d
-    fmr           pi_g * N(y | b'x + b0)            (no x-marginal)
-    fmrc          gate_g(x) * N(y | b'x + b0)       (logistic gating on x)
+The six variants are two laws (Gaussian, t) times three ways to treat x
+(modelled, absent, gated), said once in ``VARIANT_SPECS``; everything that
+depends on the variant reads that table, not the variant name.  A joint
+Gaussian over (x, y) is exactly a Gaussian CWM component, so fmg shares
+gaussian_cwm's row and its EM update.  fmt's "joint_t" conditional is that of
+a joint t: its dof is tied to nu + d and its scale grows with the Mahalanobis
+distance of x.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,20 @@ from .densities import (
 #: Label value reserved for points that belong to no group.
 NOISE = 0
 
-VARIANTS = ("gaussian_cwm", "t_cwm", "fmg", "fmt", "fmr", "fmrc")
+#: x_law: "gaussian", "t", or None when x is not modelled; y_law: "gaussian",
+#: "t", or "joint_t"; gated: a logistic gate on x replaces the mixing weights.
+VariantSpec = namedtuple("VariantSpec", ["x_law", "y_law", "gated"])
 
-#: Variants whose components carry no x-marginal.
-CONDITIONAL_VARIANTS = ("fmr", "fmrc")
+VARIANT_SPECS = {
+    "gaussian_cwm": VariantSpec("gaussian", "gaussian", False),  # pi_g N(x) N(y | b'x + b0)
+    "t_cwm": VariantSpec("t", "t", False),                       # pi_g t(x) t(y | b'x + b0)
+    "fmg": VariantSpec("gaussian", "gaussian", False),           # joint Gaussian in CWM form
+    "fmt": VariantSpec("t", "joint_t", False),                   # joint t in decomposed form
+    "fmr": VariantSpec(None, "gaussian", False),                 # pi_g N(y | b'x + b0)
+    "fmrc": VariantSpec(None, "gaussian", True),                 # gate_g(x) N(y | b'x + b0)
+}
+
+VARIANTS = tuple(VARIANT_SPECS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +137,9 @@ class CwmModel:
             if c.y_conditional.map.slope.shape[0] != d:
                 raise ValueError("components disagree on x dimension")
             self._check_component(c, d)
-        if self.variant == "fmrc":
+        if self.spec.gated:
             if self.gating is None:
-                raise ValueError("fmrc requires gating parameters")
+                raise ValueError(f"{self.variant} requires gating parameters")
             gating = tuple(self.gating)
             if len(gating) != len(comps):
                 raise ValueError("one gating entry per component required")
@@ -143,31 +152,32 @@ class CwmModel:
                     raise ValueError("gating dimension mismatch")
             object.__setattr__(self, "gating", gating)
         elif self.gating is not None:
-            raise ValueError("gating is only meaningful for fmrc")
+            raise ValueError(f"{self.variant} takes no gating parameters")
 
     def _check_component(self, c: Component, d: int) -> None:
+        spec = self.spec
         marg, cond = c.x_marginal, c.y_conditional
-        if self.variant in CONDITIONAL_VARIANTS:
+        if spec.x_law is None:
             if marg is not None:
                 raise ValueError(f"{self.variant} components carry no x-marginal")
-            if cond.dof is not None:
-                raise ValueError(f"{self.variant} conditionals are Gaussian")
-            return
-        if marg is None:
-            raise ValueError(f"{self.variant} components require an x-marginal")
-        if marg.dim != d:
-            raise ValueError("x-marginal dimension mismatch")
-        if self.variant in ("gaussian_cwm", "fmg"):
-            if not isinstance(marg, GaussianParams) or cond.dof is not None:
-                raise ValueError(f"{self.variant} requires Gaussian laws")
-        else:  # t_cwm, fmt
-            if not isinstance(marg, StudentParams) or cond.dof is None:
-                raise ValueError(f"{self.variant} requires Student-t laws")
-            if self.variant == "fmt" and abs(cond.dof - (marg.dof + d)) > 1e-8:
-                raise ValueError(
-                    "fmt ties the conditional dof to marginal dof + d "
-                    f"({marg.dof} + {d}), got {cond.dof}"
-                )
+        else:
+            if marg is None:
+                raise ValueError(f"{self.variant} components require an x-marginal")
+            if marg.dim != d:
+                raise ValueError("x-marginal dimension mismatch")
+            if not isinstance(marg, StudentParams if spec.x_law == "t" else GaussianParams):
+                raise ValueError(f"{self.variant} requires a {spec.x_law} x-marginal")
+        if (cond.dof is None) != (spec.y_law == "gaussian"):
+            raise ValueError(f"{self.variant} requires a {spec.y_law} conditional")
+        if spec.y_law == "joint_t" and abs(cond.dof - (marg.dof + d)) > 1e-8:
+            raise ValueError(
+                f"{self.variant} ties the conditional dof to marginal dof + d "
+                f"({marg.dof} + {d}), got {cond.dof}"
+            )
+
+    @property
+    def spec(self) -> VariantSpec:
+        return VARIANT_SPECS[self.variant]
 
     @property
     def G(self) -> int:
@@ -245,9 +255,12 @@ def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> np.
     """N-by-G matrix of log(weight_g * density_g) at each observation."""
     n = xb.shape[0]
     out = np.empty((n, model.G))
-    if model.variant == "fmrc":
+    spec = model.spec
+    if spec.gated:
         logits = np.stack([xb @ g.w + g.w0 for g in model.gating], axis=1)
         log_weight = logits - log_sum_exp(logits, axis=1)[:, None]
+    else:
+        log_weight = np.array([math.log(comp.weight) for comp in model.components])
     for g, comp in enumerate(model.components):
         cond = comp.y_conditional
         resid = yb - cond.map(xb)
@@ -255,7 +268,7 @@ def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> np.
         if cond.dof is None:
             ll = -0.5 * (math.log(2 * math.pi * scale_sq) + resid**2 / scale_sq)
         else:
-            if model.variant == "fmt":
+            if spec.y_law == "joint_t":
                 # joint-t factorization: conditional scale grows with the
                 # marginal Mahalanobis distance of x
                 nu = comp.x_marginal.dof
@@ -267,10 +280,7 @@ def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> np.
                 ll = ll + student_logpdf(xb, comp.x_marginal)
             else:
                 ll = ll + gaussian_logpdf(xb, comp.x_marginal)
-        if model.variant == "fmrc":
-            out[:, g] = log_weight[:, g] + ll
-        else:
-            out[:, g] = math.log(comp.weight) + ll
+        out[:, g] = log_weight[..., g] + ll
     return out
 
 

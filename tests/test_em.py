@@ -10,9 +10,18 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from helpers import random_model, random_points
 from cwmix.datagen import builtin_scenario, generate
-from cwmix.densities import GaussianParams
-from cwmix.em import DegenerateFitError, FitConfig, _fit_gating, estimate_dof, fit, initialize
+from cwmix.densities import GaussianParams, StudentParams, mahalanobis_sq
+from cwmix.em import (
+    DegenerateFitError,
+    FitConfig,
+    _fit_gating,
+    _latent_weights,
+    estimate_dof,
+    fit,
+    initialize,
+)
 from cwmix.model import VARIANTS, Dataset, Gating, classify, fmg_to_cwm
 
 mp.dps = 50
@@ -228,6 +237,47 @@ def test_fit_trace_monotone_rows_normalized(variant):
     assert np.max(np.abs(res.responsibilities.sum(axis=1) - 1.0)) < 1e-10
     assert res.n_iter == len(res.loglik_trace)
     assert res.responsibilities.shape == (n, 2)
+
+
+@pytest.mark.parametrize("name", ("ex4_s2", "ex6_s2"))
+def test_fit_fmg_is_gaussian_cwm(name):
+    # a joint Gaussian is a Gaussian CWM component, and both take one update
+    spec = builtin_scenario(name).with_seed(1)
+    data = generate(spec)
+    cwm = fit(data, FitConfig(G=len(spec.groups), variant="gaussian_cwm", seed=1))
+    fmg = fit(data, FitConfig(G=len(spec.groups), variant="fmg", seed=1))
+    np.testing.assert_array_equal(fmg.loglik_trace, cwm.loglik_trace)
+    np.testing.assert_array_equal(fmg.responsibilities, cwm.responsibilities)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_exact_line_is_degenerate(variant):
+    # every point on y = 2x + 1: a zero noise variance is a likelihood spike
+    x = np.random.default_rng(0).normal(size=60)
+    with pytest.raises(DegenerateFitError, match="collapsed noise variance"):
+        fit(Dataset(x, 2.0 * x + 1.0), FitConfig(G=1, variant=variant, n_starts=1))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_fmt_latent_weight_is_joint_t_weight(d):
+    r = np.random.default_rng(d)
+    model = random_model(r, "fmt", 3, d)
+    x, y = random_points(r, 40, d)
+    z = np.column_stack([x, y])
+    u = _latent_weights(model, x, y)
+    for g, comp in enumerate(model.components):
+        marg, cond = comp.x_marginal, comp.y_conditional
+        # the (d+1)-variate t whose x-marginal and y|x conditional these are
+        slope = cond.map.slope
+        sxy = marg.scale @ slope
+        scale = np.block([
+            [marg.scale, sxy[:, None]],
+            [sxy[None, :], np.array([[cond.noise_scale**2 + slope @ sxy]])],
+        ])
+        joint = StudentParams(np.append(marg.location, cond.map(marg.location)), scale, marg.dof)
+        want = (marg.dof + d + 1.0) / (marg.dof + mahalanobis_sq(z, joint))
+        np.testing.assert_allclose(u.x[:, g], want, rtol=1e-10)
+        np.testing.assert_array_equal(u.y[:, g], u.x[:, g])
 
 
 def test_fit_t_one_group_dof_recovery():

@@ -1,13 +1,17 @@
-"""Packaging metadata: every console script named in pyproject.toml resolves."""
+"""Packaging metadata: every console script named in pyproject.toml resolves,
+and every package function the benchmark tracer wraps still exists."""
 
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def resolve_entry_point(target: str):
@@ -28,3 +32,16 @@ def test_console_scripts_resolve():
 def test_dangling_entry_point_is_caught():
     with pytest.raises(ImportError):
         resolve_entry_point("cwmix.no_such_module:main")
+
+
+def test_traced_layers_resolve():
+    # a renamed layer would otherwise only drop out of the per-layer metrics
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.patch_targets()
+    assert targets
+    for target in targets:
+        module_name, _, attr = target.rpartition(".")
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{target} is not a callable"
