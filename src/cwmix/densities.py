@@ -1,8 +1,9 @@
 """Elementary densities, distances, and special functions.
 
 Everything downstream (mixture evaluation, EM, the metrics) is built on
-the pieces here: Gaussian and Student-t log-densities of any dimension,
-squared Mahalanobis distance, log-gamma, digamma, and the chi-squared
+the pieces here: Gaussian and Student-t log-densities of any dimension
+(also from a squared Mahalanobis distance the caller already has), squared
+Mahalanobis distance, log-gamma, digamma, trigamma, and the chi-squared
 CDF/quantile pair.  All density work happens in log space; exponentiation is
 left to normalization sites.
 
@@ -93,6 +94,7 @@ class GaussianParams:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", chol)
+        object.__setattr__(self, "_log_det", _log_det(chol))
 
     @property
     def dim(self) -> int:
@@ -105,6 +107,10 @@ class GaussianParams:
     @property
     def chol(self) -> np.ndarray:
         return self._chol
+
+    @property
+    def log_det(self) -> float:
+        return self._log_det
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +136,7 @@ class StudentParams:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "dof", dof)
         object.__setattr__(self, "_chol", chol)
+        object.__setattr__(self, "_log_det", _log_det(chol))
 
     @property
     def dim(self) -> int:
@@ -142,6 +149,10 @@ class StudentParams:
     @property
     def chol(self) -> np.ndarray:
         return self._chol
+
+    @property
+    def log_det(self) -> float:
+        return self._log_det
 
 
 def _whitened(z, params):
@@ -165,30 +176,40 @@ def mahalanobis_sq(z, params) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _log_det(params) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(params.chol))))
+def _log_det(chol) -> float:
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def gaussian_log_density(maha, q: int, log_det):
+    """Log-density of a q-variate normal at squared Mahalanobis distance maha
+    from its mean, given log|Sigma|; maha and log_det may be arrays."""
+    return -0.5 * (q * _LOG_2PI + log_det + maha)
+
+
+def student_log_density(maha, q: int, log_det, nu: float):
+    """Log-density of a q-variate Student-t with nu dof at squared Mahalanobis
+    distance maha from its location, given log|Sigma|; maha and log_det may be
+    arrays."""
+    const = (
+        log_gamma((nu + q) / 2.0)
+        - log_gamma(nu / 2.0)
+        + 0.5 * nu * math.log(nu)
+        - 0.5 * (q * math.log(math.pi) + log_det)
+    )
+    return const - 0.5 * (nu + q) * np.log(nu + maha)
 
 
 def gaussian_logpdf(z, params: GaussianParams) -> float | np.ndarray:
     """Log-density of the q-variate normal; batched like mahalanobis_sq."""
     w, single = _whitened(z, params)
-    maha = np.sum(w * w, axis=0)
-    out = -0.5 * (params.dim * _LOG_2PI + _log_det(params) + maha)
+    out = gaussian_log_density(np.sum(w * w, axis=0), params.dim, params.log_det)
     return float(out[0]) if single else out
 
 
 def student_logpdf(z, params: StudentParams) -> float | np.ndarray:
     """Log-density of the q-variate Student-t; batched like mahalanobis_sq."""
     w, single = _whitened(z, params)
-    maha = np.sum(w * w, axis=0)
-    nu, q = params.dof, params.dim
-    const = (
-        log_gamma((nu + q) / 2.0)
-        - log_gamma(nu / 2.0)
-        + 0.5 * nu * math.log(nu)
-        - 0.5 * (q * math.log(math.pi) + _log_det(params))
-    )
-    out = const - 0.5 * (nu + q) * np.log(nu + maha)
+    out = student_log_density(np.sum(w * w, axis=0), params.dim, params.log_det, params.dof)
     return float(out[0]) if single else out
 
 
@@ -256,6 +277,25 @@ def digamma(x: float) -> float:
         1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
     )
     return acc + math.log(x) - 0.5 / x - series
+
+
+def trigamma(x: float) -> float:
+    """Trigamma via recurrence to x >= 6 plus the asymptotic series."""
+    x = float(x)
+    if x <= 0.0:
+        raise ValueError(f"trigamma requires x > 0, got {x}")
+    acc = 0.0
+    while x < 6.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    # Bernoulli-number series through x^-15
+    series = inv2 * inv * (
+        1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 * (
+            1.0 / 30.0 - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * 7.0 / 6.0)))))
+    )
+    return acc + inv + 0.5 * inv2 + series
 
 
 def _gamma_p(a: float, x: float) -> float:

@@ -7,8 +7,10 @@ variants use plain EM, so fmg takes gaussian_cwm's update exactly (the Schur
 complement of the weighted joint moments of (x, y) is that least-squares fit).
 Student-t variants use ECM: the E-step adds latent precision weights
 u = (dof + q) / (dof + mahalanobis), and the dof update is a one-dimensional
-conditional maximization solved by bisection.  fmt's joint t gives x and y one
-shared weight, (nu + d + 1) / (nu + delta_x + resid^2 / sigma^2).
+conditional maximization solved by safeguarded Newton, warm-started from the
+previous dof.  fmt's joint t gives x and y one shared weight,
+(nu + d + 1) / (nu + delta_x + resid^2 / sigma^2).  Each iteration whitens x
+against each component once: the E-step's distances also give the weights.
 The fmrc gating M-step is generalized EM: each iteration takes one guarded,
 penalized Newton step from the previous gating instead of solving the gating
 problem to convergence.  The step is halved until the gating objective does
@@ -18,13 +20,17 @@ not decrease, so the observed-data log-likelihood stays non-decreasing.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import (
+# cholesky_lower and mahalanobis_sq are not called here (the x laws factor
+# their own covariance, and the weights reuse the E-step's distances);
+# perfbench/tracing.py still looks them up in this module.
+from .densities import (  # noqa: F401
     GaussianParams,
     StudentParams,
     cholesky_lower,
@@ -32,6 +38,7 @@ from .densities import (
     log_sum_exp,
     mahalanobis_sq,
     solve_spd,
+    trigamma,
 )
 from .model import (
     VARIANT_SPECS,
@@ -40,8 +47,10 @@ from .model import (
     Conditional,
     CwmModel,
     Dataset,
+    Distances,
     Gating,
     LinearMap,
+    _component_distances,
     _log_component_terms,
 )
 
@@ -90,9 +99,11 @@ class FitConfig:
             raise ValueError("n_starts must be at least 1")
         if self.init not in _INITS:
             raise ValueError(f"init must be one of {_INITS}")
-        if self.dof_mode != "estimate":
-            if not isinstance(self.dof_mode, (int, float)) or not self.dof_mode > 0:
-                raise ValueError("dof_mode must be 'estimate' or a positive number")
+        dof = self.dof_mode
+        if not (isinstance(dof, str) and dof == "estimate"):
+            if (isinstance(dof, bool) or not isinstance(dof, numbers.Real)
+                    or not (math.isfinite(dof) and dof > 0)):
+                raise ValueError("dof_mode must be 'estimate' or a finite positive number")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -159,12 +170,19 @@ def initialize(data: Dataset, config: FitConfig, rng) -> np.ndarray:
 
 # ----------------------------------------------------------- dof estimation
 
-def estimate_dof(weighted_stat: float, bracket: tuple[float, float] = DOF_BRACKET) -> float:
-    """Solve -digamma(v/2) + log(v/2) + 1 + stat = 0 for v by bisection.
+def estimate_dof(weighted_stat: float, bracket: tuple[float, float] = DOF_BRACKET,
+                 start: float | None = None) -> float:
+    """Solve f(v) = -digamma(v/2) + log(v/2) + 1 + stat = 0 for v by
+    safeguarded Newton, starting from ``start`` (default: the bracket's middle).
 
-    The left side is strictly decreasing in v. If it has no sign change on
-    the bracket, the nearer boundary is returned with a warning; weights
-    identically 1 (stat = -1, the Gaussian limit) land on the upper bound.
+    f is strictly decreasing and convex in v, with
+    f'(v) = -trigamma(v/2) / 2 + 1 / v.  The bracket around the root shrinks
+    with every evaluation, and a Newton step that leaves it is replaced by
+    bisection.  The root is defined by digamma alone; trigamma only steers.
+    The solve stops when a step or the bracket is below 1e-10.  If f has no
+    sign change on the bracket, the nearer boundary is returned with a
+    warning; weights identically 1 (stat = -1, the Gaussian limit) land on
+    the upper bound.
     """
     if not np.isfinite(weighted_stat):
         raise ValueError("non-finite dof statistic")
@@ -179,43 +197,51 @@ def estimate_dof(weighted_stat: float, bracket: tuple[float, float] = DOF_BRACKE
     if f(hi) >= 0.0:
         warnings.warn("dof root above bracket; returning the upper bound", RuntimeWarning)
         return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
+    nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
+    for _ in range(100):
+        value = f(nu)
+        if value == 0.0:
+            return nu
+        if value > 0.0:
+            lo = nu
         else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    return 0.5 * (lo + hi)
+            hi = nu
+        step = value / (1.0 / nu - 0.5 * trigamma(nu / 2.0))
+        new = nu - step if lo < nu - step < hi else 0.5 * (lo + hi)
+        if abs(new - nu) < 1e-10 or hi - lo < 1e-10:
+            return new
+        nu = new
+    return nu
 
 
-def _solve_dof(old_dof: float, q: int, r: np.ndarray, u: np.ndarray) -> float:
+def _solve_dof(old_dof: float, q: int, stat: float) -> float:
     # Exact conditional maximizer in the dof: fold the E-step's E[log U]
-    # digamma correction into the statistic before the bisection solve.
-    stat = float((r * (np.log(u) - u)).sum() / r.sum())
-    stat += float(digamma((old_dof + q) / 2.0)) - math.log((old_dof + q) / 2.0)
+    # digamma correction into the weighted statistic, then solve from the old dof.
+    stat += digamma((old_dof + q) / 2.0) - math.log((old_dof + q) / 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return estimate_dof(stat)
+        return estimate_dof(stat, start=old_dof)
 
 
 # ------------------------------------------------------------------- M-step
 
-def _regularize_cov(cov: np.ndarray) -> tuple[np.ndarray, bool]:
+def _regularize_cov(center: np.ndarray, cov: np.ndarray, dof: float | None = None):
+    """(x law, ridged): the Gaussian law, or the t law when ``dof`` is given,
+    built once; a covariance that does not factor is ridged and tried again."""
     cov = 0.5 * (cov + cov.T)
+
+    def law(c):
+        return GaussianParams(center, c) if dof is None else StudentParams(center, c, dof)
+
     try:
-        cholesky_lower(cov)
-        return cov, False
+        return law(cov), False
     except ValueError:
         pass
     ridge = 1e-8 * np.trace(cov) / cov.shape[0]
-    cov = cov + ridge * np.eye(cov.shape[0])
     try:
-        cholesky_lower(cov)
+        return law(cov + ridge * np.eye(cov.shape[0])), True
     except ValueError:
         raise _DegenerateStart("singular covariance after regularization") from None
-    return cov, True
 
 
 def _weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -228,25 +254,24 @@ def _weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarra
     return beta[:-1], float(beta[-1])
 
 
-def _latent_weights(model: CwmModel | None, x, y) -> _Weights:
+def _latent_weights(model: CwmModel | None, x, y, dist: Distances | None = None) -> _Weights:
     """Per-point t precision weights from the current parameters; a joint t
-    (fmt) gives x and y the one weight of its (d+1)-variate law."""
+    (fmt) gives x and y the one weight of its (d+1)-variate law.  ``dist`` is
+    the E-step's ``_component_distances`` at the same parameters, when known."""
     if model is None or model.spec.x_law != "t":
         return _Weights(None, None)
-    (n, d), G = x.shape, model.G
-    ux = np.empty((n, G))
-    uy = np.empty((n, G))
-    for g, comp in enumerate(model.components):
-        nu = comp.x_marginal.dof
-        delta_x = mahalanobis_sq(x, comp.x_marginal)
-        cond = comp.y_conditional
-        delta_y = (y - cond.map(x)) ** 2 / cond.noise_scale**2
-        if model.spec.y_law == "joint_t":
-            ux[:, g] = uy[:, g] = (nu + d + 1.0) / (nu + delta_x + delta_y)
-        else:
-            ux[:, g] = (nu + d) / (nu + delta_x)
-            uy[:, g] = (cond.dof + 1.0) / (cond.dof + delta_y)
-    return _Weights(ux, uy)
+    if dist is None:
+        dist = _component_distances(model, x, y)
+    d = x.shape[1]
+    conds = [comp.y_conditional for comp in model.components]
+    nu = np.array([[comp.x_marginal.dof] for comp in model.components])
+    delta_y = dist.resid**2 / np.array([[cond.noise_scale] for cond in conds]) ** 2
+    # distances are G-by-N; the weights are N-by-G like the responsibilities
+    if model.spec.y_law == "joint_t":
+        u = ((nu + d + 1.0) / (nu + dist.x + delta_y)).T
+        return _Weights(u, u)
+    zeta = np.array([[cond.dof] for cond in conds])
+    return _Weights(((nu + d) / (nu + dist.x)).T, ((zeta + 1.0) / (zeta + delta_y)).T)
 
 
 def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating) -> list[Gating]:
@@ -300,18 +325,24 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating) -> list[Gating]:
     return gating(theta)
 
 
-def _next_dofs(config, spec, old_model, g, d, r, u):
-    """(x dof, y dof) of component g's t laws; a joint t ties y's to nu + d."""
+def _next_dofs(config, spec, old_model, d, resp, mass, u):
+    """Per component, the (x dofs, y dofs) of the t laws; a joint t ties y's
+    to nu + d."""
     joint = spec.y_law == "joint_t"
     if config.dof_mode != "estimate":
-        nu = zeta = float(config.dof_mode)
+        nu = zeta = [float(config.dof_mode)] * len(mass)
     elif old_model is None:
-        nu = zeta = _INIT_DOF
+        nu = zeta = [_INIT_DOF] * len(mass)
     else:
-        old = old_model.components[g]
-        nu = _solve_dof(old.x_marginal.dof, d + 1 if joint else d, r, u.x[:, g])
-        zeta = None if joint else _solve_dof(old.y_conditional.dof, 1, r, u.y[:, g])
-    return nu, nu + d if joint else zeta
+        def solve(w, q, old_dofs):
+            # weighted statistic sum r (log u - u) / sum r of every component
+            stats = (resp * (np.log(w) - w)).sum(axis=0) / mass
+            return [_solve_dof(old, q, float(stat)) for old, stat in zip(old_dofs, stats)]
+
+        comps = old_model.components
+        nu = solve(u.x, d + 1 if joint else d, [c.x_marginal.dof for c in comps])
+        zeta = None if joint else solve(u.y, 1, [c.y_conditional.dof for c in comps])
+    return nu, [v + d for v in nu] if joint else zeta
 
 
 def _m_step(data, config, resp, u, old_model):
@@ -326,21 +357,20 @@ def _m_step(data, config, resp, u, old_model):
     else:
         weights = mass / mass.sum()
     var_floor = _NOISE_VAR_FLOOR * (float(np.var(y)) + 1e-30)
+    nus = zetas = [None] * G
+    if spec.x_law == "t":
+        nus, zetas = _next_dofs(config, spec, old_model, d, resp, mass, u)
     used_ridge = False
     comps = []
-    for g in range(G):
+    for g, (nu, zeta) in enumerate(zip(nus, zetas)):
         r = resp[:, g]
-        nu = zeta = None
-        if spec.x_law == "t":
-            nu, zeta = _next_dofs(config, spec, old_model, g, d, r, u)
         marg = None
         if spec.x_law is not None:
             wx = r if u.x is None else r * u.x[:, g]
             mu = (wx[:, None] * x).sum(axis=0) / wx.sum()
             centered = x - mu
-            cov, ridged = _regularize_cov((wx[:, None] * centered).T @ centered / mass[g])
+            marg, ridged = _regularize_cov(mu, (wx[:, None] * centered).T @ centered / mass[g], nu)
             used_ridge |= ridged
-            marg = GaussianParams(mu, cov) if nu is None else StudentParams(mu, cov, nu)
         wy = r if u.y is None else r * u.y[:, g]
         slope, intercept = _weighted_ls(x, y, wy)
         resid = y - (x @ slope + intercept)
@@ -365,7 +395,8 @@ def _run_start(data, config, resp, start_index):
     trace = []
     converged = False
     for it in range(config.max_iter):
-        terms = _log_component_terms(model, x, y)
+        dist = _component_distances(model, x, y)
+        terms = _log_component_terms(model, x, y, dist)
         row_lse = log_sum_exp(terms, axis=1)
         loglik = float(row_lse.sum())
         if not math.isfinite(loglik):
@@ -377,7 +408,7 @@ def _run_start(data, config, resp, start_index):
             break
         if it == config.max_iter - 1:
             break
-        u = _latent_weights(model, x, y)
+        u = _latent_weights(model, x, y, dist)
         model, ridged = _m_step(data, config, resp, u, model)
         streak = streak + 1 if ridged else 0
         if streak >= 3:

@@ -20,14 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import (
+# gaussian_logpdf and student_logpdf are not called here (the E-step works
+# from distances); perfbench/tracing.py still looks them up in this module.
+from .densities import (  # noqa: F401
     GaussianParams,
     StudentParams,
+    gaussian_log_density,
     gaussian_logpdf,
-    log_gamma,
     log_sum_exp,
     mahalanobis_sq,
     solve_spd,
+    student_log_density,
     student_logpdf,
 )
 
@@ -239,21 +242,34 @@ def _as_batch(model: CwmModel, x, y):
     return xb, yb, scalar
 
 
-def _student1d_logpdf(resid, scale_sq, dof):
-    """Univariate t log-density of a residual; scale_sq may vary per point."""
-    half = 0.5 * (dof + 1.0)
-    return (
-        log_gamma(half)
-        - log_gamma(0.5 * dof)
-        + 0.5 * dof * math.log(dof)
-        - 0.5 * (math.log(math.pi) + np.log(scale_sq))
-        - half * np.log(dof + resid**2 / scale_sq)
-    )
+#: Distances of each observation to each component, both G-by-N (one
+#: contiguous row per component): ``x``, the squared Mahalanobis distance of x
+#: to the x law (None when x is not modelled); ``resid``, y minus the
+#: component's regression line at x.
+Distances = namedtuple("Distances", ["x", "resid"])
 
 
-def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> np.ndarray:
-    """N-by-G matrix of log(weight_g * density_g) at each observation."""
-    n = xb.shape[0]
+def _component_distances(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> Distances:
+    """Whiten x against each component's x law once, and take the y residuals."""
+    comps = model.components
+    slopes = np.array([c.y_conditional.map.slope for c in comps])
+    intercepts = np.array([c.y_conditional.map.intercept for c in comps])
+    resid = yb - (slopes @ xb.T + intercepts[:, None])
+    if model.spec.x_law is None:
+        return Distances(None, resid)
+    return Distances(np.array([mahalanobis_sq(xb, c.x_marginal) for c in comps]), resid)
+
+
+def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray,
+                         dist: Distances | None = None) -> np.ndarray:
+    """N-by-G matrix of log(weight_g * density_g) at each observation.
+
+    ``dist`` is ``_component_distances(model, xb, yb)`` when the caller already
+    has it; every density is evaluated from those distances.
+    """
+    if dist is None:
+        dist = _component_distances(model, xb, yb)
+    n, d = xb.shape
     out = np.empty((n, model.G))
     spec = model.spec
     if spec.gated:
@@ -262,24 +278,21 @@ def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> np.
     else:
         log_weight = np.array([math.log(comp.weight) for comp in model.components])
     for g, comp in enumerate(model.components):
-        cond = comp.y_conditional
-        resid = yb - cond.map(xb)
+        marg, cond = comp.x_marginal, comp.y_conditional
         scale_sq = cond.noise_scale**2
+        if spec.y_law == "joint_t":
+            # joint-t factorization: conditional scale grows with the
+            # marginal Mahalanobis distance of x
+            scale_sq = scale_sq * (marg.dof + dist.x[g]) / (marg.dof + d)
+        maha_y = dist.resid[g] ** 2 / scale_sq
         if cond.dof is None:
-            ll = -0.5 * (math.log(2 * math.pi * scale_sq) + resid**2 / scale_sq)
+            ll = gaussian_log_density(maha_y, 1, np.log(scale_sq))
         else:
-            if spec.y_law == "joint_t":
-                # joint-t factorization: conditional scale grows with the
-                # marginal Mahalanobis distance of x
-                nu = comp.x_marginal.dof
-                delta = mahalanobis_sq(xb, comp.x_marginal)
-                scale_sq = scale_sq * (nu + delta) / (nu + model.d)
-            ll = _student1d_logpdf(resid, scale_sq, cond.dof)
-        if comp.x_marginal is not None:
-            if isinstance(comp.x_marginal, StudentParams):
-                ll = ll + student_logpdf(xb, comp.x_marginal)
-            else:
-                ll = ll + gaussian_logpdf(xb, comp.x_marginal)
+            ll = student_log_density(maha_y, 1, np.log(scale_sq), cond.dof)
+        if isinstance(marg, StudentParams):
+            ll = ll + student_log_density(dist.x[g], d, marg.log_det, marg.dof)
+        elif marg is not None:
+            ll = ll + gaussian_log_density(dist.x[g], d, marg.log_det)
         out[:, g] = log_weight[..., g] + ll
     return out
 

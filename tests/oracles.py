@@ -79,6 +79,10 @@ def digamma(x):
     return float(mp.digamma(mp.mpf(x)))
 
 
+def trigamma(x):
+    return float(mp.psi(1, mp.mpf(x)))
+
+
 def cwm_joint_terms(components, x, y):
     """Per-component log[pi * p(x|g) * p(y|x,g)] for linear Gaussian components.
 

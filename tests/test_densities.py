@@ -18,6 +18,7 @@ from cwmix.densities import (
     log_sum_exp,
     mahalanobis_sq,
     student_logpdf,
+    trigamma,
 )
 
 rng = np.random.default_rng(20240817)
@@ -227,6 +228,18 @@ def test_log_gamma_domain_error():
 def test_digamma_against_oracle():
     for x in [0.01, 0.1, 0.5, 1.0, 2.5, 6.0, 17.3, 100.0, 1000.0]:
         assert digamma(x) == pytest.approx(oracles.digamma(x), rel=1e-10, abs=1e-10)
+
+
+def test_trigamma_against_oracle():
+    # both sides of the recurrence threshold 6 and both ends of the dof range
+    for x in np.concatenate([np.geomspace(0.05, 1e3, 41), [5.999999, 6.0, 6.000001]]):
+        assert trigamma(x) == pytest.approx(oracles.trigamma(x), rel=1e-10)
+
+
+def test_trigamma_domain_error():
+    for x in (0.0, -1.0, -0.5):
+        with pytest.raises(ValueError):
+            trigamma(x)
 
 
 # --------------------------------------------------------- chi-sq quantile

@@ -11,13 +11,17 @@ import pytest
 from mpmath import mp
 
 from helpers import random_model, random_points
+from cwmix import densities, em
 from cwmix.datagen import builtin_scenario, generate
 from cwmix.densities import GaussianParams, StudentParams, mahalanobis_sq
 from cwmix.em import (
     DegenerateFitError,
     FitConfig,
+    _DegenerateStart,
     _fit_gating,
     _latent_weights,
+    _regularize_cov,
+    _solve_dof,
     estimate_dof,
     fit,
     initialize,
@@ -68,11 +72,23 @@ def test_fit_config_defaults():
         dict(G=2, n_starts=0),
         dict(G=2, init="mystery"),
         dict(G=2, dof_mode=-3.0),
+        dict(G=2, dof_mode=True),
+        dict(G=2, dof_mode=float("inf")),
     ],
 )
 def test_fit_config_validation(kwargs):
     with pytest.raises(ValueError):
         FitConfig(**kwargs)
+
+
+@pytest.mark.parametrize("dof", (np.int64(5), np.float64(5.0)))
+def test_fit_config_accepts_numpy_dof(dof):
+    r = np.random.default_rng(3)
+    x = r.normal(size=40)
+    y = 2.0 * x + r.normal(size=40)
+    cfg = FitConfig(G=1, variant="t_cwm", dof_mode=dof, n_starts=1, max_iter=3)
+    comp = fit(Dataset(x, y), cfg).model.components[0]
+    assert comp.x_marginal.dof == comp.y_conditional.dof == 5.0
 
 
 # ----------------------------------------------------------------- initialize
@@ -144,6 +160,71 @@ def test_estimate_dof_lower_boundary_flagged():
 def test_estimate_dof_invalid_statistic():
     with pytest.raises(ValueError):
         estimate_dof(float("nan"))
+
+
+DOF_ROOTS = (0.6, 1.0, 2.5, 7.0, 20.0, 60.0, 120.0, 190.0)
+
+
+def dof_stat(root):
+    """The statistic whose exact dof root is ``root``."""
+    half = mp.mpf(root) / 2
+    return float(mp.digamma(half) - mp.log(half) - 1)
+
+
+@pytest.mark.parametrize("root", DOF_ROOTS)
+def test_estimate_dof_matches_mpmath_root(root):
+    stat = dof_stat(root)
+
+    def f(nu):
+        return -mp.digamma(nu / 2) + mp.log(nu / 2) + 1 + mp.mpf(stat)
+
+    want = float(mp.findroot(f, (mp.mpf("0.5"), mp.mpf(200)), solver="anderson"))
+    assert estimate_dof(stat) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("root", DOF_ROOTS)
+def test_estimate_dof_same_root_from_any_start(root):
+    stat = dof_stat(root)
+    want = estimate_dof(stat)
+    for start in (0.5, 200.0, 0.5 * (0.5 + root), 0.5 * (root + 200.0)):
+        assert estimate_dof(stat, start=start) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("root", DOF_ROOTS)
+def test_solve_dof_warm_start_needs_few_digammas(monkeypatch, root):
+    # an ECM iteration moves a dof a little; from 10 % off, the whole solve
+    # (statistic correction, both edge checks, Newton steps) stays cheap
+    digamma = em.digamma
+    calls = []
+    monkeypatch.setattr(em, "digamma", lambda x: calls.append(x) or digamma(x))
+    for old in (0.9 * root, min(1.1 * root, 200.0)):
+        half = (old + 1.0) / 2.0
+        stat = dof_stat(root) - (digamma(half) - math.log(half))
+        calls.clear()
+        assert _solve_dof(old, 1, stat) == pytest.approx(root, abs=1e-9)
+        assert len(calls) <= 12
+
+
+# ------------------------------------------------------------ x-law update
+
+def test_regularize_cov_factors_each_covariance_once(monkeypatch):
+    cholesky = densities.cholesky_lower
+    calls = []
+    monkeypatch.setattr(densities, "cholesky_lower", lambda a: calls.append(a) or cholesky(a))
+    center = np.array([1.0, -2.0])
+    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+    law, ridged = _regularize_cov(center, cov)
+    assert isinstance(law, GaussianParams) and not ridged and len(calls) == 1
+    np.testing.assert_array_equal(law.cov, cov)
+    law, ridged = _regularize_cov(center, cov, 4.0)
+    assert isinstance(law, StudentParams) and law.dof == 4.0 and not ridged
+    calls.clear()
+    # rank one: the first factorization fails, the ridged one succeeds
+    law, ridged = _regularize_cov(center, np.ones((2, 2)))
+    assert ridged and len(calls) == 2
+    np.testing.assert_array_equal(law.cov, np.ones((2, 2)) + 1e-8 * np.eye(2))
+    with pytest.raises(_DegenerateStart):
+        _regularize_cov(center, np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------------------ fit
@@ -256,6 +337,41 @@ def test_fit_exact_line_is_degenerate(variant):
     x = np.random.default_rng(0).normal(size=60)
     with pytest.raises(DegenerateFitError, match="collapsed noise variance"):
         fit(Dataset(x, 2.0 * x + 1.0), FitConfig(G=1, variant=variant, n_starts=1))
+
+
+#: One k-means start (seed 1), 100 ECM iterations on builtin designs drawn
+#: with seed 1: final loglik, iteration count, and (x dof, y dof) per
+#: component.  Recorded with the bisection dof solve and the E-step that
+#: whitened x in each density call; the Newton solve and the shared
+#: distances must reproduce them.
+T_FIT_PINS = {
+    ("ex4_s2", "t_cwm"): (-2236.972600074528, 100, [
+        (3.383025863450598, 0.8076964483803977),
+        (12.400177567237847, 27.765519002581982),
+        (3.5221093375354258, 0.6954324128354301)]),
+    ("ex4_s2", "fmt"): (-2266.6492965584857, 100, [
+        (1.0836946069936175, 2.0836946069936175),
+        (25.454006157731214, 26.454006157731214),
+        (0.9093569894351958, 1.9093569894351958)]),
+    ("ex6_s2", "t_cwm"): (-3134.1820571145313, 100, [
+        (1.079413543936539, 0.5976229973790623),
+        (51.96256317235827, 11.915076929005522)]),
+    ("ex6_s2", "fmt"): (-3072.1185784263707, 100, [
+        (0.8815772897102079, 2.881577289710208),
+        (41.885659960545695, 43.885659960545695)]),
+}
+
+
+@pytest.mark.parametrize("name, variant", sorted(T_FIT_PINS))
+def test_fit_t_variants_reproduce_pinned_fits(name, variant):
+    loglik, n_iter, dofs = T_FIT_PINS[name, variant]
+    spec = builtin_scenario(name).with_seed(1)
+    res = fit(generate(spec), FitConfig(G=len(spec.groups), variant=variant, seed=1,
+                                        n_starts=1, max_iter=100))
+    assert res.loglik_trace[-1] == pytest.approx(loglik, rel=1e-9)
+    assert res.n_iter == n_iter
+    got = [(c.x_marginal.dof, c.y_conditional.dof) for c in res.model.components]
+    np.testing.assert_allclose(got, dofs, rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))

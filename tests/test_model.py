@@ -102,6 +102,34 @@ def test_joint_logpdf_fmr_is_conditional_only():
     assert joint_logpdf(m, x, 3.0) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("variant", ("t_cwm", "fmt"))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_joint_logpdf_t_variants_against_oracle(variant, d):
+    r = np.random.default_rng(10 * d + VARIANTS.index(variant))
+    model = random_model(r, variant, 3, d)
+    x, y = random_points(r, 6, d)
+    got = joint_logpdf(model, x, y)
+    for i in range(len(y)):
+        terms = []
+        for comp in model.components:
+            marg, cond = comp.x_marginal, comp.y_conditional
+            if variant == "t_cwm":
+                ll = oracles.mvt_logpdf(x[i], marg.location, marg.scale, marg.dof)
+                ll += oracles.mvt_logpdf([y[i]], [cond.map(x[i])], [[cond.noise_scale**2]], cond.dof)
+            else:
+                # the (d+1)-variate t whose x-marginal and y|x conditional these are
+                slope = cond.map.slope
+                sxy = marg.scale @ slope
+                scale = np.block([
+                    [marg.scale, sxy[:, None]],
+                    [sxy[None, :], np.array([[cond.noise_scale**2 + slope @ sxy]])],
+                ])
+                loc = np.append(marg.location, cond.map(marg.location))
+                ll = oracles.mvt_logpdf(np.append(x[i], y[i]), loc, scale, marg.dof)
+            terms.append(float(oracles.mp.log(comp.weight)) + ll)
+        assert got[i] == pytest.approx(oracles.logsumexp(terms), rel=1e-10)
+
+
 def test_joint_logpdf_dimension_mismatch():
     with pytest.raises(ValueError):
         joint_logpdf(example1_model(), np.array([1.0, 2.0]), 0.0)
