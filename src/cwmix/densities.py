@@ -10,7 +10,12 @@ left to normalization sites.
 Covariance-like matrices are handled through a lower-triangular Cholesky
 factorization only; no explicit inverse is ever formed.  A factorization
 whose pivot falls below 1e-12 times the largest diagonal entry is rejected
-as non-positive-definite.
+as non-positive-definite.  ``cholesky_lower``, ``solve_lower`` and
+``solve_spd`` take one k-by-k matrix or a (G, k, k) stack: the column loop
+runs once for the whole stack, every matrix gets the same checks, and a
+matrix gets the same bits alone or stacked.  A law built from a stacked
+factorization skips factoring again (``GaussianParams._from_factor``,
+``StudentParams._from_factor``).
 """
 
 from __future__ import annotations
@@ -25,53 +30,98 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
+    """Lower-triangular Cholesky factor of a symmetric positive-definite matrix,
+    or of every matrix in a (G, k, k) stack.
 
-    Raises ValueError if the matrix is not symmetric or a pivot falls below
-    1e-12 x (largest diagonal entry).
+    Raises ValueError if any matrix is not symmetric or one of its pivots falls
+    below 1e-12 x (its largest diagonal entry).  The column loop runs once for
+    the whole stack; a matrix gets the same factor alone or in a stack.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, scale):
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    flat = stack.reshape(-1, n * n)
+    scale = np.abs(flat).max(axis=1)
+    if (np.abs(flat - stack.transpose(0, 2, 1).reshape(-1, n * n)).max(axis=1)
+            > 1e-8 * np.maximum(1.0, scale)).any():
         raise ValueError("matrix is not symmetric")
-    diag_max = float(np.max(np.diag(a)))
-    if diag_max <= 0.0 or not np.isfinite(diag_max):
+    diag_max = flat[:, :: n + 1].max(axis=1)
+    if not ((diag_max > 0.0) & (diag_max < np.inf)).all():
         raise ValueError("matrix is not positive definite (non-positive diagonal)")
     floor = _PIVOT_REL_FLOOR * diag_max
-    n = a.shape[0]
-    L = np.zeros_like(a)
+    L = np.zeros_like(stack)
     for j in range(n):
-        pivot = a[j, j] - L[j, :j] @ L[j, :j]
-        if not np.isfinite(pivot) or pivot < floor:
+        pivot = stack[:, j, j]
+        col = stack[:, j + 1 :, j]
+        if j:  # column 0 has nothing to subtract
+            row = L[:, j : j + 1, :j]
+            pivot = pivot - (row @ row.transpose(0, 2, 1))[:, 0, 0]
+            col = col - (L[:, j + 1 :, :j] @ row.transpose(0, 2, 1))[..., 0]
+        # NaN fails this too; a pivot cannot exceed the finite diagonal
+        if not (pivot >= floor).all():
+            g = int(np.argmin(pivot >= floor))
             raise ValueError(
-                f"matrix is not positive definite (pivot {pivot:.3g} below {floor:.3g})"
+                f"matrix is not positive definite (pivot {pivot[g]:.3g} below {floor[g]:.3g})"
             )
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
+        L[:, j, j] = np.sqrt(pivot)
+        L[:, j + 1 :, j] = col / L[:, j, j, None]
+    return L.reshape(a.shape)
+
+
+def _stacked_system(L, b):
+    """(G, k, k) factors and (G, k, m) right-hand sides from one factor with b
+    of shape (k,) or (k, m), or from a stack with b of shape (G, k) or
+    (G, k, m); also b's shape, which the solution takes."""
+    L = np.asarray(L, dtype=float)
+    b = np.asarray(b, dtype=float)
+    stack = L.reshape((-1,) + L.shape[-2:])
+    return stack, b.reshape(stack.shape[:2] + (-1,)), b.shape
 
 
 def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L w = b by forward substitution; b may be a vector or a matrix."""
-    w = np.zeros_like(np.asarray(b, dtype=float))
-    for i in range(L.shape[0]):
-        w[i] = (b[i] - L[i, :i] @ w[:i]) / L[i, i]
-    return w
+    """Solve L w = b by forward substitution, for one lower-triangular L or a
+    (G, k, k) stack of them; b is a vector or a matrix per factor."""
+    L, b, shape = _stacked_system(L, b)
+    w = np.zeros_like(b)
+    for i in range(L.shape[-1]):
+        rhs = b[:, i]
+        if i:
+            rhs = rhs - (L[:, i : i + 1, :i] @ w[:, :i])[:, 0]
+        w[:, i] = rhs / L[:, i, i, None]
+    return w.reshape(shape)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a w = b for symmetric positive-definite a via its Cholesky factor."""
-    L = cholesky_lower(a)
-    w = solve_lower(L, np.asarray(b, dtype=float))
+    """Solve a w = b for symmetric positive-definite a, or for each matrix of a
+    (G, k, k) stack, via its Cholesky factor; b as for solve_lower."""
+    L, w, shape = _stacked_system(cholesky_lower(a), b)
+    w = solve_lower(L, w)
     # back substitution with L^T
-    n = L.shape[0]
+    n = L.shape[-1]
     out = np.zeros_like(w)
     for i in range(n - 1, -1, -1):
-        out[i] = (w[i] - L[i + 1 :, i] @ out[i + 1 :]) / L[i, i]
-    return out
+        rhs = w[:, i]
+        if i + 1 < n:
+            rhs = rhs - (L[:, None, i + 1 :, i] @ out[:, i + 1 :])[:, 0]
+        out[:, i] = rhs / L[:, i, i, None]
+    return out.reshape(shape)
+
+
+def _assemble(cls, chol, **fields):
+    """A law of class ``cls`` from fields that are already float arrays and the
+    Cholesky factor of its matrix, without validating or factoring again."""
+    law = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(law, name, value)
+    _set_factor(law, chol)
+    return law
+
+
+def _set_factor(law, chol) -> None:
+    object.__setattr__(law, "_chol", chol)
+    object.__setattr__(law, "_log_det", _log_det(chol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +140,15 @@ class GaussianParams:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean dimension {mean.size}"
             )
-        chol = cholesky_lower(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_log_det", _log_det(chol))
+        _set_factor(self, cholesky_lower(cov))
+
+    @classmethod
+    def _from_factor(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> "GaussianParams":
+        """The law of a float mean vector and covariance whose Cholesky factor
+        the caller already has (one matrix of a stacked factorization)."""
+        return _assemble(cls, chol, mean=mean, cov=cov)
 
     @property
     def dim(self) -> int:
@@ -131,12 +185,20 @@ class StudentParams:
         dof = float(self.dof)
         if not dof > 0:
             raise ValueError(f"dof must be strictly positive, got {dof}")
-        chol = cholesky_lower(scale)
         object.__setattr__(self, "location", location)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "dof", dof)
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_log_det", _log_det(chol))
+        _set_factor(self, cholesky_lower(scale))
+
+    @classmethod
+    def _from_factor(cls, location: np.ndarray, scale: np.ndarray, dof: float,
+                     chol: np.ndarray) -> "StudentParams":
+        """The law of a float location and scale matrix whose Cholesky factor
+        the caller already has (one matrix of a stacked factorization)."""
+        dof = float(dof)
+        if not dof > 0:
+            raise ValueError(f"dof must be strictly positive, got {dof}")
+        return _assemble(cls, chol, location=location, scale=scale, dof=dof)
 
     @property
     def dim(self) -> int:
@@ -186,16 +248,16 @@ def gaussian_log_density(maha, q: int, log_det):
     return -0.5 * (q * _LOG_2PI + log_det + maha)
 
 
-def student_log_density(maha, q: int, log_det, nu: float):
+def student_log_density(maha, q: int, log_det, nu):
     """Log-density of a q-variate Student-t with nu dof at squared Mahalanobis
     distance maha from its location, given log|Sigma|; maha and log_det may be
-    arrays."""
-    const = (
-        log_gamma((nu + q) / 2.0)
-        - log_gamma(nu / 2.0)
-        + 0.5 * nu * math.log(nu)
-        - 0.5 * (q * math.log(math.pi) + log_det)
+    arrays, and nu a G-by-1 column of dofs against G-by-N distances (log_gamma
+    is taken once per dof, by its scalar path)."""
+    nu = np.asarray(nu, dtype=float)
+    log_ratio = np.reshape(
+        [log_gamma((v + q) / 2.0) - log_gamma(v / 2.0) for v in nu.ravel().tolist()], nu.shape
     )
+    const = log_ratio + 0.5 * nu * np.log(nu) - 0.5 * (q * math.log(math.pi) + log_det)
     return const - 0.5 * (nu + q) * np.log(nu + maha)
 
 

@@ -1,20 +1,32 @@
 """EM / ECM fitting for every model variant, with multi-start initialization.
 
-Every variant takes the same per-component M-step, read off the variant's row
-in ``model.VARIANT_SPECS``: y is fitted on x by weighted least squares, and
-when x is modelled its mean and covariance are weighted moments.  Gaussian
+Every variant takes the same M-step, read off the variant's row in
+``model.VARIANT_SPECS``: y is fitted on x by weighted least squares, and when
+x is modelled its mean and covariance are weighted moments.  Gaussian
 variants use plain EM, so fmg takes gaussian_cwm's update exactly (the Schur
 complement of the weighted joint moments of (x, y) is that least-squares fit).
 Student-t variants use ECM: the E-step adds latent precision weights
 u = (dof + q) / (dof + mahalanobis), and the dof update is a one-dimensional
 conditional maximization solved by safeguarded Newton, warm-started from the
 previous dof.  fmt's joint t gives x and y one shared weight,
-(nu + d + 1) / (nu + delta_x + resid^2 / sigma^2).  Each iteration whitens x
-against each component once: the E-step's distances also give the weights.
+(nu + d + 1) / (nu + delta_x + resid^2 / sigma^2).
+
+One iteration does its small-matrix work once for all G components, with no
+per-component loop on the hot path.  The E-step whitens x against every
+component in one stacked triangular solve, and its distances also give the
+weights.  The M-step works on G-by-N weights: every weighted Gram matrix,
+right-hand side, x moment and noise variance comes from a stacked product,
+one stacked factorization solves every least-squares fit, and one more builds
+every x law (a covariance that does not factor sends each component through
+``_regularize_cov``).  Only the dof solves and the building of the component
+objects stay per component.  The [x, 1] design and the noise-variance floor
+are computed once per start.
+
 The fmrc gating M-step is generalized EM: each iteration takes one guarded,
-penalized Newton step from the previous gating instead of solving the gating
-problem to convergence.  The step is halved until the gating objective does
-not decrease, so the observed-data log-likelihood stays non-decreasing.
+penalized Newton step from the previous gating, starting from the log gate
+the E-step already evaluated, instead of solving the gating problem to
+convergence.  The step is halved until the gating objective does not
+decrease, so the observed-data log-likelihood stays non-decreasing.
 """
 
 from __future__ import annotations
@@ -27,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# cholesky_lower and mahalanobis_sq are not called here (the x laws factor
-# their own covariance, and the weights reuse the E-step's distances);
-# perfbench/tracing.py still looks them up in this module.
+# mahalanobis_sq is not called here (the weights reuse the E-step's
+# distances); perfbench/tracing.py still looks it up in this module.
 from .densities import (  # noqa: F401
     GaussianParams,
     StudentParams,
@@ -51,6 +62,8 @@ from .model import (
     Gating,
     LinearMap,
     _component_distances,
+    _gate_logits,
+    _gating_theta,
     _log_component_terms,
 )
 
@@ -179,9 +192,10 @@ def estimate_dof(weighted_stat: float, bracket: tuple[float, float] = DOF_BRACKE
     f'(v) = -trigamma(v/2) / 2 + 1 / v.  The bracket around the root shrinks
     with every evaluation, and a Newton step that leaves it is replaced by
     bisection.  The root is defined by digamma alone; trigamma only steers.
-    The solve stops when a step or the bracket is below 1e-10.  If f has no
-    sign change on the bracket, the nearer boundary is returned with a
-    warning; weights identically 1 (stat = -1, the Gaussian limit) land on
+    The solve stops when a step or the bracket is below 1e-10.  f is
+    evaluated at the start once, and then at the one bracket edge on the
+    root's side; if f has no sign change there, that edge is returned with a
+    warning.  Weights identically 1 (stat = -1, the Gaussian limit) land on
     the upper bound.
     """
     if not np.isfinite(weighted_stat):
@@ -191,15 +205,17 @@ def estimate_dof(weighted_stat: float, bracket: tuple[float, float] = DOF_BRACKE
     def f(nu):
         return -digamma(nu / 2.0) + math.log(nu / 2.0) + 1.0 + weighted_stat
 
-    if f(lo) <= 0.0:
+    nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
+    value = f(nu)
+    # f is decreasing, so only the bracket edge on the root's side of the
+    # start can lack a sign change
+    if value <= 0.0 and (nu == lo or f(lo) <= 0.0):
         warnings.warn("dof root below bracket; returning the lower bound", RuntimeWarning)
         return lo
-    if f(hi) >= 0.0:
+    if value >= 0.0 and (nu == hi or f(hi) >= 0.0):
         warnings.warn("dof root above bracket; returning the upper bound", RuntimeWarning)
         return hi
-    nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
     for _ in range(100):
-        value = f(nu)
         if value == 0.0:
             return nu
         if value > 0.0:
@@ -211,6 +227,7 @@ def estimate_dof(weighted_stat: float, bracket: tuple[float, float] = DOF_BRACKE
         if abs(new - nu) < 1e-10 or hi - lo < 1e-10:
             return new
         nu = new
+        value = f(nu)
     return nu
 
 
@@ -244,14 +261,32 @@ def _regularize_cov(center: np.ndarray, cov: np.ndarray, dof: float | None = Non
         raise _DegenerateStart("singular covariance after regularization") from None
 
 
-def _weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    design = np.column_stack([x, np.ones(x.shape[0])])
-    weighted = design * w[:, None]
+def _x_laws(centers: np.ndarray, covs: np.ndarray, dofs) -> tuple[list, bool]:
+    """(x laws, ridged): every component's Gaussian law, or t law when its dof
+    is given, from one stacked factorization of the G-by-d-by-d covariances.
+    When any covariance does not factor, each goes through _regularize_cov."""
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     try:
-        beta = solve_spd(design.T @ weighted, weighted.T @ y)
+        chols = cholesky_lower(covs)
+    except ValueError:
+        built = [_regularize_cov(*args) for args in zip(centers, covs, dofs)]
+        return [law for law, _ in built], any(ridged for _, ridged in built)
+    if dofs[0] is None:
+        return [GaussianParams._from_factor(*args) for args in zip(centers, covs, chols)], False
+    return [StudentParams._from_factor(*args) for args in zip(centers, covs, dofs, chols)], False
+
+
+def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least squares of y on the N-by-(d+1) design [x, 1], one fit
+    per column of the N-by-G weights: (G-by-d slopes, G intercepts).  The G
+    weighted Gram matrices come from one stacked product and are solved by one
+    stacked factorization."""
+    weighted = w.T[:, :, None] * design
+    try:
+        beta = solve_spd(design.T @ weighted, weighted.transpose(0, 2, 1) @ y)
     except ValueError:
         raise _DegenerateStart("singular weighted design") from None
-    return beta[:-1], float(beta[-1])
+    return beta[:, :-1], beta[:, -1]
 
 
 def _latent_weights(model: CwmModel | None, x, y, dist: Distances | None = None) -> _Weights:
@@ -274,35 +309,39 @@ def _latent_weights(model: CwmModel | None, x, y, dist: Distances | None = None)
     return _Weights(((nu + d) / (nu + dist.x)).T, ((zeta + 1.0) / (zeta + delta_y)).T)
 
 
-def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating) -> list[Gating]:
+def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate=None,
+                design=None) -> list[Gating]:
     """One penalized Newton (IRLS) step on the gating objective
     sum(resp * log_gate), taken from the previous gating.
 
-    The step is halved until the objective does not decrease, which makes the
-    update a GEM step: the observed-data log-likelihood cannot fall.  If no
-    halving is accepted, or the ridged Hessian cannot be factored, the old
-    gating is kept.  Repeated on fixed responsibilities, the steps converge to
-    the full gating M-step's maximizer.
+    ``log_gate`` is the G-by-N log gate at ``old_gating`` when the E-step has
+    it (``Distances.log_gate``), and ``design`` the N-by-(d+1) [x, 1]; either
+    is computed here when not given.  The step is halved until the objective
+    does not decrease, which makes the update a GEM step: the observed-data
+    log-likelihood cannot fall.  If no halving is accepted, or the ridged
+    Hessian cannot be factored, the old gating is kept.  Repeated on fixed
+    responsibilities, the steps converge to the full gating M-step's maximizer.
     """
     n, d = x.shape
     G = resp.shape[1]
     m, k = G - 1, (G - 1) * (d + 1)
-    design = np.column_stack([x, np.ones(n)])
-    theta = np.array([np.append(g.w, g.w0) for g in old_gating[1:]])
+    if design is None:
+        design = np.column_stack([x, np.ones(n)])
+    theta = _gating_theta(old_gating)
 
-    def log_gate(th):
-        logits = np.zeros((n, G))
-        logits[:, 1:] = design @ th.T
-        return logits - log_sum_exp(logits, axis=1)[:, None]
+    def log_gate_at(th):
+        logits = _gate_logits(x, th)
+        return logits - log_sum_exp(logits, axis=0)
 
     def gating(th):
         return [Gating(np.zeros(d), 0.0)] + [
             Gating(th[i, :d].copy(), float(th[i, d])) for i in range(m)
         ]
 
-    current = log_gate(theta)
-    value = float(np.sum(resp * current))
-    prob = np.exp(current[:, 1:])
+    if log_gate is None:
+        log_gate = log_gate_at(theta)
+    value = float(np.sum(resp * log_gate.T))
+    prob = np.exp(log_gate[1:].T)
     grad = (resp[:, 1:] - prob).T @ design
     if np.max(np.abs(grad)) < 1e-10:
         return gating(theta)
@@ -319,7 +358,7 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating) -> list[Gating]:
     scale = 1.0
     for _ in range(20):
         candidate = theta + scale * step
-        if float(np.sum(resp * log_gate(candidate))) >= value - 1e-12:
+        if float(np.sum(resp * log_gate_at(candidate).T)) >= value - 1e-12:
             return gating(candidate)
         scale *= 0.5
     return gating(theta)
@@ -345,7 +384,20 @@ def _next_dofs(config, spec, old_model, d, resp, mass, u):
     return nu, [v + d for v in nu] if joint else zeta
 
 
-def _m_step(data, config, resp, u, old_model):
+#: What every M-step of one start reads unchanged: the N-by-(d+1) design
+#: [x, 1] and the floor under the noise variances.
+_StartConstants = namedtuple("_StartConstants", ["design", "var_floor"])
+
+
+def _start_constants(data: Dataset) -> _StartConstants:
+    return _StartConstants(np.column_stack([data.x, np.ones(data.n)]),
+                           _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30))
+
+
+def _m_step(data, config, resp, u, old_model, const, log_gate=None):
+    """Every component's update at once: G-by-N weights, stacked moments, one
+    stacked least-squares solve and one stacked x-law factorization.
+    ``log_gate`` is the E-step's, at ``old_model``'s gating."""
     x, y = data.x, data.y
     d, G = data.d, config.G
     spec = VARIANT_SPECS[config.variant]
@@ -356,41 +408,40 @@ def _m_step(data, config, resp, u, old_model):
         weights = np.full(G, 1.0 / G)
     else:
         weights = mass / mass.sum()
-    var_floor = _NOISE_VAR_FLOOR * (float(np.var(y)) + 1e-30)
     nus = zetas = [None] * G
     if spec.x_law == "t":
         nus, zetas = _next_dofs(config, spec, old_model, d, resp, mass, u)
-    used_ridge = False
-    comps = []
-    for g, (nu, zeta) in enumerate(zip(nus, zetas)):
-        r = resp[:, g]
-        marg = None
-        if spec.x_law is not None:
-            wx = r if u.x is None else r * u.x[:, g]
-            mu = (wx[:, None] * x).sum(axis=0) / wx.sum()
-            centered = x - mu
-            marg, ridged = _regularize_cov(mu, (wx[:, None] * centered).T @ centered / mass[g], nu)
-            used_ridge |= ridged
-        wy = r if u.y is None else r * u.y[:, g]
-        slope, intercept = _weighted_ls(x, y, wy)
-        resid = y - (x @ slope + intercept)
-        noise_var = float((wy * resid**2).sum() / mass[g])
-        if not noise_var > var_floor:
-            raise _DegenerateStart("collapsed noise variance")
-        cond = Conditional(LinearMap(slope, intercept), math.sqrt(noise_var), dof=zeta)
-        comps.append(Component(weights[g], marg, cond))
+    margs, used_ridge = [None] * G, False
+    if spec.x_law is not None:
+        wx = (resp if u.x is None else resp * u.x).T
+        mu = (wx @ x) / wx.sum(axis=1)[:, None]
+        centered = x - mu[:, None, :]
+        covs = (wx[:, :, None] * centered).transpose(0, 2, 1) @ centered / mass[:, None, None]
+        margs, used_ridge = _x_laws(mu, covs, nus)
+    wy = resp if u.y is None else resp * u.y
+    slopes, intercepts = _weighted_ls(const.design, y, wy)
+    resid = y - (slopes @ x.T + intercepts[:, None])
+    noise_var = (wy.T * resid**2).sum(axis=1) / mass
+    if not np.all(noise_var > const.var_floor):
+        raise _DegenerateStart("collapsed noise variance")
+    comps = tuple(
+        Component(weight, marg, Conditional(LinearMap(slope, b0), math.sqrt(var), dof=zeta))
+        for weight, marg, slope, b0, var, zeta
+        in zip(weights, margs, slopes, intercepts, noise_var, zetas)
+    )
     gating = None
     if spec.gated:
         old_gating = old_model.gating if old_model is not None else [Gating(np.zeros(d), 0.0)] * G
-        gating = tuple(_fit_gating(x, resp, old_gating))
-    return CwmModel(config.variant, tuple(comps), gating), used_ridge
+        gating = tuple(_fit_gating(x, resp, old_gating, log_gate, const.design))
+    return CwmModel(config.variant, comps, gating), used_ridge
 
 
 # -------------------------------------------------------------------- driver
 
 def _run_start(data, config, resp, start_index):
     x, y = data.x, data.y
-    model, ridged = _m_step(data, config, resp, _Weights(None, None), None)
+    const = _start_constants(data)
+    model, ridged = _m_step(data, config, resp, _Weights(None, None), None, const)
     streak = 1 if ridged else 0
     trace = []
     converged = False
@@ -409,7 +460,7 @@ def _run_start(data, config, resp, start_index):
         if it == config.max_iter - 1:
             break
         u = _latent_weights(model, x, y, dist)
-        model, ridged = _m_step(data, config, resp, u, model)
+        model, ridged = _m_step(data, config, resp, u, model, const, dist.log_gate)
         streak = streak + 1 if ridged else 0
         if streak >= 3:
             raise _DegenerateStart("covariance required repeated regularization")

@@ -10,6 +10,11 @@ Gaussian over (x, y) is exactly a Gaussian CWM component, so fmg shares
 gaussian_cwm's row and its EM update.  fmt's "joint_t" conditional is that of
 a joint t: its dof is tied to nu + d and its scale grows with the Mahalanobis
 distance of x.
+
+Evaluation is laid out G-by-N, one row per component: the distances of every
+observation to every component come from one stacked triangular solve, and
+the log-densities are G-by-N expressions with per-component parameters as
+G-by-1 columns.  Only ``log_gamma`` of each dof is taken per component.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# gaussian_logpdf and student_logpdf are not called here (the E-step works
-# from distances); perfbench/tracing.py still looks them up in this module.
+# gaussian_logpdf and student_logpdf are not called here, and mahalanobis_sq
+# only by t_conditional_decompose (the E-step whitens every component in one
+# stacked solve); perfbench/tracing.py still looks them up in this module.
 from .densities import (  # noqa: F401
     GaussianParams,
     StudentParams,
@@ -29,6 +35,7 @@ from .densities import (  # noqa: F401
     gaussian_logpdf,
     log_sum_exp,
     mahalanobis_sq,
+    solve_lower,
     solve_spd,
     student_log_density,
     student_logpdf,
@@ -242,22 +249,53 @@ def _as_batch(model: CwmModel, x, y):
     return xb, yb, scalar
 
 
-#: Distances of each observation to each component, both G-by-N (one
-#: contiguous row per component): ``x``, the squared Mahalanobis distance of x
-#: to the x law (None when x is not modelled); ``resid``, y minus the
-#: component's regression line at x.
-Distances = namedtuple("Distances", ["x", "resid"])
+#: What the E-step reads of each observation at the current parameters, all
+#: G-by-N (one contiguous row per component): ``x``, the squared Mahalanobis
+#: distance of x to the x law (None when x is not modelled); ``resid``, y minus
+#: the component's regression line at x; ``log_gate``, the log gating
+#: probabilities (None unless the variant is gated).
+Distances = namedtuple("Distances", ["x", "resid", "log_gate"])
+
+
+def _column(values) -> np.ndarray:
+    """G-by-1 column of per-component scalars, to broadcast against G-by-N."""
+    return np.array(values, dtype=float)[:, None]
+
+
+def _gating_theta(gating) -> np.ndarray:
+    """(G-1)-by-(d+1) rows (w, w0) of every gating entry but the baseline."""
+    rows = [np.append(g.w, g.w0) for g in gating[1:]]
+    return np.array(rows).reshape(len(rows), gating[0].w.size + 1)
+
+
+def _gate_logits(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """G-by-N gating logits: 0 for the baseline, w'x + w0 from the rows of
+    ``theta`` for the others.  The E-step and the gating M-step
+    (``em._fit_gating``) both take the gate from here and normalize it with
+    ``log_sum_exp``, so the M-step's acceptance test compares values computed
+    alike."""
+    logits = np.zeros((theta.shape[0] + 1, xb.shape[0]))
+    logits[1:] = theta[:, :-1] @ xb.T + theta[:, -1:]
+    return logits
 
 
 def _component_distances(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> Distances:
-    """Whiten x against each component's x law once, and take the y residuals."""
+    """Whiten x against every component's x law in one stacked triangular
+    solve, take the y residuals, and evaluate the gate."""
     comps = model.components
     slopes = np.array([c.y_conditional.map.slope for c in comps])
     intercepts = np.array([c.y_conditional.map.intercept for c in comps])
     resid = yb - (slopes @ xb.T + intercepts[:, None])
+    log_gate = None
+    if model.spec.gated:
+        logits = _gate_logits(xb, _gating_theta(model.gating))
+        log_gate = logits - log_sum_exp(logits, axis=0)
     if model.spec.x_law is None:
-        return Distances(None, resid)
-    return Distances(np.array([mahalanobis_sq(xb, c.x_marginal) for c in comps]), resid)
+        return Distances(None, resid, log_gate)
+    margs = [c.x_marginal for c in comps]
+    centers = np.array([m.center for m in margs])
+    white = solve_lower(np.array([m.chol for m in margs]), xb.T - centers[:, :, None])
+    return Distances(np.sum(white * white, axis=1), resid, log_gate)
 
 
 def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray,
@@ -265,36 +303,38 @@ def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray,
     """N-by-G matrix of log(weight_g * density_g) at each observation.
 
     ``dist`` is ``_component_distances(model, xb, yb)`` when the caller already
-    has it; every density is evaluated from those distances.
+    has it.  Every density is evaluated from those distances as one G-by-N
+    expression, with per-component scales, dofs and log-determinants as G-by-1
+    columns; the result is the transpose of that G-by-N array.
     """
     if dist is None:
         dist = _component_distances(model, xb, yb)
-    n, d = xb.shape
-    out = np.empty((n, model.G))
+    d = xb.shape[1]
     spec = model.spec
-    if spec.gated:
-        logits = np.stack([xb @ g.w + g.w0 for g in model.gating], axis=1)
-        log_weight = logits - log_sum_exp(logits, axis=1)[:, None]
+    margs = [comp.x_marginal for comp in model.components]
+    conds = [comp.y_conditional for comp in model.components]
+    scale_sq = _column([cond.noise_scale for cond in conds]) ** 2
+    if spec.y_law == "joint_t":
+        # joint-t factorization: conditional scale grows with the
+        # marginal Mahalanobis distance of x
+        nu = _column([marg.dof for marg in margs])
+        scale_sq = scale_sq * (nu + dist.x) / (nu + d)
+    maha_y = dist.resid**2 / scale_sq
+    if spec.y_law == "gaussian":
+        ll = gaussian_log_density(maha_y, 1, np.log(scale_sq))
     else:
-        log_weight = np.array([math.log(comp.weight) for comp in model.components])
-    for g, comp in enumerate(model.components):
-        marg, cond = comp.x_marginal, comp.y_conditional
-        scale_sq = cond.noise_scale**2
-        if spec.y_law == "joint_t":
-            # joint-t factorization: conditional scale grows with the
-            # marginal Mahalanobis distance of x
-            scale_sq = scale_sq * (marg.dof + dist.x[g]) / (marg.dof + d)
-        maha_y = dist.resid[g] ** 2 / scale_sq
-        if cond.dof is None:
-            ll = gaussian_log_density(maha_y, 1, np.log(scale_sq))
+        ll = student_log_density(maha_y, 1, np.log(scale_sq), _column([cond.dof for cond in conds]))
+    if spec.x_law is not None:
+        log_det = _column([marg.log_det for marg in margs])
+        if spec.x_law == "t":
+            ll = ll + student_log_density(dist.x, d, log_det, _column([marg.dof for marg in margs]))
         else:
-            ll = student_log_density(maha_y, 1, np.log(scale_sq), cond.dof)
-        if isinstance(marg, StudentParams):
-            ll = ll + student_log_density(dist.x[g], d, marg.log_det, marg.dof)
-        elif marg is not None:
-            ll = ll + gaussian_log_density(dist.x[g], d, marg.log_det)
-        out[:, g] = log_weight[..., g] + ll
-    return out
+            ll = ll + gaussian_log_density(dist.x, d, log_det)
+    if spec.gated:
+        log_weight = dist.log_gate
+    else:
+        log_weight = np.log(_column([comp.weight for comp in model.components]))
+    return (log_weight + ll).T
 
 
 def joint_logpdf(model: CwmModel, x, y):

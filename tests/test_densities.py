@@ -17,6 +17,8 @@ from cwmix.densities import (
     log_gamma,
     log_sum_exp,
     mahalanobis_sq,
+    solve_lower,
+    solve_spd,
     student_logpdf,
     trigamma,
 )
@@ -73,6 +75,58 @@ def test_cholesky_pivot_threshold():
         cholesky_lower(np.array([[1.0, 0.0], [0.0, 1e-14]]))
     L = cholesky_lower(np.array([[1.0, 0.0], [0.0, 1e-10]]))
     assert L[1, 1] == pytest.approx(1e-5, rel=1e-12)
+
+
+# ------------------------------------------------------------ stacked kernels
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_stacked_kernels_match_each_matrix(k):
+    # one column loop for the stack gives every matrix its own bits
+    stack = np.array([random_spd(k, scale) for scale in (1e-3, 1.0, 1e4)])
+    vec = rng.normal(size=(3, k))
+    mat = rng.normal(size=(3, k, 5))
+    L = cholesky_lower(stack)
+    assert L.shape == stack.shape
+    for g in range(3):
+        np.testing.assert_array_equal(L[g], cholesky_lower(stack[g]))
+        np.testing.assert_array_equal(solve_lower(L, mat)[g], solve_lower(L[g], mat[g]))
+        np.testing.assert_array_equal(solve_spd(stack, vec)[g], solve_spd(stack[g], vec[g]))
+        np.testing.assert_array_equal(solve_spd(stack, mat)[g], solve_spd(stack[g], mat[g]))
+    np.testing.assert_allclose(np.einsum("gij,gj->gi", stack, solve_spd(stack, vec)), vec,
+                               rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 0.5], [0.0, 1.0]]),    # not symmetric
+    np.array([[-1.0, 0.0], [0.0, -2.0]]),  # non-positive diagonal
+    np.array([[1.0, 1.0], [1.0, 1.0]]),    # last pivot under the 1e-12 floor
+    np.array([[1.0, 0.0], [0.0, 1e-14]]),  # ditto, diagonal
+    np.array([[1.0, 0.0], [0.0, np.nan]]),
+])
+@pytest.mark.parametrize("position", (0, 1, 2))
+def test_stack_rejected_when_any_member_fails(bad, position):
+    stack = np.array([random_spd(2) for _ in range(3)])
+    stack[position] = bad
+    with pytest.raises(ValueError):
+        cholesky_lower(bad)
+    with pytest.raises(ValueError):
+        cholesky_lower(stack)
+    with pytest.raises(ValueError):
+        solve_spd(stack, np.ones((3, 2)))
+
+
+def test_stack_pivot_floor_is_per_matrix():
+    # the floor is relative to each matrix's own diagonal: a small but well
+    # conditioned matrix beside a large one still factors
+    stack = np.array([np.diag([1e8, 1e8]), np.diag([1e-6, 1e-6])])
+    L = cholesky_lower(stack)
+    np.testing.assert_allclose(L[1], np.diag([1e-3, 1e-3]), rtol=1e-15)
+
+
+def test_cholesky_rejects_bad_shapes():
+    for shape in ((3,), (2, 3), (2, 2, 3), (1, 2, 2, 2)):
+        with pytest.raises(ValueError):
+            cholesky_lower(np.ones(shape))
 
 
 @settings(max_examples=50, deadline=None)

@@ -26,7 +26,7 @@ from cwmix.em import (
     fit,
     initialize,
 )
-from cwmix.model import VARIANTS, Dataset, Gating, classify, fmg_to_cwm
+from cwmix.model import VARIANTS, Dataset, Gating, _gate_logits, _gating_theta, classify, fmg_to_cwm
 
 mp.dps = 50
 
@@ -205,6 +205,34 @@ def test_solve_dof_warm_start_needs_few_digammas(monkeypatch, root):
         assert len(calls) <= 12
 
 
+@pytest.mark.parametrize("root", DOF_ROOTS)
+def test_estimate_dof_warm_start_never_evaluates_far_edge(monkeypatch, root):
+    # f is decreasing: once f(start) gives the root's side, only that edge
+    # can lack a sign change, and f(start) is not evaluated again
+    digamma = em.digamma
+    args = []
+    monkeypatch.setattr(em, "digamma", lambda x: args.append(x) or digamma(x))
+    lo, hi = em.DOF_BRACKET
+    stat = dof_stat(root)
+    for start in (0.9 * root, min(1.1 * root, 0.5 * (root + hi))):
+        args.clear()
+        assert estimate_dof(stat, start=start) == pytest.approx(root, abs=1e-9)
+        far = lo if start < root else hi
+        assert far / 2.0 not in args
+        assert args.count(start / 2.0) == 1
+
+
+@pytest.mark.parametrize("stat, bound", [(-50.0, 0.5), (-1.0, 200.0)])
+def test_estimate_dof_start_on_bound_with_root_beyond(monkeypatch, stat, bound):
+    digamma = em.digamma
+    args = []
+    monkeypatch.setattr(em, "digamma", lambda x: args.append(x) or digamma(x))
+    with pytest.warns(RuntimeWarning, match="returning the"):
+        assert estimate_dof(stat, start=bound) == bound
+    # the start is the edge on the root's side: one evaluation decides
+    assert args == [bound / 2.0]
+
+
 # ------------------------------------------------------------ x-law update
 
 def test_regularize_cov_factors_each_covariance_once(monkeypatch):
@@ -225,6 +253,66 @@ def test_regularize_cov_factors_each_covariance_once(monkeypatch):
     np.testing.assert_array_equal(law.cov, np.ones((2, 2)) + 1e-8 * np.eye(2))
     with pytest.raises(_DegenerateStart):
         _regularize_cov(center, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_weighted_ls_stacked_matches_per_component_fit(d):
+    r = np.random.default_rng(d)
+    n, G = 50, 3
+    x = r.normal(size=(n, d), scale=3)
+    y = x @ r.normal(size=d) + r.normal(size=n)
+    w = r.uniform(0.05, 2.0, size=(n, G))
+    design = np.column_stack([x, np.ones(n)])
+    slopes, intercepts = em._weighted_ls(design, y, w)
+    assert slopes.shape == (G, d) and intercepts.shape == (G,)
+    for g in range(G):
+        weighted = design * w[:, g, None]
+        beta = densities.solve_spd(design.T @ weighted, weighted.T @ y)
+        np.testing.assert_allclose(slopes[g], beta[:-1], rtol=1e-12, atol=1e-12)
+        assert intercepts[g] == pytest.approx(beta[-1], rel=1e-12, abs=1e-12)
+    # one component whose weight sits on d points cannot fit d + 1 coefficients
+    w[:, 1] = 0.0
+    w[:d, 1] = 1.0
+    with pytest.raises(_DegenerateStart, match="singular weighted design"):
+        em._weighted_ls(design, y, w)
+
+
+def test_m_step_ridges_only_the_singular_component(monkeypatch):
+    r = np.random.default_rng(8)
+    n = 60
+    x = r.normal(size=(n, 2))
+    x[:10, 1] = x[:10, 0]
+    y = x @ np.array([1.0, -1.0]) + r.normal(size=n)
+    data = Dataset(x, y)
+    resp = np.zeros((n, 2))
+    resp[:30, 0] = resp[30:, 1] = 1.0
+    # component 0's x weights vanish off the line x2 = x1, so its weighted x
+    # covariance is exactly rank one; its y weights do not, so its regression
+    # is well posed
+    ux = np.ones((n, 2))
+    ux[10:30, 0] = 0.0
+    u = em._Weights(ux, np.ones((n, 2)))
+    regularize = em._regularize_cov
+    flags = []
+    monkeypatch.setattr(em, "_regularize_cov",
+                        lambda *a: (lambda out: flags.append(out[1]) or out)(regularize(*a)))
+    model, ridged = em._m_step(data, FitConfig(G=2, variant="t_cwm"), resp, u, None,
+                               em._start_constants(data))
+    assert ridged and flags == [True, False]
+    for g, comp in enumerate(model.components):
+        w = resp[:, g] * ux[:, g]
+        mu = w @ x / w.sum()
+        cov = (w[:, None] * (x - mu)).T @ (x - mu) / 30.0
+        if g == 0:
+            cov = cov + 1e-8 * np.trace(cov) / 2 * np.eye(2)
+        np.testing.assert_allclose(comp.x_marginal.scale, cov, rtol=1e-12)
+        np.testing.assert_allclose(comp.x_marginal.location, mu, rtol=1e-12)
+    # without the singular component the stacked factorization builds both
+    flags.clear()
+    ux[10:30, 0] = 1.0
+    _, ridged = em._m_step(data, FitConfig(G=2, variant="t_cwm"), resp, u, None,
+                           em._start_constants(data))
+    assert not ridged and flags == []
 
 
 # ------------------------------------------------------------------------ fit
@@ -374,6 +462,33 @@ def test_fit_t_variants_reproduce_pinned_fits(name, variant):
     np.testing.assert_allclose(got, dofs, rtol=0, atol=1e-8)
 
 
+#: One k-means start (seed 1), at most 100 EM iterations on builtin designs
+#: drawn with seed 1: final loglik, iteration count and converged.  Recorded
+#: with the E- and M-steps that looped over components; the stacked ones must
+#: reproduce them.
+GAUSSIAN_FIT_PINS = {
+    ("ex4_s2", "gaussian_cwm"): (-2429.051912083979, 21, True),
+    ("ex4_s2", "fmg"): (-2429.051912083979, 21, True),
+    ("ex4_s2", "fmr"): (-1399.4358057781837, 32, True),
+    ("ex4_s2", "fmrc"): (-1390.0160857716032, 38, True),
+    ("ex6_s2", "gaussian_cwm"): (-3502.2249463762437, 8, True),
+    ("ex6_s2", "fmg"): (-3502.2249463762437, 8, True),
+    ("ex6_s2", "fmr"): (-1419.2474034424886, 32, True),
+    ("ex6_s2", "fmrc"): (-1266.2477932704485, 53, True),
+}
+
+
+@pytest.mark.parametrize("name, variant", sorted(GAUSSIAN_FIT_PINS))
+def test_fit_gaussian_variants_reproduce_pinned_fits(name, variant):
+    loglik, n_iter, converged = GAUSSIAN_FIT_PINS[name, variant]
+    spec = builtin_scenario(name).with_seed(1)
+    res = fit(generate(spec), FitConfig(G=len(spec.groups), variant=variant, seed=1,
+                                        n_starts=1, max_iter=100))
+    assert res.loglik_trace[-1] == pytest.approx(loglik, rel=1e-9)
+    assert res.n_iter == n_iter
+    assert res.converged == converged
+
+
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_fmt_latent_weight_is_joint_t_weight(d):
     r = np.random.default_rng(d)
@@ -507,6 +622,25 @@ def test_fit_gating_repeated_steps_reach_full_m_step_optimum(seed):
         options={"gtol": 1e-10},
     )
     assert value >= -ref.fun - 1e-9
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_gating_reuses_the_e_step_log_gate(monkeypatch, seed):
+    x, resp = gating_problem(seed)
+    r = np.random.default_rng(200 + seed)
+    warm = [Gating(np.zeros(2), 0.0)] + [Gating(r.normal(size=2), float(r.normal())) for _ in range(2)]
+    logits = _gate_logits(x, _gating_theta(warm))
+    log_gate = logits - densities.log_sum_exp(logits, axis=0)
+    calls = []
+    log_sum_exp = em.log_sum_exp
+    monkeypatch.setattr(em, "log_sum_exp", lambda *a, **k: calls.append(1) or log_sum_exp(*a, **k))
+    fresh = _fit_gating(x, resp, warm)
+    without = len(calls)
+    calls.clear()
+    reused = _fit_gating(x, resp, warm, log_gate, np.column_stack([x, np.ones(len(x))]))
+    # the same step, one log-softmax fewer
+    assert len(calls) == without - 1 >= 1
+    np.testing.assert_array_equal(gating_theta(reused), gating_theta(fresh))
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

@@ -25,6 +25,7 @@ from cwmix.model import (
     Dataset,
     Gating,
     LinearMap,
+    _log_component_terms,
     check_degenerate_conditional,
     check_fmr_reduction,
     classify,
@@ -128,6 +129,54 @@ def test_joint_logpdf_t_variants_against_oracle(variant, d):
                 ll = oracles.mvt_logpdf(np.append(x[i], y[i]), loc, scale, marg.dof)
             terms.append(float(oracles.mp.log(comp.weight)) + ll)
         assert got[i] == pytest.approx(oracles.logsumexp(terms), rel=1e-10)
+
+
+def component_log_terms(model, x, y):
+    """N-by-G log(weight * density) one component at a time, through the
+    per-law gaussian_logpdf/student_logpdf: the reference for the stacked
+    E-step."""
+    spec = model.spec
+    if spec.gated:
+        logits = np.column_stack([x @ g.w + g.w0 for g in model.gating])
+        top = logits.max(axis=1, keepdims=True)
+        log_weight = logits - top - np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
+    else:
+        log_weight = np.log([[comp.weight for comp in model.components]])
+    out = np.empty((len(y), model.G))
+    for g, comp in enumerate(model.components):
+        marg, cond = comp.x_marginal, comp.y_conditional
+        if spec.y_law == "joint_t":
+            # the (d+1)-variate t whose x-marginal and y|x conditional these are
+            sxy = marg.scale @ cond.map.slope
+            scale = np.block([
+                [marg.scale, sxy[:, None]],
+                [sxy[None, :], np.array([[cond.noise_scale**2 + cond.map.slope @ sxy]])],
+            ])
+            joint = StudentParams(np.append(marg.location, cond.map(marg.location)), scale, marg.dof)
+            ll = student_logpdf(np.column_stack([x, y]), joint)
+        else:
+            resid = (y - cond.map(x))[:, None]
+            if cond.dof is None:
+                ll = gaussian_logpdf(resid, GaussianParams([0.0], [[cond.noise_scale**2]]))
+            else:
+                ll = student_logpdf(resid, StudentParams([0.0], [[cond.noise_scale**2]], cond.dof))
+            if isinstance(marg, StudentParams):
+                ll = ll + student_logpdf(x, marg)
+            elif marg is not None:
+                ll = ll + gaussian_logpdf(x, marg)
+        out[:, g] = log_weight[:, g] + ll
+    return out
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_log_component_terms_match_per_component_densities(variant, d):
+    r = np.random.default_rng(100 * d + VARIANTS.index(variant))
+    model = random_model(r, variant, 3, d)
+    x, y = random_points(r, 25, d)
+    got = _log_component_terms(model, x, y)
+    assert got.shape == (25, 3)
+    np.testing.assert_allclose(got, component_log_terms(model, x, y), rtol=1e-12)
 
 
 def test_joint_logpdf_dimension_mismatch():
