@@ -1,26 +1,42 @@
-"""EM / ECM fitting for every model variant, with multi-start initialization.
+"""EM / ECME fitting for every model variant, with multi-start initialization.
 
 Every variant takes the same M-step, read off the variant's row in
 ``model.VARIANT_SPECS``: y is fitted on x by weighted least squares, and when
 x is modelled its mean and covariance are weighted moments.  Gaussian
 variants use plain EM, so fmg takes gaussian_cwm's update exactly (the Schur
 complement of the weighted joint moments of (x, y) is that least-squares fit).
-Student-t variants use ECM: the E-step adds latent precision weights
-u = (dof + q) / (dof + mahalanobis), and the dof update is a one-dimensional
-conditional maximization solved by safeguarded Newton, warm-started from the
-previous dof.  fmt's joint t gives x and y one shared weight,
-(nu + d + 1) / (nu + delta_x + resid^2 / sigma^2).
+
+Student-t variants use ECME (Liu & Rubin 1994; McLachlan & Peel 2000, 7.5).
+The E-step adds latent precision weights u = (dof + q) / (dof + delta), and
+the first CM-step sets the locations, scales, slopes and noise variances from
+the u-weighted moments; fmt's joint t gives x and y one shared weight,
+(nu + d + 1) / (nu + delta_x + resid^2 / sigma^2).  The dof step then
+maximizes the observed log-likelihood rather than the complete-data one: with
+the responsibilities r held fixed and u integrated out, each t law's dof
+maximizes sum_i r_ig log t_q(delta_ig; nu), solved by safeguarded Newton in
+``DOF_BRACKET`` from the previous dof (``estimate_dof``).  t_cwm solves its
+x law (q = d, delta_x) and its y law (q = 1, resid^2 / sigma^2) separately;
+fmt solves its one dof on the joint distance delta_x + resid^2 / sigma^2
+(q = d + 1), sigma^2 being the Schur scale.  A dof on the bracket edge is a
+routine result (the upper edge is the Gaussian limit) and is returned as is.
+Both CM-steps raise the observed log-likelihood, and the dof step removes
+the slow direction of ECM's, so t fits converge in tens of iterations.
+
+The distances the dof step reads are taken at the parameters the first
+CM-step just set, and no dof enters them: they are exactly the next
+E-step's.  The M-step hands them forward, so an iteration whitens x once.
 
 One iteration does its small-matrix work once for all G components, with no
 per-component loop on the hot path.  The E-step whitens x against every
-component in one stacked triangular solve, and its distances also give the
-weights.  The M-step works on G-by-N weights: every weighted Gram matrix,
-right-hand side, x moment and noise variance comes from a stacked product,
-one stacked factorization solves every least-squares fit, and one more builds
-every x law (a covariance that does not factor sends each component through
-``_regularize_cov``).  Only the dof solves and the building of the component
-objects stay per component.  The [x, 1] design and the noise-variance floor
-are computed once per start.
+component in one stacked triangular solve (for a t variant, the M-step has
+done it), and its distances also give the weights.  The M-step works on
+G-by-N weights: every weighted Gram matrix, right-hand side, x moment and
+noise variance comes from a stacked product, one stacked factorization solves
+every least-squares fit, and one more factors every x covariance (one that
+does not factor sends each component through ``_regularize_cov``).  Only the
+dof solves and the building of the component objects stay per component.
+The [x, 1] design, the noise-variance floor and, for fmrc, the gating
+Hessian's per-point blocks are computed once per start.
 
 The fmrc gating M-step is generalized EM: each iteration takes one guarded,
 penalized Newton step from the previous gating, starting from the log gate
@@ -33,7 +49,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -65,6 +80,7 @@ from .model import (
     _gate_logits,
     _gating_theta,
     _log_component_terms,
+    _x_distances,
 )
 
 DOF_BRACKET = (0.5, 200.0)
@@ -183,38 +199,52 @@ def initialize(data: Dataset, config: FitConfig, rng) -> np.ndarray:
 
 # ----------------------------------------------------------- dof estimation
 
-def estimate_dof(weighted_stat: float, bracket: tuple[float, float] = DOF_BRACKET,
-                 start: float | None = None) -> float:
-    """Solve f(v) = -digamma(v/2) + log(v/2) + 1 + stat = 0 for v by
-    safeguarded Newton, starting from ``start`` (default: the bracket's middle).
+def estimate_dof(delta, weights, q: int, start: float | None = None,
+                 bracket: tuple[float, float] = DOF_BRACKET) -> float:
+    """The dof v in ``bracket`` that maximizes sum_i w_i log t_q(delta_i; v),
+    the weighted log-density of a q-variate t law whose location and scale
+    are held fixed, at the squared Mahalanobis distances ``delta`` from it.
 
-    f is strictly decreasing and convex in v, with
-    f'(v) = -trigamma(v/2) / 2 + 1 / v.  The bracket around the root shrinks
-    with every evaluation, and a Newton step that leaves it is replaced by
-    bisection.  The root is defined by digamma alone; trigamma only steers.
-    The solve stops when a step or the bracket is below 1e-10.  f is
-    evaluated at the start once, and then at the one bracket edge on the
-    root's side; if f has no sign change there, that edge is returned with a
-    warning.  Weights identically 1 (stat = -1, the Gaussian limit) land on
-    the upper bound.
+    The score is f(v) = sum_i w_i [digamma((v+q)/2) - digamma(v/2) - q/v
+    - log(1 + delta_i/v) + (v+q) delta_i / (v (v + delta_i))], twice the
+    derivative of the objective.  It is solved by safeguarded Newton from
+    ``start`` (default: the bracket's middle), with f' from trigamma: the
+    bracket around the root shrinks with every evaluation, and a Newton step
+    that leaves it, or that f' does not point to, is replaced by bisection.
+    The root is defined by digamma alone; trigamma only steers.  The solve
+    stops when a step or the bracket is below 1e-10 of the dof.  f is
+    evaluated at the start once, and then at the one bracket edge the
+    objective rises towards; if f has no sign change there, that edge is the
+    constrained maximizer and is returned as is (the upper edge is the
+    Gaussian limit).  Every other return is a root where f turns from
+    positive to negative, a local maximum.
     """
-    if not np.isfinite(weighted_stat):
-        raise ValueError("non-finite dof statistic")
+    delta = np.asarray(delta, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    mass = float(weights.sum())
     lo, hi = bracket
 
-    def f(nu):
-        return -digamma(nu / 2.0) + math.log(nu / 2.0) + 1.0 + weighted_stat
+    def score(nu):
+        t = delta / nu
+        b = t / (1.0 + t)  # delta / (nu + delta)
+        value = (mass * (digamma((nu + q) / 2.0) - digamma(nu / 2.0) - q / nu)
+                 - weights @ np.log1p(t) + (1.0 + q / nu) * (weights @ b))
+        return float(value), b
+
+    def slope(nu, b):
+        wb, wbb = float(weights @ b), float(weights @ (b * b))
+        return (mass * (0.5 * (trigamma((nu + q) / 2.0) - trigamma(nu / 2.0)) + q / nu**2)
+                + wbb / nu - q * (2.0 * wb - wbb) / nu**2)
 
     nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
-    value = f(nu)
-    # f is decreasing, so only the bracket edge on the root's side of the
-    # start can lack a sign change
-    if value <= 0.0 and (nu == lo or f(lo) <= 0.0):
-        warnings.warn("dof root below bracket; returning the lower bound", RuntimeWarning)
-        return lo
-    if value >= 0.0 and (nu == hi or f(hi) >= 0.0):
-        warnings.warn("dof root above bracket; returning the upper bound", RuntimeWarning)
-        return hi
+    value, b = score(nu)
+    if not math.isfinite(value):
+        raise ValueError("non-finite dof score")
+    # only the bracket edge the objective rises towards can lack a sign change
+    if value <= 0.0 and (nu == lo or score(lo)[0] <= 0.0):
+        return float(lo)
+    if value >= 0.0 and (nu == hi or score(hi)[0] >= 0.0):
+        return float(hi)
     for _ in range(100):
         if value == 0.0:
             return nu
@@ -222,22 +252,25 @@ def estimate_dof(weighted_stat: float, bracket: tuple[float, float] = DOF_BRACKE
             lo = nu
         else:
             hi = nu
-        step = value / (1.0 / nu - 0.5 * trigamma(nu / 2.0))
-        new = nu - step if lo < nu - step < hi else 0.5 * (lo + hi)
-        if abs(new - nu) < 1e-10 or hi - lo < 1e-10:
+        fp = slope(nu, b)
+        new = nu - value / fp if fp < 0.0 else lo
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        # relative: at large dofs the score's rounding moves the root by more
+        # than an absolute 1e-10 (about 1e-9 at a dof of 100)
+        if abs(new - nu) < 1e-10 * nu or hi - lo < 1e-10 * nu:
             return new
         nu = new
-        value = f(nu)
+        value, b = score(nu)
     return nu
 
 
-def _solve_dof(old_dof: float, q: int, stat: float) -> float:
-    # Exact conditional maximizer in the dof: fold the E-step's E[log U]
-    # digamma correction into the weighted statistic, then solve from the old dof.
-    stat += digamma((old_dof + q) / 2.0) - math.log((old_dof + q) / 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return estimate_dof(stat, start=old_dof)
+def _solve_dof(old_dofs, q: int, delta: np.ndarray, resp: np.ndarray) -> list[float]:
+    """ECME dofs of every component of one q-variate t law: component g's
+    maximizes sum_i resp_ig log t_q(delta_gi; nu), with delta the G-by-N
+    distances to the laws this M-step set, warm-started from its old dof."""
+    return [estimate_dof(row, r, q, start=old)
+            for old, row, r in zip(old_dofs, delta, np.ascontiguousarray(resp.T))]
 
 
 # ------------------------------------------------------------------- M-step
@@ -261,19 +294,18 @@ def _regularize_cov(center: np.ndarray, cov: np.ndarray, dof: float | None = Non
         raise _DegenerateStart("singular covariance after regularization") from None
 
 
-def _x_laws(centers: np.ndarray, covs: np.ndarray, dofs) -> tuple[list, bool]:
-    """(x laws, ridged): every component's Gaussian law, or t law when its dof
-    is given, from one stacked factorization of the G-by-d-by-d covariances.
-    When any covariance does not factor, each goes through _regularize_cov."""
+def _x_factors(centers: np.ndarray, covs: np.ndarray):
+    """(covariances, Cholesky factors, ridged) of the G-by-d-by-d x
+    covariances, from one stacked factorization.  When any covariance does
+    not factor, each goes through _regularize_cov."""
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     try:
-        chols = cholesky_lower(covs)
+        return covs, cholesky_lower(covs), False
     except ValueError:
-        built = [_regularize_cov(*args) for args in zip(centers, covs, dofs)]
-        return [law for law, _ in built], any(ridged for _, ridged in built)
-    if dofs[0] is None:
-        return [GaussianParams._from_factor(*args) for args in zip(centers, covs, chols)], False
-    return [StudentParams._from_factor(*args) for args in zip(centers, covs, dofs, chols)], False
+        pass
+    built = [_regularize_cov(center, cov) for center, cov in zip(centers, covs)]
+    return (np.array([law.cov for law, _ in built]), np.array([law.chol for law, _ in built]),
+            any(ridged for _, ridged in built))
 
 
 def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,13 +342,14 @@ def _latent_weights(model: CwmModel | None, x, y, dist: Distances | None = None)
 
 
 def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate=None,
-                design=None) -> list[Gating]:
+                design=None, outer=None) -> list[Gating]:
     """One penalized Newton (IRLS) step on the gating objective
     sum(resp * log_gate), taken from the previous gating.
 
     ``log_gate`` is the G-by-N log gate at ``old_gating`` when the E-step has
-    it (``Distances.log_gate``), and ``design`` the N-by-(d+1) [x, 1]; either
-    is computed here when not given.  The step is halved until the objective
+    it (``Distances.log_gate``), ``design`` the N-by-(d+1) [x, 1] and
+    ``outer`` its rows' N-by-(d+1)^2 self products; each is computed here
+    when not given.  The step is halved until the objective
     does not decrease, which makes the update a GEM step: the observed-data
     log-likelihood cannot fall.  If no halving is accepted, or the ridged
     Hessian cannot be factored, the old gating is kept.  Repeated on fixed
@@ -348,8 +381,9 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate=None,
     # negated Hessian, positive semidefinite: block (g, h) is
     # X' diag(p_g (delta_gh - p_h)) X, every block from one product
     w = prob[:, :, None] * (np.eye(m) - prob[:, None, :])
-    outer = design[:, :, None] * design[:, None, :]
-    hess = (w.reshape(n, m * m).T @ outer.reshape(n, -1)).reshape(m, m, d + 1, d + 1)
+    if outer is None:
+        outer = _design_outer(design)
+    hess = (w.reshape(n, m * m).T @ outer).reshape(m, m, d + 1, d + 1)
     hess = hess.transpose(0, 2, 1, 3).reshape(k, k)
     try:
         step = solve_spd(hess + 1e-6 * np.eye(k), grad.ravel()).reshape(m, d + 1)
@@ -364,40 +398,53 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate=None,
     return gating(theta)
 
 
-def _next_dofs(config, spec, old_model, d, resp, mass, u):
+def _next_dofs(config, spec, old_model, d, resp, delta_x, delta_y):
     """Per component, the (x dofs, y dofs) of the t laws; a joint t ties y's
-    to nu + d."""
+    to nu + d.  ``delta_x`` and ``delta_y`` are the G-by-N squared distances
+    of x and of the y residuals to the laws this M-step set."""
     joint = spec.y_law == "joint_t"
+    G = resp.shape[1]
     if config.dof_mode != "estimate":
-        nu = zeta = [float(config.dof_mode)] * len(mass)
+        nu = zeta = [float(config.dof_mode)] * G
     elif old_model is None:
-        nu = zeta = [_INIT_DOF] * len(mass)
+        nu = zeta = [_INIT_DOF] * G
     else:
-        def solve(w, q, old_dofs):
-            # weighted statistic sum r (log u - u) / sum r of every component
-            stats = (resp * (np.log(w) - w)).sum(axis=0) / mass
-            return [_solve_dof(old, q, float(stat)) for old, stat in zip(old_dofs, stats)]
-
         comps = old_model.components
-        nu = solve(u.x, d + 1 if joint else d, [c.x_marginal.dof for c in comps])
-        zeta = None if joint else solve(u.y, 1, [c.y_conditional.dof for c in comps])
+        old_nu = [c.x_marginal.dof for c in comps]
+        if joint:
+            nu = _solve_dof(old_nu, d + 1, delta_x + delta_y, resp)
+        else:
+            nu = _solve_dof(old_nu, d, delta_x, resp)
+            zeta = _solve_dof([c.y_conditional.dof for c in comps], 1, delta_y, resp)
     return nu, [v + d for v in nu] if joint else zeta
 
 
 #: What every M-step of one start reads unchanged: the N-by-(d+1) design
-#: [x, 1] and the floor under the noise variances.
-_StartConstants = namedtuple("_StartConstants", ["design", "var_floor"])
+#: [x, 1], the floor under the noise variances, and for a gated variant the
+#: N-by-(d+1)^2 products of each design row with itself (the gating Hessian's
+#: per-point blocks; None otherwise).
+_StartConstants = namedtuple("_StartConstants", ["design", "var_floor", "outer"])
 
 
-def _start_constants(data: Dataset) -> _StartConstants:
-    return _StartConstants(np.column_stack([data.x, np.ones(data.n)]),
-                           _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30))
+def _design_outer(design: np.ndarray) -> np.ndarray:
+    return (design[:, :, None] * design[:, None, :]).reshape(design.shape[0], -1)
 
 
-def _m_step(data, config, resp, u, old_model, const, log_gate=None):
+def _start_constants(data: Dataset, gated: bool = False) -> _StartConstants:
+    design = np.column_stack([data.x, np.ones(data.n)])
+    return _StartConstants(design, _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30),
+                           _design_outer(design) if gated else None)
+
+
+def _m_step(data, config, resp, u, old_model, const, log_gate=None, handoff=None):
     """Every component's update at once: G-by-N weights, stacked moments, one
-    stacked least-squares solve and one stacked x-law factorization.
-    ``log_gate`` is the E-step's, at ``old_model``'s gating."""
+    stacked least-squares solve and one stacked x-law factorization, then the
+    ECME dof step of the t laws.  ``log_gate`` is the E-step's, at
+    ``old_model``'s gating.
+
+    A t variant's dof step reads the distances to the new model, which no dof
+    enters; when ``handoff`` is a list, those ``Distances`` are appended to it
+    for the next E-step, so that it need not whiten x again."""
     x, y = data.x, data.y
     d, G = data.d, config.G
     spec = VARIANT_SPECS[config.variant]
@@ -408,22 +455,29 @@ def _m_step(data, config, resp, u, old_model, const, log_gate=None):
         weights = np.full(G, 1.0 / G)
     else:
         weights = mass / mass.sum()
-    nus = zetas = [None] * G
-    if spec.x_law == "t":
-        nus, zetas = _next_dofs(config, spec, old_model, d, resp, mass, u)
-    margs, used_ridge = [None] * G, False
+    used_ridge = False
     if spec.x_law is not None:
         wx = (resp if u.x is None else resp * u.x).T
         mu = (wx @ x) / wx.sum(axis=1)[:, None]
         centered = x - mu[:, None, :]
         covs = (wx[:, :, None] * centered).transpose(0, 2, 1) @ centered / mass[:, None, None]
-        margs, used_ridge = _x_laws(mu, covs, nus)
+        covs, chols, used_ridge = _x_factors(mu, covs)
     wy = resp if u.y is None else resp * u.y
     slopes, intercepts = _weighted_ls(const.design, y, wy)
     resid = y - (slopes @ x.T + intercepts[:, None])
     noise_var = (wy.T * resid**2).sum(axis=1) / mass
     if not np.all(noise_var > const.var_floor):
         raise _DegenerateStart("collapsed noise variance")
+    margs = zetas = [None] * G
+    if spec.x_law == "gaussian":
+        margs = [GaussianParams._from_factor(*args) for args in zip(mu, covs, chols)]
+    elif spec.x_law == "t":
+        dist = Distances(_x_distances(chols, mu, x), resid, None)
+        nus, zetas = _next_dofs(config, spec, old_model, d, resp, dist.x,
+                                resid**2 / noise_var[:, None])
+        margs = [StudentParams._from_factor(*args) for args in zip(mu, covs, nus, chols)]
+        if handoff is not None:
+            handoff.append(dist)
     comps = tuple(
         Component(weight, marg, Conditional(LinearMap(slope, b0), math.sqrt(var), dof=zeta))
         for weight, marg, slope, b0, var, zeta
@@ -432,7 +486,7 @@ def _m_step(data, config, resp, u, old_model, const, log_gate=None):
     gating = None
     if spec.gated:
         old_gating = old_model.gating if old_model is not None else [Gating(np.zeros(d), 0.0)] * G
-        gating = tuple(_fit_gating(x, resp, old_gating, log_gate, const.design))
+        gating = tuple(_fit_gating(x, resp, old_gating, log_gate, const.design, const.outer))
     return CwmModel(config.variant, comps, gating), used_ridge
 
 
@@ -440,13 +494,15 @@ def _m_step(data, config, resp, u, old_model, const, log_gate=None):
 
 def _run_start(data, config, resp, start_index):
     x, y = data.x, data.y
-    const = _start_constants(data)
-    model, ridged = _m_step(data, config, resp, _Weights(None, None), None, const)
+    const = _start_constants(data, VARIANT_SPECS[config.variant].gated)
+    handoff = []  # the distances a t variant's M-step leaves for the E-step
+    model, ridged = _m_step(data, config, resp, _Weights(None, None), None, const,
+                            handoff=handoff)
     streak = 1 if ridged else 0
     trace = []
     converged = False
     for it in range(config.max_iter):
-        dist = _component_distances(model, x, y)
+        dist = handoff.pop() if handoff else _component_distances(model, x, y)
         terms = _log_component_terms(model, x, y, dist)
         row_lse = log_sum_exp(terms, axis=1)
         loglik = float(row_lse.sum())
@@ -460,7 +516,7 @@ def _run_start(data, config, resp, start_index):
         if it == config.max_iter - 1:
             break
         u = _latent_weights(model, x, y, dist)
-        model, ridged = _m_step(data, config, resp, u, model, const, dist.log_gate)
+        model, ridged = _m_step(data, config, resp, u, model, const, dist.log_gate, handoff)
         streak = streak + 1 if ridged else 0
         if streak >= 3:
             raise _DegenerateStart("covariance required repeated regularization")

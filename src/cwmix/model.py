@@ -293,9 +293,16 @@ def _component_distances(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> Dis
     if model.spec.x_law is None:
         return Distances(None, resid, log_gate)
     margs = [c.x_marginal for c in comps]
-    centers = np.array([m.center for m in margs])
-    white = solve_lower(np.array([m.chol for m in margs]), xb.T - centers[:, :, None])
-    return Distances(np.sum(white * white, axis=1), resid, log_gate)
+    chols = np.array([m.chol for m in margs])
+    return Distances(_x_distances(chols, np.array([m.center for m in margs]), xb), resid, log_gate)
+
+
+def _x_distances(chols: np.ndarray, centers: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """G-by-N squared Mahalanobis distances of xb to every x law, given the
+    laws' G-by-d-by-d Cholesky factors and G-by-d centers: one stacked
+    triangular solve."""
+    white = solve_lower(chols, xb.T - centers[:, :, None])
+    return np.sum(white * white, axis=1)
 
 
 def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray,

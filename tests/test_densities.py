@@ -284,6 +284,13 @@ def test_digamma_against_oracle():
         assert digamma(x) == pytest.approx(oracles.digamma(x), rel=1e-10, abs=1e-10)
 
 
+def test_digamma_sharp_against_oracle():
+    # the dof step takes digamma differences: both sides of the recurrence
+    # threshold 10 and the whole range of half dofs
+    for x in np.concatenate([np.geomspace(0.05, 1e3, 61), [9.999999, 10.0, 10.000001]]):
+        assert digamma(x) == pytest.approx(oracles.digamma(x), rel=0, abs=1e-13)
+
+
 def test_trigamma_against_oracle():
     # both sides of the recurrence threshold 6 and both ends of the dof range
     for x in np.concatenate([np.geomspace(0.05, 1e3, 41), [5.999999, 6.0, 6.000001]]):

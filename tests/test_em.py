@@ -1,10 +1,11 @@
-"""Fitting: EM/ECM drivers, initialization, and dof estimation.
+"""Fitting: EM/ECME drivers, initialization, and dof estimation.
 
 Closed-form one-group estimators (sample moments + OLS) and a scipy
 profile-likelihood grid serve as independent oracles.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,19 @@ from cwmix.em import (
     fit,
     initialize,
 )
-from cwmix.model import VARIANTS, Dataset, Gating, _gate_logits, _gating_theta, classify, fmg_to_cwm
+from cwmix.model import (
+    VARIANTS,
+    Component,
+    Conditional,
+    CwmModel,
+    Dataset,
+    Gating,
+    _gate_logits,
+    _gating_theta,
+    classify,
+    fmg_to_cwm,
+    joint_logpdf,
+)
 
 mp.dps = 50
 
@@ -139,98 +152,160 @@ def test_initialize_kmeans_separated_blobs():
 
 
 # --------------------------------------------------------------- estimate_dof
+# estimate_dof is the ECME dof step: the dof that maximizes the weighted
+# log-density sum_i w_i log t_q(delta_i; nu) of a t law with fixed location
+# and scale.  The oracle maximizes the same objective in mpmath, from its
+# numerical derivative, independently of the score estimate_dof solves.
+
+def t_objective(delta, weights, q, nu):
+    """sum_i w_i log t_q(delta_i; nu), up to terms free of nu, in mpmath."""
+    nu = mp.mpf(nu)
+    const = mp.loggamma((nu + q) / 2) - mp.loggamma(nu / 2) - q * mp.log(nu) / 2
+    return sum(mp.mpf(w) * (const - (nu + q) / 2 * mp.log1p(mp.mpf(dl) / nu))
+               for dl, w in zip(delta, weights))
+
+
+def mp_dof_maximizer(delta, weights, q):
+    """The maximizer over DOF_BRACKET: the best point of a log grid, then the
+    root of the objective's numerical derivative next to it, unless that
+    point is an edge the objective still rises towards."""
+    lo, hi = em.DOF_BRACKET
+    with mp.workdps(30):
+        objective = lambda nu: t_objective(delta, weights, q, nu)  # noqa: E731
+        score = lambda nu: mp.diff(objective, nu)  # noqa: E731
+        best = max(np.geomspace(lo, hi, 21), key=objective)
+        if best == lo and score(lo) <= 0:
+            return lo
+        if best == hi and score(hi) >= 0:
+            return hi
+        return float(mp.findroot(score, mp.mpf(best), solver="secant"))
+
+
+def t_distances(r, dof, q, n):
+    """Squared distances of n draws of a standard q-variate t with ``dof``."""
+    z = r.normal(size=(n, q))
+    return (z * z).sum(axis=1) * dof / r.chisquare(dof, size=n)
+
+
+def dof_problem(root, q, n=40):
+    """Distances from a t law with ``root`` dof and random weights in (0, 1)."""
+    r = np.random.default_rng([int(10 * root), q])
+    return t_distances(r, root, q, n), r.uniform(size=n)
+
+
+def assert_no_warning(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args, **kwargs)
+
 
 def test_estimate_dof_gaussian_limit_hits_upper_bracket():
-    # weights identically 1 give the Gaussian-consistent statistic -1
-    with pytest.warns(RuntimeWarning):
-        assert estimate_dof(-1.0) == 200.0
+    # every point at distance q: for q = 2 the score is 2/nu - log(1 + 2/nu)
+    # > 0 at every nu, so the objective rises to the Gaussian limit; a bracket
+    # edge is a routine result, returned without a warning
+    for q in (1, 2, 3):
+        delta = np.full(30, float(q))
+        assert mp_dof_maximizer(delta, np.ones(30), q) == 200.0
+        assert assert_no_warning(em.estimate_dof, delta, np.ones(30), q) == 200.0
 
 
 def test_estimate_dof_known_root():
-    # statistic chosen so the root sits exactly at dof 7
-    stat = float(mp.digamma(mp.mpf(7) / 2) - mp.log(mp.mpf(7) / 2) - 1)
-    assert estimate_dof(stat) == pytest.approx(7.0, abs=1e-6)
+    # one point, its distance chosen so the maximizer sits exactly at dof 7
+    with mp.workdps(30):
+        delta = float(mp.findroot(lambda dl: mp.diff(lambda v: t_objective([dl], [1], 1, v), 7), 5))
+    assert estimate_dof([delta], [1.0], 1) == pytest.approx(7.0, abs=1e-9)
 
 
 def test_estimate_dof_lower_boundary_flagged():
-    with pytest.warns(RuntimeWarning):
-        assert estimate_dof(-50.0) == 0.5
+    # distances from a t with 0.2 dof: the maximizer lies below the bracket,
+    # so the lower edge is returned, exactly, and without a warning
+    r = np.random.default_rng(3)
+    for q in (1, 2, 3):
+        delta, weights = t_distances(r, 0.2, q, 40), r.uniform(size=40)
+        assert mp_dof_maximizer(delta, weights, q) == 0.5
+        got = assert_no_warning(em.estimate_dof, delta, weights, q)
+        assert type(got) is float and got == 0.5
 
 
 def test_estimate_dof_invalid_statistic():
     with pytest.raises(ValueError):
-        estimate_dof(float("nan"))
+        estimate_dof([1.0, float("nan")], [1.0, 1.0], 1)
 
 
 DOF_ROOTS = (0.6, 1.0, 2.5, 7.0, 20.0, 60.0, 120.0, 190.0)
 
 
-def dof_stat(root):
-    """The statistic whose exact dof root is ``root``."""
-    half = mp.mpf(root) / 2
-    return float(mp.digamma(half) - mp.log(half) - 1)
-
-
 @pytest.mark.parametrize("root", DOF_ROOTS)
 def test_estimate_dof_matches_mpmath_root(root):
-    stat = dof_stat(root)
-
-    def f(nu):
-        return -mp.digamma(nu / 2) + mp.log(nu / 2) + 1 + mp.mpf(stat)
-
-    want = float(mp.findroot(f, (mp.mpf("0.5"), mp.mpf(200)), solver="anderson"))
-    assert estimate_dof(stat) == pytest.approx(want, abs=1e-9)
+    for q in (1, 2, 3):
+        delta, weights = dof_problem(root, q)
+        want = mp_dof_maximizer(delta, weights, q)
+        got = estimate_dof(delta, weights, q)
+        assert type(got) is float
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("root", DOF_ROOTS)
 def test_estimate_dof_same_root_from_any_start(root):
-    stat = dof_stat(root)
-    want = estimate_dof(stat)
-    for start in (0.5, 200.0, 0.5 * (0.5 + root), 0.5 * (root + 200.0)):
-        assert estimate_dof(stat, start=start) == pytest.approx(want, abs=1e-9)
+    lo, hi = em.DOF_BRACKET
+    for q in (1, 2, 3):
+        delta, weights = dof_problem(root, q)
+        want = estimate_dof(delta, weights, q)
+        for start in (lo, hi, 0.5 * (lo + want), 0.5 * (want + hi)):
+            assert estimate_dof(delta, weights, q, start=start) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("root", DOF_ROOTS)
 def test_solve_dof_warm_start_needs_few_digammas(monkeypatch, root):
-    # an ECM iteration moves a dof a little; from 10 % off, the whole solve
-    # (statistic correction, both edge checks, Newton steps) stays cheap
+    # an ECME iteration moves a dof a little; from 10 % off, each component's
+    # solve scores the start, the edge on the rising side and at most five
+    # Newton steps, two digammas per score
     digamma = em.digamma
     calls = []
     monkeypatch.setattr(em, "digamma", lambda x: calls.append(x) or digamma(x))
-    for old in (0.9 * root, min(1.1 * root, 200.0)):
-        half = (old + 1.0) / 2.0
-        stat = dof_stat(root) - (digamma(half) - math.log(half))
-        calls.clear()
-        assert _solve_dof(old, 1, stat) == pytest.approx(root, abs=1e-9)
-        assert len(calls) <= 12
+    for q in (1, 2, 3):
+        problems = [dof_problem(root, q), dof_problem(root, q, n=80)]
+        delta = np.array([problems[0][0], problems[1][0][:40]])
+        resp = np.array([problems[0][1], problems[1][1][:40]]).T
+        want = [estimate_dof(row, w, q) for row, w in zip(delta, resp.T)]
+        for scale in (0.9, 1.1):
+            calls.clear()
+            old = [min(scale * v, 200.0) for v in want]
+            np.testing.assert_allclose(em._solve_dof(old, q, delta, resp), want, rtol=1e-9)
+            assert len(calls) <= 2 * 14
 
 
 @pytest.mark.parametrize("root", DOF_ROOTS)
 def test_estimate_dof_warm_start_never_evaluates_far_edge(monkeypatch, root):
-    # f is decreasing: once f(start) gives the root's side, only that edge
-    # can lack a sign change, and f(start) is not evaluated again
+    # once the score at the start says which way the objective rises, only
+    # that edge can lack a sign change, and the start is not evaluated again
     digamma = em.digamma
     args = []
     monkeypatch.setattr(em, "digamma", lambda x: args.append(x) or digamma(x))
     lo, hi = em.DOF_BRACKET
-    stat = dof_stat(root)
-    for start in (0.9 * root, min(1.1 * root, 0.5 * (root + hi))):
-        args.clear()
-        assert estimate_dof(stat, start=start) == pytest.approx(root, abs=1e-9)
-        far = lo if start < root else hi
-        assert far / 2.0 not in args
-        assert args.count(start / 2.0) == 1
+    for q in (1, 2, 3):
+        delta, weights = dof_problem(root, q)
+        want = estimate_dof(delta, weights, q)
+        if want in em.DOF_BRACKET:
+            continue
+        for start in (0.9 * want, min(1.1 * want, 0.5 * (want + hi))):
+            args.clear()
+            assert estimate_dof(delta, weights, q, start=start) == pytest.approx(want, rel=1e-9)
+            far = lo if start < want else hi
+            assert far / 2.0 not in args and (far + q) / 2.0 not in args
+            assert args.count(start / 2.0) == 1
 
 
-@pytest.mark.parametrize("stat, bound", [(-50.0, 0.5), (-1.0, 200.0)])
-def test_estimate_dof_start_on_bound_with_root_beyond(monkeypatch, stat, bound):
+@pytest.mark.parametrize("bound", em.DOF_BRACKET)
+def test_estimate_dof_start_on_bound_with_root_beyond(monkeypatch, bound):
+    # heavy tails push the maximizer below the bracket, equal distances above
+    delta = t_distances(np.random.default_rng(5), 0.2, 1, 40) if bound == 0.5 else np.ones(40)
     digamma = em.digamma
     args = []
     monkeypatch.setattr(em, "digamma", lambda x: args.append(x) or digamma(x))
-    with pytest.warns(RuntimeWarning, match="returning the"):
-        assert estimate_dof(stat, start=bound) == bound
-    # the start is the edge on the root's side: one evaluation decides
-    assert args == [bound / 2.0]
+    assert assert_no_warning(em.estimate_dof, delta, np.ones(40), 1, start=bound) == bound
+    # the start is the edge the objective rises towards: one score decides
+    assert args == [(bound + 1) / 2.0, bound / 2.0]
 
 
 # ------------------------------------------------------------ x-law update
@@ -427,26 +502,25 @@ def test_fit_exact_line_is_degenerate(variant):
         fit(Dataset(x, 2.0 * x + 1.0), FitConfig(G=1, variant=variant, n_starts=1))
 
 
-#: One k-means start (seed 1), 100 ECM iterations on builtin designs drawn
-#: with seed 1: final loglik, iteration count, and (x dof, y dof) per
-#: component.  Recorded with the bisection dof solve and the E-step that
-#: whitened x in each density call; the Newton solve and the shared
-#: distances must reproduce them.
+#: One k-means start (seed 1), at most 100 ECME iterations on builtin designs
+#: drawn with seed 1: final loglik, iteration count, and (x dof, y dof) per
+#: component.  Recorded with the ECME dof step and the digamma that recurs
+#: to x >= 10; every fit converges before the cap.
 T_FIT_PINS = {
-    ("ex4_s2", "t_cwm"): (-2236.972600074528, 100, [
-        (3.383025863450598, 0.8076964483803977),
-        (12.400177567237847, 27.765519002581982),
-        (3.5221093375354258, 0.6954324128354301)]),
-    ("ex4_s2", "fmt"): (-2266.6492965584857, 100, [
-        (1.0836946069936175, 2.0836946069936175),
-        (25.454006157731214, 26.454006157731214),
-        (0.9093569894351958, 1.9093569894351958)]),
-    ("ex6_s2", "t_cwm"): (-3134.1820571145313, 100, [
-        (1.079413543936539, 0.5976229973790623),
-        (51.96256317235827, 11.915076929005522)]),
-    ("ex6_s2", "fmt"): (-3072.1185784263707, 100, [
-        (0.8815772897102079, 2.881577289710208),
-        (41.885659960545695, 43.885659960545695)]),
+    ("ex4_s2", "t_cwm"): (-2229.9716866897306, 75, [
+        (5.105524757264897, 1.0082952921612685),
+        (1.933226437422895, 1.0570284477970773),
+        (4.183813566655452, 0.9380370458367029)]),
+    ("ex4_s2", "fmt"): (-2211.265425878938, 45, [
+        (130.22860925113469, 131.22860925113469),
+        (0.8227954701154527, 1.8227954701154527),
+        (6.393505356058284, 7.393505356058284)]),
+    ("ex6_s2", "t_cwm"): (-3133.7724621854036, 57, [
+        (1.0774075401400258, 0.5976054480028372),
+        (200.0, 14.4912866664128)]),
+    ("ex6_s2", "fmt"): (-3071.6664954861053, 44, [
+        (0.8814205325155818, 2.8814205325155817),
+        (200.0, 202.0)]),
 }
 
 
@@ -509,6 +583,71 @@ def test_fmt_latent_weight_is_joint_t_weight(d):
         want = (marg.dof + d + 1.0) / (marg.dof + mahalanobis_sq(z, joint))
         np.testing.assert_allclose(u.x[:, g], want, rtol=1e-10)
         np.testing.assert_array_equal(u.y[:, g], u.x[:, g])
+
+
+@pytest.mark.parametrize("name", ("ex1", "ex4_s2", "ex6_s2"))
+@pytest.mark.parametrize("variant", ("t_cwm", "fmt"))
+def test_fit_t_variants_converge_before_the_cap(name, variant):
+    # the ECME dof step: the t fits reach a fixed point well inside max_iter,
+    # and the observed log-likelihood never falls on the way
+    spec = builtin_scenario(name).with_seed(1)
+    res = fit(generate(spec), FitConfig(G=len(spec.groups), variant=variant, seed=1,
+                                        n_starts=1, max_iter=500))
+    assert res.converged
+    trace = res.loglik_trace
+    assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[1:]))
+
+
+@pytest.mark.parametrize("variant", ("t_cwm", "fmt"))
+def test_m_step_hands_the_e_step_its_distances(variant):
+    # no dof enters the distances the dof step reads, so they are the next
+    # E-step's: handed forward, they equal a fresh whitening of the new model
+    spec = builtin_scenario("ex4_s2").with_seed(1)
+    data = generate(spec)
+    config = FitConfig(G=3, variant=variant, n_starts=1)
+    const = em._start_constants(data)
+    resp = initialize(data, config, np.random.default_rng([0, 0]))
+    handoff = []
+    model, _ = em._m_step(data, config, resp, em._Weights(None, None), None, const, handoff=handoff)
+    for _ in range(3):
+        dist = handoff.pop()
+        fresh = em._component_distances(model, data.x, data.y)
+        np.testing.assert_allclose(dist.x, fresh.x, rtol=1e-13)
+        np.testing.assert_allclose(dist.resid, fresh.resid, rtol=1e-13, atol=1e-13)
+        terms = em._log_component_terms(model, data.x, data.y, dist)
+        resp = np.exp(terms - densities.log_sum_exp(terms, axis=1)[:, None])
+        u = _latent_weights(model, data.x, data.y, dist)
+        model, _ = em._m_step(data, config, resp, u, model, const, handoff=handoff)
+        assert len(handoff) == 1
+
+
+def test_fit_t_heavy_tailed_y_law_settles_on_the_dof_floor():
+    # ex6_s2, data seed 2: one component's regression noise is heavy-tailed
+    # enough that its y dof lands on the bracket's lower edge
+    data = generate(builtin_scenario("ex6_s2").with_seed(2))
+    res = fit(data, FitConfig(G=2, variant="t_cwm", seed=2, n_starts=1))
+    assert res.converged
+    comps = list(res.model.components)
+    g = [c.y_conditional.dof for c in comps].index(0.5)
+    cond = comps[g].y_conditional
+    # the floor is the constrained maximum: the observed log-likelihood falls
+    # as that dof leaves it, all else fixed
+    loglik = res.loglik_trace[-1]
+    for nu in (0.51, 0.6, 1.0):
+        comps[g] = Component(comps[g].weight, comps[g].x_marginal,
+                             Conditional(cond.map, cond.noise_scale, dof=nu))
+        assert joint_logpdf(CwmModel("t_cwm", tuple(comps)), data.x, data.y).sum() < loglik
+    # and it binds, but hides no spike: at the fitted line and scale the y
+    # law's own objective peaks just below 0.5, gaining less than a
+    # thousandth of a nat there, and falls steeply towards 0
+    delta = ((data.y - cond.map(data.x)) / cond.noise_scale) ** 2
+    resp = res.responsibilities[:, g]
+    with mp.workdps(30):
+        objective = lambda nu: t_objective(delta, resp, 1, nu)  # noqa: E731
+        peak = mp.findroot(lambda nu: mp.diff(objective, nu), (0.25, 0.5), solver="anderson")
+        assert 0.25 < peak < 0.5
+        assert 0 < objective(peak) - objective(0.5) < 1e-3
+        assert objective(0.1) < objective(0.5) - 100
 
 
 def test_fit_t_one_group_dof_recovery():
@@ -641,6 +780,19 @@ def test_fit_gating_reuses_the_e_step_log_gate(monkeypatch, seed):
     # the same step, one log-softmax fewer
     assert len(calls) == without - 1 >= 1
     np.testing.assert_array_equal(gating_theta(reused), gating_theta(fresh))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_gating_hoisted_outer_takes_the_same_step(seed):
+    # the Hessian's per-point blocks depend on x only: computed once per
+    # start, they give the step computed here bit for bit
+    x, resp = gating_problem(seed)
+    warm = [Gating(np.zeros(2), 0.0)] * 3
+    const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
+    np.testing.assert_array_equal(
+        gating_theta(_fit_gating(x, resp, warm, None, const.design, const.outer)),
+        gating_theta(_fit_gating(x, resp, warm)))
+    assert em._start_constants(Dataset(x, np.zeros(len(x)))).outer is None
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
-
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -24,6 +22,7 @@ def resolve_entry_point(target: str):
 
 
 def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
     doc = tomllib.loads(PYPROJECT.read_text())
     for name, target in doc["project"].get("scripts", {}).items():
         assert callable(resolve_entry_point(target)), f"{name} = {target!r} is not callable"
