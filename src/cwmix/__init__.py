@@ -2,7 +2,7 @@
 
 Mixtures of joint laws p(x, y) factored per component into an x-marginal, a
 linear y|x regression law, and a mixing weight.  Gaussian and Student-t
-components, the nested mixture-of-regressions variants, EM/ECM fitting,
+components, the nested mixture-of-regressions variants, EM/ECME fitting,
 evaluation metrics, and seeded synthetic data generators.
 """
 

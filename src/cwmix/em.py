@@ -43,6 +43,15 @@ penalized Newton step from the previous gating, starting from the log gate
 the E-step already evaluated, instead of solving the gating problem to
 convergence.  The step is halved until the gating objective does not
 decrease, so the observed-data log-likelihood stays non-decreasing.
+
+``fit`` runs the best of several starts, each a k-means partition of (x, y)
+from its own seeded generator.  The k-means works on contiguous coordinate
+rows built once per fit: it sums the N-by-G squared distances one coordinate
+at a time and takes the centroids from ``np.bincount``, so it keeps no
+N-by-G-by-D temporary; up to d = 6 its labels are bit for bit those of the
+N-by-G-by-D sum and the masked means.  k-means often returns one partition to
+several starts; a start is fitted given its partition alone, so a repeat is
+not run again.
 """
 
 from __future__ import annotations
@@ -149,14 +158,27 @@ class FitResult:
 
 # ------------------------------------------------------------ initialization
 
-def _kmeans_labels(z: np.ndarray, G: int, rng, max_iter: int = 20) -> np.ndarray:
-    n = z.shape[0]
+def _kmeans_columns(data: Dataset) -> np.ndarray:
+    """The D-by-N coordinates of (x, y) that k-means clusters, one contiguous
+    row per coordinate."""
+    return np.column_stack([data.x, data.y]).T.copy()
+
+
+def _kmeans_labels(columns: np.ndarray, G: int, rng, max_iter: int = 20) -> np.ndarray:
+    """Lloyd's k-means on the D-by-N ``columns`` from G distinct random points,
+    restarted from new points when a cluster empties.  The squared distances
+    are summed one coordinate at a time, left to right, which is the order of
+    numpy's ``sum`` over fewer than eight terms (every (x, y) with d <= 6);
+    each centroid sums its points in index order, as a masked mean does."""
+    n = columns.shape[1]
     for _ in range(50):
-        centers = z[rng.choice(n, size=G, replace=False)]
+        centers = columns[:, rng.choice(n, size=G, replace=False)]
         assign = None
         ok = True
         for _ in range(max_iter):
-            dist = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            dist = (columns[0][:, None] - centers[0]) ** 2
+            for column, center in zip(columns[1:], centers[1:]):
+                dist += (column[:, None] - center) ** 2
             new_assign = dist.argmin(axis=1)
             if assign is not None and np.array_equal(new_assign, assign):
                 break
@@ -165,14 +187,17 @@ def _kmeans_labels(z: np.ndarray, G: int, rng, max_iter: int = 20) -> np.ndarray
             if np.any(counts == 0):
                 ok = False
                 break
-            centers = np.stack([z[assign == g].mean(axis=0) for g in range(G)])
+            centers = np.stack([np.bincount(assign, weights=column, minlength=G)
+                                for column in columns]) / counts
         if ok:
             return assign
     raise ValueError("k-means produced an empty cluster in every attempt")
 
 
-def initialize(data: Dataset, config: FitConfig, rng) -> np.ndarray:
-    """Hard-partition initial responsibilities (N-by-G of zeros and ones)."""
+def initialize(data: Dataset, config: FitConfig, rng,
+               columns: np.ndarray | None = None) -> np.ndarray:
+    """Hard-partition initial responsibilities (N-by-G of zeros and ones).
+    ``columns`` is ``_kmeans_columns(data)`` when the caller has it."""
     if data.n <= config.G:
         raise ValueError("need more observations than groups")
     G = config.G
@@ -191,7 +216,9 @@ def initialize(data: Dataset, config: FitConfig, rng) -> np.ndarray:
         else:
             raise ValueError("random partition left a cluster empty in every attempt")
     else:
-        assign = _kmeans_labels(np.column_stack([data.x, data.y]), G, rng)
+        if columns is None:
+            columns = _kmeans_columns(data)
+        assign = _kmeans_labels(columns, G, rng)
     resp = np.zeros((data.n, G))
     resp[np.arange(data.n), assign] = 1.0
     return resp
@@ -275,21 +302,17 @@ def _solve_dof(old_dofs, q: int, delta: np.ndarray, resp: np.ndarray) -> list[fl
 
 # ------------------------------------------------------------------- M-step
 
-def _regularize_cov(center: np.ndarray, cov: np.ndarray, dof: float | None = None):
-    """(x law, ridged): the Gaussian law, or the t law when ``dof`` is given,
-    built once; a covariance that does not factor is ridged and tried again."""
+def _regularize_cov(center: np.ndarray, cov: np.ndarray):
+    """(Gaussian x law, ridged), the law built once; a covariance that does
+    not factor is ridged and tried again."""
     cov = 0.5 * (cov + cov.T)
-
-    def law(c):
-        return GaussianParams(center, c) if dof is None else StudentParams(center, c, dof)
-
     try:
-        return law(cov), False
+        return GaussianParams(center, cov), False
     except ValueError:
         pass
     ridge = 1e-8 * np.trace(cov) / cov.shape[0]
     try:
-        return law(cov + ridge * np.eye(cov.shape[0])), True
+        return GaussianParams(center, cov + ridge * np.eye(cov.shape[0])), True
     except ValueError:
         raise _DegenerateStart("singular covariance after regularization") from None
 
@@ -531,20 +554,33 @@ def _run_start(data, config, resp, start_index):
 
 
 def fit(data: Dataset, config: FitConfig) -> FitResult:
-    """Best-of-n-starts EM/ECM fit; ties go to the lowest start index."""
+    """Best-of-n-starts EM/ECME fit; ties go to the lowest start index.
+
+    A start whose initial partition repeats an earlier start's is not run: the
+    fit is deterministic given the partition, so its result would equal the
+    earlier one's and, on the tie, lose to it."""
     if data.n <= config.G:
         raise ValueError("need more observations than groups")
     # given_labels is deterministic, so extra starts would be identical
     n_starts = 1 if config.init == "given_labels" else config.n_starts
+    columns = _kmeans_columns(data) if config.init == "kmeans" else None
     best = None
     failures = []
+    first = {}  # initial partition -> the start that ran it
+    failed = set()
     for start in range(n_starts):
         rng = np.random.default_rng([config.seed, start])
+        resp0 = initialize(data, config, rng, columns)
+        earlier = first.setdefault(resp0.argmax(axis=1).tobytes(), start)
+        if earlier != start:
+            if earlier in failed:
+                failures.append(f"start {start}: duplicate of start {earlier}")
+            continue
         try:
-            resp0 = initialize(data, config, rng)
             result = _run_start(data, config, resp0, start)
         except _DegenerateStart as exc:
             failures.append(f"start {start}: {exc}")
+            failed.add(start)
             continue
         if best is None or result.loglik_trace[-1] > best.loglik_trace[-1]:
             best = result

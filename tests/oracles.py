@@ -156,3 +156,28 @@ def box_muller_stream(seed):
         r = math.sqrt(-2.0 * math.log(u1))
         yield r * math.cos(2.0 * math.pi * u2)
         yield r * math.sin(2.0 * math.pi * u2)
+
+
+def kmeans_labels(z, G, rng, max_iter=20):
+    """Lloyd's k-means on the N-by-D points z as the library first wrote it:
+    an N-by-G-by-D difference summed over its last axis, and each centroid
+    the mean of its boolean-masked rows.  Same draws, restarts and stops."""
+    n = z.shape[0]
+    for _ in range(50):
+        centers = z[rng.choice(n, size=G, replace=False)]
+        assign = None
+        ok = True
+        for _ in range(max_iter):
+            dist = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_assign = dist.argmin(axis=1)
+            if assign is not None and np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            counts = np.bincount(assign, minlength=G)
+            if np.any(counts == 0):
+                ok = False
+                break
+            centers = np.stack([z[assign == g].mean(axis=0) for g in range(G)])
+        if ok:
+            return assign
+    raise ValueError("k-means produced an empty cluster in every attempt")

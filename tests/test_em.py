@@ -4,6 +4,7 @@ Closed-form one-group estimators (sample moments + OLS) and a scipy
 profile-likelihood grid serve as independent oracles.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+import oracles
 from helpers import random_model, random_points
 from cwmix import densities, em
-from cwmix.datagen import builtin_scenario, generate
+from cwmix.datagen import SCENARIO_NAMES, builtin_scenario, generate
 from cwmix.densities import GaussianParams, StudentParams, mahalanobis_sq
 from cwmix.em import (
     DegenerateFitError,
@@ -39,6 +41,7 @@ from cwmix.model import (
     classify,
     fmg_to_cwm,
     joint_logpdf,
+    model_to_dict,
 )
 
 mp.dps = 50
@@ -149,6 +152,96 @@ def test_initialize_kmeans_separated_blobs():
     centers = np.stack([z[assign == g].mean(axis=0) for g in range(2)])
     dist = ((z[:, None, :] - centers[None]) ** 2).sum(axis=2)
     assert np.array_equal(assign, dist.argmin(axis=1))
+
+
+class _CountingRng:
+    """A Generator whose ``choice`` draws are counted (k-means draws nothing else)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+def _assert_kmeans_matches_oracle(z, G, seed):
+    """Same labels, from the same draws, as the reference k-means; returns
+    the number of center draws (more than one means a restart)."""
+    ours, ref = _CountingRng(seed), _CountingRng(seed)
+    data = Dataset(z[:, :-1], z[:, -1])
+    labels = em._kmeans_labels(em._kmeans_columns(data), G, ours)
+    assert np.array_equal(labels, oracles.kmeans_labels(z, G, ref))
+    assert ours.choices == ref.choices
+    return ours.choices
+
+
+def _scaled(name, factor):
+    spec = builtin_scenario(name)
+    groups = tuple(dataclasses.replace(g, n=g.n * factor) for g in spec.groups)
+    noise = spec.noise and dataclasses.replace(spec.noise, count=spec.noise.count * factor)
+    return dataclasses.replace(spec, groups=groups, noise=noise)
+
+
+@pytest.mark.parametrize("factor", (1, 10))
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_kmeans_labels_equal_the_reference_on_builtin_designs(name, factor):
+    # the coordinate-at-a-time distances and bincount centroids reproduce the
+    # N-by-G-by-D sum and the masked means bit for bit: identical labels
+    for seed in (1, 2):
+        data = generate(_scaled(name, factor).with_seed(seed))
+        z = np.column_stack([data.x, data.y])
+        for G in (2, 3, 4):
+            for start in range(3):
+                _assert_kmeans_matches_oracle(z, G, [seed, start])
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_kmeans_labels_equal_the_reference_on_random_blobs(d):
+    r = np.random.default_rng(d)
+    for G in (2, 3, 4):
+        z = np.vstack([r.normal(size=(60, d + 1), scale=r.uniform(0.5, 5.0))
+                       + r.normal(size=d + 1, scale=10.0) for _ in range(G)])
+        for seed in range(5):
+            _assert_kmeans_matches_oracle(z, G, seed)
+
+
+def test_kmeans_labels_sum_the_coordinates_in_the_reference_order():
+    # the origin is as far from either other point in exact arithmetic, but
+    # 0.09 + 0.25 + 0.49 < 0.49 + 0.25 + 0.09 by one ulp: when those two are
+    # the first centers, the order of the coordinate sum decides its label
+    z = np.array([[0.0, 0.0, 0.0], [0.3, 0.5, 0.7], [0.7, 0.5, 0.3]])
+    seeds = range(6)
+    assert any(set(np.random.default_rng(s).choice(3, size=2, replace=False)) == {1, 2}
+               for s in seeds)
+    for seed in seeds:
+        _assert_kmeans_matches_oracle(z, 2, seed)
+
+
+def test_kmeans_labels_restart_on_an_empty_cluster_like_the_reference():
+    # three sites, twenty copies each: two centers drawn at one site tie, the
+    # later one gets no point, and k-means draws new centers
+    sites = np.array([[0.0, 0.0], [5.0, 1.0], [-3.0, 4.0]])
+    z = np.repeat(sites, 20, axis=0)
+    draws = [_assert_kmeans_matches_oracle(z, 3, seed) for seed in range(10)]
+    assert max(draws) > 1
+    # four groups on three sites: every attempt empties one
+    with pytest.raises(ValueError, match="empty cluster"):
+        em._kmeans_labels(em._kmeans_columns(Dataset(z[:, :1], z[:, 1])), 4,
+                          np.random.default_rng(0))
+    with pytest.raises(ValueError, match="empty cluster"):
+        oracles.kmeans_labels(z, 4, np.random.default_rng(0))
+
+
+def test_initialize_reads_the_columns_it_is_given():
+    data = generate(builtin_scenario("ex6_s2").with_seed(1))
+    config = FitConfig(G=2)
+    columns = em._kmeans_columns(data)
+    assert columns.shape == (3, data.n) and columns.flags.c_contiguous
+    np.testing.assert_array_equal(
+        initialize(data, config, np.random.default_rng(4), columns),
+        initialize(data, config, np.random.default_rng(4)))
 
 
 # --------------------------------------------------------------- estimate_dof
@@ -319,8 +412,6 @@ def test_regularize_cov_factors_each_covariance_once(monkeypatch):
     law, ridged = _regularize_cov(center, cov)
     assert isinstance(law, GaussianParams) and not ridged and len(calls) == 1
     np.testing.assert_array_equal(law.cov, cov)
-    law, ridged = _regularize_cov(center, cov, 4.0)
-    assert isinstance(law, StudentParams) and law.dof == 4.0 and not ridged
     calls.clear()
     # rank one: the first factorization fails, the ridged one succeeds
     law, ridged = _regularize_cov(center, np.ones((2, 2)))
@@ -808,6 +899,81 @@ def test_fit_all_starts_degenerate_raises():
     data = Dataset(r.normal(size=(5, 1)), r.normal(size=5))
     with pytest.raises(DegenerateFitError):
         fit(data, FitConfig(G=4, n_starts=3, init="random_partition", seed=1))
+
+
+def _partitions(data, config):
+    """Each start's initial partition, as fit() draws it."""
+    return [initialize(data, config, np.random.default_rng([config.seed, start]))
+            .argmax(axis=1).tobytes() for start in range(config.n_starts)]
+
+
+def _count_run_start(monkeypatch, fail=None):
+    """Start indices _run_start is called with; with ``fail``, each call
+    raises _DegenerateStart(fail) instead of fitting."""
+    run_start, calls = em._run_start, []
+
+    def counted(data, config, resp, start_index):
+        calls.append(start_index)
+        if fail is not None:
+            raise _DegenerateStart(fail)
+        return run_start(data, config, resp, start_index)
+
+    monkeypatch.setattr(em, "_run_start", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, variant", [("ex2", "gaussian_cwm"), ("ex4_s2", "fmrc"),
+                                           ("ex5_s4", "fmr"), ("ex6_s2", "t_cwm")])
+def test_fit_runs_each_distinct_start_once(monkeypatch, name, variant):
+    spec = builtin_scenario(name).with_seed(1)
+    data = generate(spec)
+    config = FitConfig(G=len(spec.groups), variant=variant, seed=1)
+    # the reference runs every start and keeps the first of the best
+    best = None
+    for start in range(config.n_starts):
+        resp0 = initialize(data, config, np.random.default_rng([config.seed, start]))
+        try:
+            res = em._run_start(data, config, resp0, start)
+        except _DegenerateStart:
+            continue
+        if best is None or res.loglik_trace[-1] > best.loglik_trace[-1]:
+            best = res
+    partitions = _partitions(data, config)
+    calls = _count_run_start(monkeypatch)
+    got = fit(data, config)
+    assert calls == sorted(partitions.index(p) for p in set(partitions))
+    assert len(calls) < config.n_starts  # k-means repeats itself on these designs
+    np.testing.assert_array_equal(got.loglik_trace, best.loglik_trace)
+    np.testing.assert_array_equal(got.responsibilities, best.responsibilities)
+    assert (got.start_index, got.n_iter, got.converged) == (
+        best.start_index, best.n_iter, best.converged)
+    assert model_to_dict(got.model) == model_to_dict(best.model)
+
+
+def test_fit_names_a_degenerate_duplicate_start(monkeypatch):
+    # one group: every k-means start is the same partition, fitted once
+    x = np.random.default_rng(0).normal(size=60)
+    calls = _count_run_start(monkeypatch)
+    with pytest.raises(DegenerateFitError) as err:
+        fit(Dataset(x, 2.0 * x + 1.0), FitConfig(G=1))
+    assert calls == [0]
+    assert str(err.value) == "; ".join(
+        ["start 0: collapsed noise variance"]
+        + [f"start {j}: duplicate of start 0" for j in range(1, 10)])
+
+
+def test_fit_every_start_degenerate_with_duplicates_raises(monkeypatch):
+    data = generate(builtin_scenario("ex4_s2").with_seed(1))
+    config = FitConfig(G=3, seed=1)
+    partitions = _partitions(data, config)
+    calls = _count_run_start(monkeypatch, fail="forced")
+    with pytest.raises(DegenerateFitError) as err:
+        fit(data, config)
+    first = [partitions.index(p) for p in partitions]
+    assert calls == sorted(set(first)) and len(calls) < config.n_starts
+    assert str(err.value) == "; ".join(
+        f"start {j}: forced" if k == j else f"start {j}: duplicate of start {k}"
+        for j, k in enumerate(first))
 
 
 def test_fit_relabel_equivariance_given_labels():
