@@ -1,18 +1,28 @@
 """Seeded synthetic-data generators for the simulation studies.
 
-Every random draw comes from a self-contained 64-bit generator so datasets
-are bit-for-bit reproducible across platforms and library versions.  The
+Every random draw comes from a self-contained 64-bit generator, so a dataset
+depends only on its spec and seed, not on numpy's generators.  The
 algorithms, spelled out so another implementation can match the stream:
 
     seeding      splitmix64 expands the 64-bit seed into the 256-bit state
     core         xoshiro256++ (rotl(s0 + s3, 23) + s0 output function)
     uniforms     top 53 bits of each word, scaled by 2^-53 -> [0, 1)
-    normals      Box-Muller pairs; the second of each pair is returned on
-                 the next call, so draws consume the stream in fixed order
+    normals      Box-Muller pairs (u1 redrawn while it is 0); the sine of a
+                 pair is returned on the next call, so draws consume the
+                 stream in fixed order however they are batched
     bounded ints Lemire multiply-shift with rejection (unbiased)
     gamma        Marsaglia-Tsang squeeze (shape >= 1; boosted below 1),
                  used for the chi-square mixing variable of Student-t draws
     shuffling    backward Fisher-Yates over row indices
+
+Draws are taken in bulk (``words``, ``randoms``, ``normals``) and give the
+same values as the one-at-a-time calls.  The affine maps are written out
+elementwise: x = center + sum_j z_j * L[:, j] and y = sum_j x_j * slope_j +
+intercept + eps, each sum taken left to right, so no BLAS kernel (which may
+fuse a multiply and an add) touches a drawn value.  What is left of platform
+dependence is libm's ``log``, ``sin`` and ``cos``, taken from ``math``, and,
+for d >= 3 only, the factor L: ``cholesky_lower`` sums its inner products
+through matmul.
 
 A scenario is a list of groups, each drawing x from a Gaussian or Student-t
 law and y from the line slope'x + intercept plus Gaussian noise, optionally
@@ -25,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -62,10 +73,27 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+def _lemire(n: int, draw) -> int:
+    """Unbiased integer in [0, n) by Lemire's multiply-shift over the words
+    ``draw()`` returns, redrawing while the low half is below 2^64 mod n."""
+    m = draw() * n
+    if (m & _MASK64) < n:
+        threshold = (1 << 64) % n
+        while (m & _MASK64) < threshold:
+            m = draw() * n
+    return m >> 64
+
+
 class Xoshiro256:
     """xoshiro256++ seeded through splitmix64, with the derived draws
     (uniforms, normals, bounded ints, gamma) documented in the module
-    docstring.  Not thread-safe; share nothing between concurrent fits."""
+    docstring.  Not thread-safe; share nothing between concurrent fits.
+
+    ``words(n)``, ``randoms(n)`` and ``normals(n)`` are the bulk forms of
+    ``next_u64()``, ``random()`` and ``normal()``: each returns an array of
+    the same values that n scalar calls would, and leaves the generator
+    (state and spare normal) where those calls would.
+    """
 
     def __init__(self, seed: int):
         seed = int(seed)
@@ -87,12 +115,31 @@ class Xoshiro256:
         s[3] = _rotl(s[3], 45)
         return out
 
+    def words(self, n: int) -> np.ndarray:
+        """The next n words as a uint64 array (``next_u64`` inlined)."""
+        s0, s1, s2, s3 = self._s
+        out = []
+        append = out.append
+        for _ in range(n):
+            r = (s0 + s3) & _MASK64
+            append((((r << 23) | (r >> 41)) + s0) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s = [s0, s1, s2, s3]
+        return np.array(out, dtype=np.uint64)
+
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
+    def randoms(self, n: int) -> np.ndarray:
+        """n uniform doubles in [0, 1), the top 53 bits of n words."""
+        return (self.words(n) >> np.uint64(11)) * 2.0**-53
 
     def normal(self) -> float:
         if self._spare_normal is not None:
@@ -108,20 +155,38 @@ class Xoshiro256:
         return r * math.cos(theta)
 
     def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)])
+        """n standard normals: the spare first, if any, then Box-Muller pairs
+        over word pairs; an odd count keeps the last sine as the new spare.
+        log, cos and sin come from ``math`` so that a value does not depend
+        on how the draws are batched (numpy's log rounds differently)."""
+        out = np.empty(n)
+        k = 0
+        if n and self._spare_normal is not None:
+            out[0], self._spare_normal = self._spare_normal, None
+            k = 1
+        m = (n - k + 1) // 2
+        if m:
+            u = self.randoms(2 * m)
+            zero = np.flatnonzero(u[::2] == 0.0)
+            while zero.size:  # as normal(): drop a zero u1, shift, draw one more
+                p = 2 * zero[0]
+                u = np.concatenate((u[:p], u[p + 1 :], self.randoms(1)))
+                zero = np.flatnonzero(u[::2] == 0.0)
+            r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[::2].tolist()), float, m))
+            theta = (2.0 * math.pi * u[1::2]).tolist()
+            pairs = np.empty((m, 2))
+            pairs[:, 0] = r * np.fromiter(map(math.cos, theta), float, m)
+            pairs[:, 1] = r * np.fromiter(map(math.sin, theta), float, m)
+            out[k:] = pairs.ravel()[: n - k]
+            if (n - k) % 2:
+                self._spare_normal = float(pairs[-1, 1])
+        return out
 
     def bounded_int(self, n: int) -> int:
         """Unbiased integer in [0, n) via Lemire's multiply-shift."""
         if n <= 0:
             raise ValueError("n must be positive")
-        m = self.next_u64() * n
-        low = m & _MASK64
-        if low < n:
-            threshold = (-n) % n
-            while low < threshold:
-                m = self.next_u64() * n
-                low = m & _MASK64
-        return m >> 64
+        return _lemire(n, self.next_u64)
 
     def gamma(self, shape: float) -> float:
         """Gamma(shape, scale=1) via the Marsaglia-Tsang squeeze."""
@@ -151,12 +216,15 @@ class Xoshiro256:
         return 2.0 * self.gamma(0.5 * dof)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Backward Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
+        """Backward Fisher-Yates permutation of range(n).  The n - 1 words
+        are drawn at once; a rare Lemire rejection (probability below
+        n / 2^64) reads on into the stream, as ``bounded_int`` would."""
+        draw = chain(self.words(n - 1).tolist(), iter(self.next_u64, None)).__next__
+        perm = list(range(n))
         for i in range(n - 1, 0, -1):
-            j = self.bounded_int(i + 1)
+            j = _lemire(i + 1, draw)
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,18 +307,31 @@ class ScenarioSpec:
         return replace(self, seed=seed)
 
 
+def _rank_one_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as the sum of a[:, j:j+1] * b[j] taken left to right: one
+    rounding per product and per addition on every platform, where a BLAS
+    kernel may fuse a multiply and an add."""
+    out = a[:, :1] * b[0]
+    for j in range(1, b.shape[0]):
+        out = out + a[:, j : j + 1] * b[j]
+    return out
+
+
 def _draw_x(rng: Xoshiro256, law: GaussianParams | StudentParams, n: int) -> np.ndarray:
-    """n rows from the group's x-law, one point per stream position."""
+    """n rows center + L z from the group's x-law, one point per stream
+    position.  A Student row scales L z by sqrt(dof / chi2) first; its
+    chi-square draw takes a variable number of words, so those rows are
+    drawn one point at a time."""
     d = law.dim
-    chol = cholesky_lower(law.cov if isinstance(law, GaussianParams) else law.scale)
-    center = law.mean if isinstance(law, GaussianParams) else law.location
-    rows = np.empty((n, d))
+    if isinstance(law, GaussianParams):
+        z = rng.normals(n * d).reshape(n, d)
+        return law.mean + _rank_one_sum(z, cholesky_lower(law.cov).T)
+    z = np.empty((n, d))
+    scale = np.empty((n, 1))
     for i in range(n):
-        z = chol @ rng.normals(d)
-        if isinstance(law, StudentParams):
-            z *= math.sqrt(law.dof / rng.chi_square(law.dof))
-        rows[i] = center + z
-    return rows
+        z[i] = [rng.normal() for _ in range(d)]
+        scale[i] = math.sqrt(law.dof / rng.chi_square(law.dof))
+    return law.location + _rank_one_sum(z, cholesky_lower(law.scale).T) * scale
 
 
 def generate(spec: ScenarioSpec) -> Dataset:
@@ -263,13 +344,11 @@ def generate(spec: ScenarioSpec) -> Dataset:
         x = _draw_x(rng, group.x_law, group.n)
         eps = group.noise_sd * rng.normals(group.n)
         xs.append(x)
-        ys.append(x @ group.slope + group.intercept + eps)
+        ys.append(_rank_one_sum(x, group.slope[:, None])[:, 0] + group.intercept + eps)
         labels.append(np.full(group.n, g))
     if spec.noise is not None:
-        box = spec.noise.box
-        pts = np.array(
-            [[rng.uniform(lo, hi) for lo, hi in box] for _ in range(spec.noise.count)]
-        )
+        lo, hi = np.array(spec.noise.box).T
+        pts = lo + (hi - lo) * rng.randoms(spec.noise.count * (d + 1)).reshape(-1, d + 1)
         xs.append(pts[:, :d])
         ys.append(pts[:, d])
         labels.append(np.full(spec.noise.count, NOISE))

@@ -181,3 +181,116 @@ def kmeans_labels(z, G, rng, max_iter=20):
         if ok:
             return assign
     raise ValueError("k-means produced an empty cluster in every attempt")
+
+
+class ScalarStream:
+    """The generator's draws one value at a time, as cwmix first wrote them:
+    53-bit uniforms, Box-Muller normals whose sine waits as a spare, Lemire
+    bounded ints (rejecting a low half below 2^64 mod n), Marsaglia-Tsang
+    gamma.  Words come from ``words`` when given (a scripted source), else
+    from xoshiro256pp_stream(seed)."""
+
+    def __init__(self, seed=0, words=None):
+        self.next_u64 = (xoshiro256pp_stream(seed) if words is None else iter(words)).__next__
+        self._spare = None
+
+    def random(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def normal(self):
+        if self._spare is not None:
+            z, self._spare = self._spare, None
+            return z
+        u1 = self.random()
+        while u1 == 0.0:
+            u1 = self.random()
+        u2 = self.random()
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self._spare = r * math.sin(theta)
+        return r * math.cos(theta)
+
+    def normals(self, n):
+        return np.array([self.normal() for _ in range(n)])
+
+    def bounded_int(self, n):
+        m = self.next_u64() * n
+        low = m & _M64
+        if low < n:
+            threshold = (1 << 64) % n  # (-n) mod n in 64-bit arithmetic
+            while low < threshold:
+                m = self.next_u64() * n
+                low = m & _M64
+        return m >> 64
+
+    def gamma(self, shape):
+        if shape < 1.0:
+            u = self.random()
+            while u == 0.0:
+                u = self.random()
+            return self.gamma(shape + 1.0) * u ** (1.0 / shape)
+        d = shape - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        while True:
+            x = self.normal()
+            v = 1.0 + c * x
+            if v <= 0.0:
+                continue
+            v = v * v * v
+            u = self.random()
+            if u == 0.0:
+                continue
+            if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
+                return d * v
+
+    def permutation(self, n):
+        perm = np.arange(n)
+        for i in range(n - 1, 0, -1):
+            j = self.bounded_int(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+
+def _sum_ltr(a, b):
+    """a @ b for a matrix a and vector b, summed left to right with one
+    rounding per product and per addition."""
+    out = a[:, 0] * b[0]
+    for j in range(1, len(b)):
+        out = out + a[:, j] * b[j]
+    return out
+
+
+def generate_scalar(spec, factor):
+    """cwmix's generate() as first written, one point at a time: (x, y,
+    labels) of the scenario ``spec``, whose x-laws are factored by
+    ``factor``.  Only chol @ z and x @ slope are written as left-to-right
+    sums, where the original called BLAS."""
+    rng = ScalarStream(spec.seed)
+    d = spec.d
+    xs, ys, labels = [], [], []
+    for g, group in enumerate(spec.groups, start=1):
+        law = group.x_law
+        student = hasattr(law, "dof")
+        chol = factor(law.scale if student else law.cov)
+        center = law.location if student else law.mean
+        x = np.empty((group.n, d))
+        for i in range(group.n):
+            z = _sum_ltr(chol, rng.normals(d))
+            if student:
+                z *= math.sqrt(law.dof / (2.0 * rng.gamma(0.5 * law.dof)))
+            x[i] = center + z
+        eps = group.noise_sd * rng.normals(group.n)
+        xs.append(x)
+        ys.append(_sum_ltr(x, group.slope) + group.intercept + eps)
+        labels.append(np.full(group.n, g))
+    if spec.noise is not None:
+        pts = np.array([[lo + (hi - lo) * rng.random() for lo, hi in spec.noise.box]
+                        for _ in range(spec.noise.count)])
+        xs.append(pts[:, :d])
+        ys.append(pts[:, d])
+        labels.append(np.full(spec.noise.count, 0))  # the NOISE label
+    x = np.vstack(xs)
+    y = np.concatenate(ys)
+    lab = np.concatenate(labels)
+    perm = rng.permutation(x.shape[0])
+    return x[perm], y[perm], lab[perm]
