@@ -39,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .densities import GaussianParams, StudentParams, cholesky_lower
+from .densities import GaussianParams, StudentParams, cholesky_lower, law_from_dict, law_to_dict
 from .model import NOISE, Dataset
 
 _MASK64 = (1 << 64) - 1
@@ -453,27 +453,13 @@ def crab_perturb(data: Dataset, constant: float) -> Dataset:
 # --- JSON mirror -----------------------------------------------------------
 
 
-def _law_to_dict(law: GaussianParams | StudentParams) -> dict:
-    if isinstance(law, StudentParams):
-        return {"mean": law.location.tolist(), "cov": law.scale.tolist(), "dof": law.dof}
-    return {"mean": law.mean.tolist(), "cov": law.cov.tolist()}
-
-
-def _law_from_dict(doc: dict) -> GaussianParams | StudentParams:
-    mean = np.asarray(doc["mean"], dtype=float)
-    cov = np.asarray(doc["cov"], dtype=float)
-    if "dof" in doc and doc["dof"] is not None:
-        return StudentParams(mean, cov, float(doc["dof"]))
-    return GaussianParams(mean, cov)
-
-
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
     out = {
         "seed": spec.seed,
         "groups": [
             {
                 "n": g.n,
-                "x_law": _law_to_dict(g.x_law),
+                "x_law": law_to_dict(g.x_law),
                 "slope": g.slope.tolist(),
                 "intercept": g.intercept,
                 "noise_sd": g.noise_sd,
@@ -493,7 +479,7 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
     groups = tuple(
         GroupSpec(
             g["n"],
-            _law_from_dict(g["x_law"]),
+            law_from_dict(g["x_law"]),
             np.asarray(g["slope"], dtype=float),
             g["intercept"],
             g["noise_sd"],

@@ -3,9 +3,8 @@
 Everything downstream (mixture evaluation, EM, the metrics) is built on
 the pieces here: Gaussian and Student-t log-densities of any dimension
 (also from a squared Mahalanobis distance the caller already has), squared
-Mahalanobis distance, log-gamma, digamma, trigamma, and the chi-squared
-CDF/quantile pair.  All density work happens in log space; exponentiation is
-left to normalization sites.
+Mahalanobis distance, log-gamma, digamma and trigamma.  All density work
+happens in log space; exponentiation is left to normalization sites.
 
 Covariance-like matrices are handled through a lower-triangular Cholesky
 factorization only; no explicit inverse is ever formed.  A factorization
@@ -217,6 +216,22 @@ class StudentParams:
         return self._log_det
 
 
+def law_to_dict(law: GaussianParams | StudentParams) -> dict:
+    """JSON-ready {"mean", "cov"} of a law, with "dof" for a Student-t."""
+    if isinstance(law, StudentParams):
+        return {"mean": law.location.tolist(), "cov": law.scale.tolist(), "dof": law.dof}
+    return {"mean": law.mean.tolist(), "cov": law.cov.tolist()}
+
+
+def law_from_dict(doc: dict) -> GaussianParams | StudentParams:
+    """Inverse of law_to_dict; a null "dof" reads as a Gaussian law."""
+    mean = np.asarray(doc["mean"], dtype=float)
+    cov = np.asarray(doc["cov"], dtype=float)
+    if doc.get("dof") is not None:
+        return StudentParams(mean, cov, float(doc["dof"]))
+    return GaussianParams(mean, cov)
+
+
 def _whitened(z, params):
     """L^-1 (z - center)^T for z of shape (q,) or (N,q); returns (q, N)."""
     z = np.asarray(z, dtype=float)
@@ -309,19 +324,12 @@ def _log_gamma_scalar(x: float) -> float:
     return 0.5 * _LOG_2PI + (x + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def log_gamma(x):
-    """Natural log of the Gamma function for x > 0 (scalar or array)."""
-    if isinstance(x, (float, int)):
-        # scalar fast path: skips the 0-d array round trip, same result
-        if not (x > 0.0 and math.isfinite(x)):
-            raise ValueError(f"log_gamma requires x > 0, got {x}")
-        return _log_gamma_scalar(float(x))
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+def log_gamma(x: float) -> float:
+    """Natural log of the Gamma function for a finite x > 0."""
+    x = float(x)
+    if not (x > 0.0 and math.isfinite(x)):
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if arr.ndim == 0:
-        return _log_gamma_scalar(float(arr))
-    return np.array([_log_gamma_scalar(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+    return _log_gamma_scalar(x)
 
 
 def digamma(x: float) -> float:
@@ -359,117 +367,6 @@ def trigamma(x: float) -> float:
             1.0 / 30.0 - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * 7.0 / 6.0)))))
     )
     return acc + inv + 0.5 * inv2 + series
-
-
-def _gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), series + continued fraction."""
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    log_front = a * math.log(x) - x - _log_gamma_scalar(a)
-    if x < a + 1.0:
-        # series expansion of P
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(1000):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return min(1.0, math.exp(log_front) * total)
-    # modified Lentz continued fraction for Q
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return max(0.0, 1.0 - math.exp(log_front) * h)
-
-
-def chi_sq_cdf(x: float, dof: int) -> float:
-    """CDF of the chi-squared distribution with the given degrees of freedom."""
-    return _gamma_p(dof / 2.0, float(x) / 2.0)
-
-
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile via safeguarded Newton on the erf-based CDF."""
-    lo, hi = -40.0, 40.0
-    z = 0.0
-    for _ in range(200):
-        cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-        err = cdf - p
-        if err > 0:
-            hi = min(hi, z)
-        else:
-            lo = max(lo, z)
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        step = err / pdf if pdf > 0 else 0.0
-        z_new = z - step
-        if not lo < z_new < hi:
-            z_new = 0.5 * (lo + hi)
-        if abs(z_new - z) < 1e-13 * max(1.0, abs(z)):
-            return z_new
-        z = z_new
-    return z
-
-
-def chi_sq_quantile(p: float, dof: int) -> float:
-    """Quantile of order p of the chi-squared distribution.
-
-    Safeguarded Newton on the regularized incomplete gamma CDF, started from
-    the Wilson-Hilferty cube approximation.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    dof = int(dof)
-    # Wilson-Hilferty start
-    z = _normal_quantile(p)
-    t = 2.0 / (9.0 * dof)
-    x = dof * (1.0 - t + z * math.sqrt(t)) ** 3
-    if x <= 0.0:
-        x = 1e-10
-    lo, hi = 0.0, max(x, 1.0)
-    while chi_sq_cdf(hi, dof) < p:
-        hi *= 2.0
-    a = dof / 2.0
-    log_norm = -a * math.log(2.0) - _log_gamma_scalar(a)
-    for _ in range(200):
-        err = chi_sq_cdf(x, dof) - p
-        if err > 0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
-        log_pdf = (a - 1.0) * math.log(x) - x / 2.0 + log_norm
-        pdf = math.exp(log_pdf)
-        step = err / pdf if pdf > 0 else 0.0
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-12 * max(1.0, abs(x)) and abs(err) < 1e-10:
-            return x_new
-        x = x_new
-    return x
 
 
 def log_sum_exp(a, axis=None):

@@ -22,19 +22,20 @@ routine result (the upper edge is the Gaussian limit) and is returned as is.
 Both CM-steps raise the observed log-likelihood, and the dof step removes
 the slow direction of ECM's, so t fits converge in tens of iterations.
 
-The distances the dof step reads are taken at the parameters the first
-CM-step just set, and no dof enters them: they are exactly the next
-E-step's.  The M-step hands them forward, so an iteration whitens x once.
+``_m_step`` returns, with the new model, the ``Distances`` the next E-step
+reads of it: the x distances to the x laws it just factored, the residuals it
+formed for the noise variances and the log gate of the gating it accepted.
+No dof enters them, so the dof step reads them too, and the M-step after
+takes its t weights and gating step from them: x is whitened once and the
+gate evaluated once per iteration.
 
 One iteration does its small-matrix work once for all G components, with no
-per-component loop on the hot path.  The E-step whitens x against every
-component in one stacked triangular solve (for a t variant, the M-step has
-done it), and its distances also give the weights.  The M-step works on
-G-by-N weights: every weighted Gram matrix, right-hand side, x moment and
-noise variance comes from a stacked product, one stacked factorization solves
-every least-squares fit, and one more factors every x covariance (one that
-does not factor sends each component through ``_regularize_cov``).  Only the
-dof solves and the building of the component objects stay per component.
+per-component loop on the hot path.  The M-step works on G-by-N weights:
+every weighted Gram matrix, right-hand side, x moment and noise variance
+comes from a stacked product, one stacked factorization solves every
+least-squares fit, and one more factors every x covariance (one that does
+not factor sends each component through ``_regularize_cov``).  Only the dof
+solves and the building of the component objects stay per component.
 The [x, 1] design, the noise-variance floor and, for fmrc, the gating
 Hessian's per-point blocks are computed once per start.
 
@@ -85,7 +86,6 @@ from .model import (
     Distances,
     Gating,
     LinearMap,
-    _component_distances,
     _gate_logits,
     _gating_theta,
     _log_component_terms,
@@ -344,15 +344,13 @@ def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.n
     return beta[:, :-1], beta[:, -1]
 
 
-def _latent_weights(model: CwmModel | None, x, y, dist: Distances | None = None) -> _Weights:
-    """Per-point t precision weights from the current parameters; a joint t
-    (fmt) gives x and y the one weight of its (d+1)-variate law.  ``dist`` is
-    the E-step's ``_component_distances`` at the same parameters, when known."""
+def _latent_weights(model: CwmModel | None, dist: Distances | None) -> _Weights:
+    """Per-point t precision weights at ``model``, from the E-step's distances
+    ``dist`` to it; a joint t (fmt) gives x and y the one weight of its
+    (d+1)-variate law.  (None, None) when no t law weights the points."""
     if model is None or model.spec.x_law != "t":
         return _Weights(None, None)
-    if dist is None:
-        dist = _component_distances(model, x, y)
-    d = x.shape[1]
+    d = model.d
     conds = [comp.y_conditional for comp in model.components]
     nu = np.array([[comp.x_marginal.dof] for comp in model.components])
     delta_y = dist.resid**2 / np.array([[cond.noise_scale] for cond in conds]) ** 2
@@ -364,25 +362,25 @@ def _latent_weights(model: CwmModel | None, x, y, dist: Distances | None = None)
     return _Weights(((nu + d) / (nu + dist.x)).T, ((zeta + 1.0) / (zeta + delta_y)).T)
 
 
-def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate=None,
-                design=None, outer=None) -> list[Gating]:
+def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate, design: np.ndarray,
+                outer: np.ndarray) -> tuple[tuple[Gating, ...], np.ndarray]:
     """One penalized Newton (IRLS) step on the gating objective
-    sum(resp * log_gate), taken from the previous gating.
+    sum(resp * log_gate), taken from the previous gating: (gating, its G-by-N
+    log gate).
 
-    ``log_gate`` is the G-by-N log gate at ``old_gating`` when the E-step has
-    it (``Distances.log_gate``), ``design`` the N-by-(d+1) [x, 1] and
-    ``outer`` its rows' N-by-(d+1)^2 self products; each is computed here
-    when not given.  The step is halved until the objective
+    ``log_gate`` is the E-step's log gate at ``old_gating``
+    (``Distances.log_gate``; None before the first E-step, and then computed
+    here), ``design`` the N-by-(d+1) [x, 1] and ``outer`` its rows'
+    N-by-(d+1)^2 self products.  The step is halved until the objective
     does not decrease, which makes the update a GEM step: the observed-data
     log-likelihood cannot fall.  If no halving is accepted, or the ridged
-    Hessian cannot be factored, the old gating is kept.  Repeated on fixed
-    responsibilities, the steps converge to the full gating M-step's maximizer.
+    Hessian cannot be factored, the old gating is kept.  One component has no
+    gate to fit and keeps the baseline.  Repeated on fixed responsibilities,
+    the steps converge to the full gating M-step's maximizer.
     """
     n, d = x.shape
     G = resp.shape[1]
     m, k = G - 1, (G - 1) * (d + 1)
-    if design is None:
-        design = np.column_stack([x, np.ones(n)])
     theta = _gating_theta(old_gating)
 
     def log_gate_at(th):
@@ -390,35 +388,34 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate=None,
         return logits - log_sum_exp(logits, axis=0)
 
     def gating(th):
-        return [Gating(np.zeros(d), 0.0)] + [
+        return (Gating(np.zeros(d), 0.0),) + tuple(
             Gating(th[i, :d].copy(), float(th[i, d])) for i in range(m)
-        ]
+        )
 
     if log_gate is None:
         log_gate = log_gate_at(theta)
     value = float(np.sum(resp * log_gate.T))
     prob = np.exp(log_gate[1:].T)
     grad = (resp[:, 1:] - prob).T @ design
-    if np.max(np.abs(grad)) < 1e-10:
-        return gating(theta)
+    if m == 0 or np.max(np.abs(grad)) < 1e-10:
+        return gating(theta), log_gate
     # negated Hessian, positive semidefinite: block (g, h) is
     # X' diag(p_g (delta_gh - p_h)) X, every block from one product
     w = prob[:, :, None] * (np.eye(m) - prob[:, None, :])
-    if outer is None:
-        outer = _design_outer(design)
     hess = (w.reshape(n, m * m).T @ outer).reshape(m, m, d + 1, d + 1)
     hess = hess.transpose(0, 2, 1, 3).reshape(k, k)
     try:
         step = solve_spd(hess + 1e-6 * np.eye(k), grad.ravel()).reshape(m, d + 1)
     except ValueError:
-        return gating(theta)
+        return gating(theta), log_gate
     scale = 1.0
     for _ in range(20):
         candidate = theta + scale * step
-        if float(np.sum(resp * log_gate_at(candidate).T)) >= value - 1e-12:
-            return gating(candidate)
+        candidate_log_gate = log_gate_at(candidate)
+        if float(np.sum(resp * candidate_log_gate.T)) >= value - 1e-12:
+            return gating(candidate), candidate_log_gate
         scale *= 0.5
-    return gating(theta)
+    return gating(theta), log_gate
 
 
 def _next_dofs(config, spec, old_model, d, resp, delta_x, delta_y):
@@ -449,26 +446,23 @@ def _next_dofs(config, spec, old_model, d, resp, delta_x, delta_y):
 _StartConstants = namedtuple("_StartConstants", ["design", "var_floor", "outer"])
 
 
-def _design_outer(design: np.ndarray) -> np.ndarray:
-    return (design[:, :, None] * design[:, None, :]).reshape(design.shape[0], -1)
-
-
 def _start_constants(data: Dataset, gated: bool = False) -> _StartConstants:
     design = np.column_stack([data.x, np.ones(data.n)])
-    return _StartConstants(design, _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30),
-                           _design_outer(design) if gated else None)
+    outer = (design[:, :, None] * design[:, None, :]).reshape(data.n, -1) if gated else None
+    return _StartConstants(design, _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30), outer)
 
 
-def _m_step(data, config, resp, u, old_model, const, log_gate=None, handoff=None):
-    """Every component's update at once: G-by-N weights, stacked moments, one
+def _m_step(data, config, resp, old_model, old_dist, const):
+    """(model, dist, ridged) from ``resp`` and the E-step's distances
+    ``old_dist`` to ``old_model`` (both None before the first E-step).
+
+    Every component is updated at once: G-by-N weights, stacked moments, one
     stacked least-squares solve and one stacked x-law factorization, then the
-    ECME dof step of the t laws.  ``log_gate`` is the E-step's, at
-    ``old_model``'s gating.
-
-    A t variant's dof step reads the distances to the new model, which no dof
-    enters; when ``handoff`` is a list, those ``Distances`` are appended to it
-    for the next E-step, so that it need not whiten x again."""
+    ECME dof step and the gating step.  ``dist`` is the next E-step's input,
+    taken from what these computed; ``ridged`` tells whether an x covariance
+    was ridged."""
     x, y = data.x, data.y
+    u = _latent_weights(old_model, old_dist)
     d, G = data.d, config.G
     spec = VARIANT_SPECS[config.variant]
     mass = resp.sum(axis=0)
@@ -478,13 +472,14 @@ def _m_step(data, config, resp, u, old_model, const, log_gate=None, handoff=None
         weights = np.full(G, 1.0 / G)
     else:
         weights = mass / mass.sum()
-    used_ridge = False
+    used_ridge, dist_x = False, None
     if spec.x_law is not None:
         wx = (resp if u.x is None else resp * u.x).T
         mu = (wx @ x) / wx.sum(axis=1)[:, None]
         centered = x - mu[:, None, :]
         covs = (wx[:, :, None] * centered).transpose(0, 2, 1) @ centered / mass[:, None, None]
         covs, chols, used_ridge = _x_factors(mu, covs)
+        dist_x = _x_distances(chols, mu, x)
     wy = resp if u.y is None else resp * u.y
     slopes, intercepts = _weighted_ls(const.design, y, wy)
     resid = y - (slopes @ x.T + intercepts[:, None])
@@ -495,22 +490,20 @@ def _m_step(data, config, resp, u, old_model, const, log_gate=None, handoff=None
     if spec.x_law == "gaussian":
         margs = [GaussianParams._from_factor(*args) for args in zip(mu, covs, chols)]
     elif spec.x_law == "t":
-        dist = Distances(_x_distances(chols, mu, x), resid, None)
-        nus, zetas = _next_dofs(config, spec, old_model, d, resp, dist.x,
+        nus, zetas = _next_dofs(config, spec, old_model, d, resp, dist_x,
                                 resid**2 / noise_var[:, None])
         margs = [StudentParams._from_factor(*args) for args in zip(mu, covs, nus, chols)]
-        if handoff is not None:
-            handoff.append(dist)
     comps = tuple(
         Component(weight, marg, Conditional(LinearMap(slope, b0), math.sqrt(var), dof=zeta))
         for weight, marg, slope, b0, var, zeta
         in zip(weights, margs, slopes, intercepts, noise_var, zetas)
     )
-    gating = None
+    gating = log_gate = None
     if spec.gated:
         old_gating = old_model.gating if old_model is not None else [Gating(np.zeros(d), 0.0)] * G
-        gating = tuple(_fit_gating(x, resp, old_gating, log_gate, const.design, const.outer))
-    return CwmModel(config.variant, comps, gating), used_ridge
+        old_log_gate = old_dist.log_gate if old_dist is not None else None
+        gating, log_gate = _fit_gating(x, resp, old_gating, old_log_gate, const.design, const.outer)
+    return CwmModel(config.variant, comps, gating), Distances(dist_x, resid, log_gate), used_ridge
 
 
 # -------------------------------------------------------------------- driver
@@ -518,14 +511,11 @@ def _m_step(data, config, resp, u, old_model, const, log_gate=None, handoff=None
 def _run_start(data, config, resp, start_index):
     x, y = data.x, data.y
     const = _start_constants(data, VARIANT_SPECS[config.variant].gated)
-    handoff = []  # the distances a t variant's M-step leaves for the E-step
-    model, ridged = _m_step(data, config, resp, _Weights(None, None), None, const,
-                            handoff=handoff)
+    model, dist, ridged = _m_step(data, config, resp, None, None, const)
     streak = 1 if ridged else 0
     trace = []
     converged = False
     for it in range(config.max_iter):
-        dist = handoff.pop() if handoff else _component_distances(model, x, y)
         terms = _log_component_terms(model, x, y, dist)
         row_lse = log_sum_exp(terms, axis=1)
         loglik = float(row_lse.sum())
@@ -538,8 +528,7 @@ def _run_start(data, config, resp, start_index):
             break
         if it == config.max_iter - 1:
             break
-        u = _latent_weights(model, x, y, dist)
-        model, ridged = _m_step(data, config, resp, u, model, const, dist.log_gate, handoff)
+        model, dist, ridged = _m_step(data, config, resp, model, dist, const)
         streak = streak + 1 if ridged else 0
         if streak >= 3:
             raise _DegenerateStart("covariance required repeated regularization")

@@ -33,6 +33,8 @@ from .densities import (  # noqa: F401
     StudentParams,
     gaussian_log_density,
     gaussian_logpdf,
+    law_from_dict,
+    law_to_dict,
     log_sum_exp,
     mahalanobis_sq,
     solve_lower,
@@ -481,19 +483,7 @@ def model_to_dict(model: CwmModel) -> dict:
     """JSON-ready dict; numbers keep full double precision."""
     components = []
     for comp in model.components:
-        marg = None
-        if comp.x_marginal is not None:
-            if isinstance(comp.x_marginal, StudentParams):
-                marg = {
-                    "mean": comp.x_marginal.location.tolist(),
-                    "cov": comp.x_marginal.scale.tolist(),
-                    "dof": comp.x_marginal.dof,
-                }
-            else:
-                marg = {
-                    "mean": comp.x_marginal.mean.tolist(),
-                    "cov": comp.x_marginal.cov.tolist(),
-                }
+        marg = None if comp.x_marginal is None else law_to_dict(comp.x_marginal)
         cond = comp.y_conditional
         y_conditional = {
             "slope": cond.map.slope.tolist(),
@@ -520,12 +510,7 @@ def model_from_dict(doc: dict) -> CwmModel:
     """Inverse of model_to_dict; validates through the CwmModel constructor."""
     components = []
     for entry in doc["components"]:
-        marg = None
-        m = entry["x_marginal"]
-        if m is not None:
-            mean = np.asarray(m["mean"], dtype=float)
-            cov = np.asarray(m["cov"], dtype=float)
-            marg = StudentParams(mean, cov, float(m["dof"])) if "dof" in m else GaussianParams(mean, cov)
+        marg = None if entry["x_marginal"] is None else law_from_dict(entry["x_marginal"])
         yc = entry["y_conditional"]
         cond = Conditional(
             LinearMap(np.asarray(yc["slope"], dtype=float), float(yc["intercept"])),

@@ -57,20 +57,6 @@ def mvt_logpdf(z, loc, scale, dof):
     return float(logp)
 
 
-def chi2_cdf(x, dof):
-    """Regularized lower incomplete gamma, independent of the library's series."""
-    return float(mp.gammainc(mp.mpf(dof) / 2, 0, mp.mpf(x) / 2, regularized=True))
-
-
-def chi2_quantile(p, dof):
-    """Quantile by mpmath root finding on the independent CDF."""
-    f = lambda x: chi2_cdf(x, dof) - p
-    lo, hi = 0.0, 1.0
-    while f(hi) < 0:
-        hi *= 2
-    return float(mp.findroot(f, (lo + hi) / 2, tol=1e-30))
-
-
 def log_gamma(x):
     return float(mp.loggamma(mp.mpf(x)))
 

@@ -9,8 +9,6 @@ import oracles
 from cwmix.densities import (
     GaussianParams,
     StudentParams,
-    chi_sq_cdf,
-    chi_sq_quantile,
     cholesky_lower,
     digamma,
     gaussian_logpdf,
@@ -301,44 +299,6 @@ def test_trigamma_domain_error():
     for x in (0.0, -1.0, -0.5):
         with pytest.raises(ValueError):
             trigamma(x)
-
-
-# --------------------------------------------------------- chi-sq quantile
-
-def test_chi_sq_quantile_known_values():
-    assert chi_sq_quantile(0.95, 2) == pytest.approx(5.991464547107981, abs=1e-6)
-    assert chi_sq_quantile(0.5, 1) == pytest.approx(0.4549364231195728, abs=1e-6)
-
-
-def test_chi_sq_quantile_cdf_roundtrip():
-    q = chi_sq_quantile(0.95, 2)
-    assert chi_sq_cdf(q, 2) == pytest.approx(0.95, abs=1e-8)
-
-
-def test_chi_sq_quantile_roundtrip_grid():
-    for dof in (1, 2, 5):
-        for x in (0.1, 1.0, 5.0, 20.0):
-            p = chi_sq_cdf(x, dof)
-            assert chi_sq_quantile(p, dof) == pytest.approx(x, abs=1e-6)
-
-
-def test_chi_sq_quantile_monotone_in_p():
-    ps = np.linspace(0.01, 0.99, 25)
-    qs = [chi_sq_quantile(float(p), 3) for p in ps]
-    assert all(b > a for a, b in zip(qs, qs[1:]))
-
-
-def test_chi_sq_cdf_against_oracle():
-    for dof in (1, 2, 5, 10):
-        for x in (0.05, 0.5, 2.0, 8.0, 30.0):
-            assert chi_sq_cdf(x, dof) == pytest.approx(oracles.chi2_cdf(x, dof), abs=1e-12)
-
-
-def test_chi_sq_quantile_domain():
-    with pytest.raises(ValueError):
-        chi_sq_quantile(0.0, 2)
-    with pytest.raises(ValueError):
-        chi_sq_quantile(1.0, 2)
 
 
 # ----------------------------------------------------------------- utilities

@@ -15,6 +15,7 @@ from mpmath import mp
 import oracles
 from helpers import random_model, random_points
 from cwmix import densities, em
+from cwmix import model as model_module
 from cwmix.datagen import SCENARIO_NAMES, builtin_scenario, generate
 from cwmix.densities import GaussianParams, StudentParams, mahalanobis_sq
 from cwmix.em import (
@@ -30,12 +31,14 @@ from cwmix.em import (
     initialize,
 )
 from cwmix.model import (
+    VARIANT_SPECS,
     VARIANTS,
     Component,
     Conditional,
     CwmModel,
     Dataset,
     Gating,
+    _component_distances,
     _gate_logits,
     _gating_theta,
     classify,
@@ -457,13 +460,13 @@ def test_m_step_ridges_only_the_singular_component(monkeypatch):
     # is well posed
     ux = np.ones((n, 2))
     ux[10:30, 0] = 0.0
-    u = em._Weights(ux, np.ones((n, 2)))
+    monkeypatch.setattr(em, "_latent_weights", lambda *a: em._Weights(ux, np.ones((n, 2))))
     regularize = em._regularize_cov
     flags = []
     monkeypatch.setattr(em, "_regularize_cov",
                         lambda *a: (lambda out: flags.append(out[1]) or out)(regularize(*a)))
-    model, ridged = em._m_step(data, FitConfig(G=2, variant="t_cwm"), resp, u, None,
-                               em._start_constants(data))
+    model, _, ridged = em._m_step(data, FitConfig(G=2, variant="t_cwm"), resp, None, None,
+                                  em._start_constants(data))
     assert ridged and flags == [True, False]
     for g, comp in enumerate(model.components):
         w = resp[:, g] * ux[:, g]
@@ -476,8 +479,8 @@ def test_m_step_ridges_only_the_singular_component(monkeypatch):
     # without the singular component the stacked factorization builds both
     flags.clear()
     ux[10:30, 0] = 1.0
-    _, ridged = em._m_step(data, FitConfig(G=2, variant="t_cwm"), resp, u, None,
-                           em._start_constants(data))
+    _, _, ridged = em._m_step(data, FitConfig(G=2, variant="t_cwm"), resp, None, None,
+                              em._start_constants(data))
     assert not ridged and flags == []
 
 
@@ -660,7 +663,7 @@ def test_fmt_latent_weight_is_joint_t_weight(d):
     model = random_model(r, "fmt", 3, d)
     x, y = random_points(r, 40, d)
     z = np.column_stack([x, y])
-    u = _latent_weights(model, x, y)
+    u = _latent_weights(model, _component_distances(model, x, y))
     for g, comp in enumerate(model.components):
         marg, cond = comp.x_marginal, comp.y_conditional
         # the (d+1)-variate t whose x-marginal and y|x conditional these are
@@ -689,27 +692,40 @@ def test_fit_t_variants_converge_before_the_cap(name, variant):
     assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[1:]))
 
 
-@pytest.mark.parametrize("variant", ("t_cwm", "fmt"))
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_m_step_hands_the_e_step_its_distances(variant):
-    # no dof enters the distances the dof step reads, so they are the next
-    # E-step's: handed forward, they equal a fresh whitening of the new model
+    # the distances the M-step returns are those of the model it returns:
+    # bit for bit a fresh whitening, residual and log gate of the new model
     spec = builtin_scenario("ex4_s2").with_seed(1)
     data = generate(spec)
     config = FitConfig(G=3, variant=variant, n_starts=1)
-    const = em._start_constants(data)
+    const = em._start_constants(data, VARIANT_SPECS[variant].gated)
     resp = initialize(data, config, np.random.default_rng([0, 0]))
-    handoff = []
-    model, _ = em._m_step(data, config, resp, em._Weights(None, None), None, const, handoff=handoff)
+    model, dist, _ = em._m_step(data, config, resp, None, None, const)
     for _ in range(3):
-        dist = handoff.pop()
-        fresh = em._component_distances(model, data.x, data.y)
-        np.testing.assert_allclose(dist.x, fresh.x, rtol=1e-13)
-        np.testing.assert_allclose(dist.resid, fresh.resid, rtol=1e-13, atol=1e-13)
+        fresh = _component_distances(model, data.x, data.y)
+        for got, want in zip(dist, fresh):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
         terms = em._log_component_terms(model, data.x, data.y, dist)
         resp = np.exp(terms - densities.log_sum_exp(terms, axis=1)[:, None])
-        u = _latent_weights(model, data.x, data.y, dist)
-        model, _ = em._m_step(data, config, resp, u, model, const, handoff=handoff)
-        assert len(handoff) == 1
+        model, dist, _ = em._m_step(data, config, resp, model, dist, const)
+
+
+def test_fit_never_recomputes_the_distances(monkeypatch):
+    # every E-step reads the distances its M-step returned
+    def recompute(*args):
+        raise AssertionError("fit recomputed the distances")
+
+    monkeypatch.setattr(model_module, "_component_distances", recompute)
+    monkeypatch.setattr(em, "_component_distances", recompute, raising=False)
+    spec = builtin_scenario("ex4_s2").with_seed(1)
+    data = generate(spec)
+    for variant in VARIANTS:
+        res = fit(data, FitConfig(G=3, variant=variant, n_starts=2, max_iter=20))
+        assert res.n_iter > 1
 
 
 def test_fit_t_heavy_tailed_y_law_settles_on_the_dof_floor():
@@ -808,6 +824,12 @@ def gating_theta(gating):
     return np.array([np.append(g.w, g.w0) for g in gating[1:]])
 
 
+def gating_step(x, resp, gating):
+    # one gating M-step from ``gating``, before any E-step has run
+    const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
+    return _fit_gating(x, resp, gating, None, const.design, const.outer)[0]
+
+
 def gating_objective_and_grad(x, resp, theta):
     # independent of cwmix: sum(resp * log softmax) and its gradient
     design = np.column_stack([x, np.ones(x.shape[0])])
@@ -827,7 +849,7 @@ def test_fit_gating_step_never_decreases_objective(seed):
             Gating(r.normal(size=2, scale=spread), float(r.normal(scale=spread))) for _ in range(2)
         ]
         before, _ = gating_objective_and_grad(x, resp, gating_theta(warm))
-        after, _ = gating_objective_and_grad(x, resp, gating_theta(_fit_gating(x, resp, warm)))
+        after, _ = gating_objective_and_grad(x, resp, gating_theta(gating_step(x, resp, warm)))
         assert after >= before - 1e-12
 
 
@@ -838,7 +860,7 @@ def test_fit_gating_repeated_steps_reach_full_m_step_optimum(seed):
     x, resp = gating_problem(seed)
     gating = [Gating(np.zeros(2), 0.0)] * 3
     for _ in range(50):
-        gating = _fit_gating(x, resp, gating)
+        gating = gating_step(x, resp, gating)
     theta = gating_theta(gating)
     value, grad = gating_objective_and_grad(x, resp, theta)
     assert np.max(np.abs(grad)) < 1e-8
@@ -861,29 +883,43 @@ def test_fit_gating_reuses_the_e_step_log_gate(monkeypatch, seed):
     warm = [Gating(np.zeros(2), 0.0)] + [Gating(r.normal(size=2), float(r.normal())) for _ in range(2)]
     logits = _gate_logits(x, _gating_theta(warm))
     log_gate = logits - densities.log_sum_exp(logits, axis=0)
+    const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
     calls = []
     log_sum_exp = em.log_sum_exp
     monkeypatch.setattr(em, "log_sum_exp", lambda *a, **k: calls.append(1) or log_sum_exp(*a, **k))
-    fresh = _fit_gating(x, resp, warm)
+    fresh = _fit_gating(x, resp, warm, None, const.design, const.outer)
     without = len(calls)
     calls.clear()
-    reused = _fit_gating(x, resp, warm, log_gate, np.column_stack([x, np.ones(len(x))]))
-    # the same step, one log-softmax fewer
+    reused = _fit_gating(x, resp, warm, log_gate, const.design, const.outer)
+    # the same step and log gate, one log-softmax fewer
     assert len(calls) == without - 1 >= 1
-    np.testing.assert_array_equal(gating_theta(reused), gating_theta(fresh))
+    np.testing.assert_array_equal(gating_theta(reused[0]), gating_theta(fresh[0]))
+    np.testing.assert_array_equal(reused[1], fresh[1])
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_fit_gating_hoisted_outer_takes_the_same_step(seed):
     # the Hessian's per-point blocks depend on x only: computed once per
-    # start, they give the step computed here bit for bit
+    # start, they give the step that blocks formed here give, bit for bit
     x, resp = gating_problem(seed)
     warm = [Gating(np.zeros(2), 0.0)] * 3
     const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
+    design = np.column_stack([x, np.ones(len(x))])
+    outer = np.einsum("ni,nj->nij", design, design).reshape(len(x), -1)
     np.testing.assert_array_equal(
-        gating_theta(_fit_gating(x, resp, warm, None, const.design, const.outer)),
-        gating_theta(_fit_gating(x, resp, warm)))
+        gating_theta(_fit_gating(x, resp, warm, None, const.design, const.outer)[0]),
+        gating_theta(_fit_gating(x, resp, warm, None, design, outer)[0]))
     assert em._start_constants(Dataset(x, np.zeros(len(x)))).outer is None
+
+
+@pytest.mark.parametrize("name", ("ex1", "ex6_s2"))
+def test_fit_fmrc_with_one_component_is_fmr(name):
+    # one component has no gate to fit: its log gate is 0, as is fmr's log weight
+    data = generate(builtin_scenario(name).with_seed(1))
+    fmrc = fit(data, FitConfig(G=1, variant="fmrc", n_starts=1))
+    fmr = fit(data, FitConfig(G=1, variant="fmr", n_starts=1))
+    np.testing.assert_array_equal(fmrc.loglik_trace, fmr.loglik_trace)
+    assert len(fmrc.model.gating) == 1
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
