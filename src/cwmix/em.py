@@ -18,7 +18,9 @@ maximizes sum_i r_ig log t_q(delta_ig; nu), solved by safeguarded Newton in
 x law (q = d, delta_x) and its y law (q = 1, resid^2 / sigma^2) separately;
 fmt solves its one dof on the joint distance delta_x + resid^2 / sigma^2
 (q = d + 1), sigma^2 being the Schur scale.  A dof on the bracket edge is a
-routine result (the upper edge is the Gaussian limit) and is returned as is.
+routine result (the upper edge is the Gaussian limit) and is returned as is;
+the solve scores that edge only when a Newton iterate reaches it, so a warm
+start near an interior root scores neither edge.
 Both CM-steps raise the observed log-likelihood, and the dof step removes
 the slow direction of ECM's, so t fits converge in tens of iterations.
 
@@ -36,7 +38,11 @@ comes from a stacked product, one stacked factorization solves every
 least-squares fit, and one more factors every x covariance (one that does
 not factor sends each component through ``_regularize_cov``).  Only the dof
 solves and the building of the component objects stay per component.
-The [x, 1] design, the noise-variance floor and, for fmrc, the gating
+Every weighted product runs over N as its innermost, contiguous axis: x is
+centred at each component's mean as G-by-d-by-N rows, the weighted design
+as G-by-(d+1)-by-N, and the next E-step's x distances whiten that same
+centred x rather than subtracting the means again.  The [x, 1] design, x as
+d contiguous rows, the noise-variance floor and, for fmrc, the gating
 Hessian's per-point blocks are computed once per start.
 
 The fmrc gating M-step is generalized EM: each iteration takes one guarded,
@@ -239,11 +245,22 @@ def estimate_dof(delta, weights, q: int, start: float | None = None,
     bracket around the root shrinks with every evaluation, and a Newton step
     that leaves it, or that f' does not point to, is replaced by bisection.
     The root is defined by digamma alone; trigamma only steers.  The solve
-    stops when a step or the bracket is below 1e-10 of the dof.  f is
-    evaluated at the start once, and then at the one bracket edge the
-    objective rises towards; if f has no sign change there, that edge is the
-    constrained maximizer and is returned as is (the upper edge is the
-    Gaussian limit).  Every other return is a root where f turns from
+    stops when a step or the bracket is below 1e-10 of the dof.
+
+    f at the start says which bracket edge the objective rises towards; only
+    that edge can lack a sign change.  It is scored when an iterate would
+    reach it: when a Newton step leaves the bracket on its side, or f' does
+    not point into the bracket, while the edge still bounds it.  If f has no
+    sign change there, that edge is the constrained maximizer and is
+    returned as is (the upper edge is the Gaussian limit); otherwise the
+    step is a bisection.  The edge's value enters no Newton or bisection
+    step, so the iterates and the return are those of scoring the edge
+    right after the start, and a warm start whose iterates stay inside the
+    bracket scores neither edge.  The two orders part only where f is zero
+    at the start, changes sign more than once between the start and the
+    edge, or has a root within the stopping tolerance of the edge: there,
+    scored up front, the edge is returned, and scored late, the iterates may
+    settle inside.  Every other return is a root where f turns from
     positive to negative, a local maximum.
     """
     delta = np.asarray(delta, dtype=float)
@@ -253,25 +270,28 @@ def estimate_dof(delta, weights, q: int, start: float | None = None,
 
     def score(nu):
         t = delta / nu
-        b = t / (1.0 + t)  # delta / (nu + delta)
+        b = t + 1.0
+        np.divide(t, b, out=b)  # delta / (nu + delta)
+        wb = weights @ b
         value = (mass * (digamma((nu + q) / 2.0) - digamma(nu / 2.0) - q / nu)
-                 - weights @ np.log1p(t) + (1.0 + q / nu) * (weights @ b))
-        return float(value), b
+                 - weights @ np.log1p(t, out=t) + (1.0 + q / nu) * wb)
+        return float(value), b, float(wb)
 
-    def slope(nu, b):
-        wb, wbb = float(weights @ b), float(weights @ (b * b))
+    def slope(nu, b, wb):
+        # squares b in place: no caller reads it after the slope
+        wbb = float(weights @ np.multiply(b, b, out=b))
         return (mass * (0.5 * (trigamma((nu + q) / 2.0) - trigamma(nu / 2.0)) + q / nu**2)
                 + wbb / nu - q * (2.0 * wb - wbb) / nu**2)
 
     nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
-    value, b = score(nu)
+    value, b, wb = score(nu)
     if not math.isfinite(value):
         raise ValueError("non-finite dof score")
-    # only the bracket edge the objective rises towards can lack a sign change
-    if value <= 0.0 and (nu == lo or score(lo)[0] <= 0.0):
-        return float(lo)
-    if value >= 0.0 and (nu == hi or score(hi)[0] >= 0.0):
-        return float(hi)
+    # only the bracket edge the objective rises towards can lack a sign
+    # change; it is scored when an iterate reaches it, and not before
+    edge = lo if value < 0.0 else hi
+    if nu == edge:
+        return float(edge)
     for _ in range(100):
         if value == 0.0:
             return nu
@@ -279,16 +299,21 @@ def estimate_dof(delta, weights, q: int, start: float | None = None,
             lo = nu
         else:
             hi = nu
-        fp = slope(nu, b)
+        fp = slope(nu, b, wb)
         new = nu - value / fp if fp < 0.0 else lo
         if not lo < new < hi:
+            if edge in (lo, hi):  # the step reaches the unscored edge
+                edge_value = score(edge)[0]
+                if (edge_value <= 0.0) if edge == lo else (edge_value >= 0.0):
+                    return float(edge)
+                edge = None
             new = 0.5 * (lo + hi)
         # relative: at large dofs the score's rounding moves the root by more
         # than an absolute 1e-10 (about 1e-9 at a dof of 100)
         if abs(new - nu) < 1e-10 * nu or hi - lo < 1e-10 * nu:
             return new
         nu = new
-        value, b = score(nu)
+        value, b, wb = score(nu)
     return nu
 
 
@@ -334,11 +359,11 @@ def _x_factors(centers: np.ndarray, covs: np.ndarray):
 def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted least squares of y on the N-by-(d+1) design [x, 1], one fit
     per column of the N-by-G weights: (G-by-d slopes, G intercepts).  The G
-    weighted Gram matrices come from one stacked product and are solved by one
-    stacked factorization."""
-    weighted = w.T[:, :, None] * design
+    weighted Gram matrices come from one stacked product over G-by-(d+1)-by-N
+    weighted design columns and are solved by one stacked factorization."""
+    weighted = np.ascontiguousarray(w.T)[:, None, :] * np.ascontiguousarray(design.T)
     try:
-        beta = solve_spd(design.T @ weighted, weighted.transpose(0, 2, 1) @ y)
+        beta = solve_spd(weighted @ design, weighted @ y)
     except ValueError:
         raise _DegenerateStart("singular weighted design") from None
     return beta[:, :-1], beta[:, -1]
@@ -440,16 +465,17 @@ def _next_dofs(config, spec, old_model, d, resp, delta_x, delta_y):
 
 
 #: What every M-step of one start reads unchanged: the N-by-(d+1) design
-#: [x, 1], the floor under the noise variances, and for a gated variant the
+#: [x, 1], the floor under the noise variances, for a gated variant the
 #: N-by-(d+1)^2 products of each design row with itself (the gating Hessian's
-#: per-point blocks; None otherwise).
-_StartConstants = namedtuple("_StartConstants", ["design", "var_floor", "outer"])
+#: per-point blocks; None otherwise), and x as d contiguous rows of N.
+_StartConstants = namedtuple("_StartConstants", ["design", "var_floor", "outer", "x_t"])
 
 
 def _start_constants(data: Dataset, gated: bool = False) -> _StartConstants:
     design = np.column_stack([data.x, np.ones(data.n)])
     outer = (design[:, :, None] * design[:, None, :]).reshape(data.n, -1) if gated else None
-    return _StartConstants(design, _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30), outer)
+    return _StartConstants(design, _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30), outer,
+                           np.ascontiguousarray(data.x.T))
 
 
 def _m_step(data, config, resp, old_model, old_dist, const):
@@ -475,14 +501,16 @@ def _m_step(data, config, resp, old_model, old_dist, const):
     used_ridge, dist_x = False, None
     if spec.x_law is not None:
         wx = (resp if u.x is None else resp * u.x).T
-        mu = (wx @ x) / wx.sum(axis=1)[:, None]
-        centered = x - mu[:, None, :]
-        covs = (wx[:, :, None] * centered).transpose(0, 2, 1) @ centered / mass[:, None, None]
+        # without t weights the weight sums are the masses, bit for bit
+        mu = (wx @ x) / (mass if u.x is None else wx.sum(axis=1))[:, None]
+        centered = const.x_t - mu[:, :, None]
+        weighted = np.ascontiguousarray(wx)[:, None, :] * centered
+        covs = weighted @ centered.transpose(0, 2, 1) / mass[:, None, None]
         covs, chols, used_ridge = _x_factors(mu, covs)
-        dist_x = _x_distances(chols, mu, x)
+        dist_x = _x_distances(chols, centered)
     wy = resp if u.y is None else resp * u.y
     slopes, intercepts = _weighted_ls(const.design, y, wy)
-    resid = y - (slopes @ x.T + intercepts[:, None])
+    resid = y - (slopes @ const.x_t + intercepts[:, None])
     noise_var = (wy.T * resid**2).sum(axis=1) / mass
     if not np.all(noise_var > const.var_floor):
         raise _DegenerateStart("collapsed noise variance")

@@ -283,11 +283,14 @@ def _gate_logits(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def _component_distances(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> Distances:
     """Whiten x against every component's x law in one stacked triangular
-    solve, take the y residuals, and evaluate the gate."""
+    solve, take the y residuals, and evaluate the gate.  x is laid out as d
+    contiguous rows of N, as the M-step lays it out, so the distances the
+    M-step hands the E-step are these bit for bit."""
     comps = model.components
+    x_t = np.ascontiguousarray(xb.T)
     slopes = np.array([c.y_conditional.map.slope for c in comps])
     intercepts = np.array([c.y_conditional.map.intercept for c in comps])
-    resid = yb - (slopes @ xb.T + intercepts[:, None])
+    resid = yb - (slopes @ x_t + intercepts[:, None])
     log_gate = None
     if model.spec.gated:
         logits = _gate_logits(xb, _gating_theta(model.gating))
@@ -296,14 +299,15 @@ def _component_distances(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> Dis
         return Distances(None, resid, log_gate)
     margs = [c.x_marginal for c in comps]
     chols = np.array([m.chol for m in margs])
-    return Distances(_x_distances(chols, np.array([m.center for m in margs]), xb), resid, log_gate)
+    centers = np.array([m.center for m in margs])
+    return Distances(_x_distances(chols, x_t - centers[:, :, None]), resid, log_gate)
 
 
-def _x_distances(chols: np.ndarray, centers: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """G-by-N squared Mahalanobis distances of xb to every x law, given the
-    laws' G-by-d-by-d Cholesky factors and G-by-d centers: one stacked
-    triangular solve."""
-    white = solve_lower(chols, xb.T - centers[:, :, None])
+def _x_distances(chols: np.ndarray, centered: np.ndarray) -> np.ndarray:
+    """G-by-N squared Mahalanobis distances to every x law, given the laws'
+    G-by-d-by-d Cholesky factors and x centred at each law as G-by-d-by-N
+    rows: one stacked triangular solve."""
+    white = solve_lower(chols, centered)
     return np.sum(white * white, axis=1)
 
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is computed by a different route than the library under test:
-direct formulas in mpmath extended precision, scipy special functions, or
-brute-force enumeration.  Nothing imports from cwmix.
+direct formulas in mpmath extended precision, scipy special functions,
+brute-force enumeration, or an earlier algorithm that the current one must
+match bit for bit.  Nothing imports from cwmix.
 """
 
 import math
@@ -93,6 +94,58 @@ def logsumexp(vals):
 def posterior_from_terms(terms):
     tot = logsumexp(terms)
     return [float(mp.e ** (mp.mpf(t) - tot)) for t in terms]
+
+
+# --- eager dof solve ---------------------------------------------------------
+
+def estimate_dof_eager(delta, weights, q, digamma, trigamma, start=None, bracket=(0.5, 200.0)):
+    """The ECME dof solve as it was when it scored the rising bracket edge
+    right after the start, before any Newton step.  Its iterates are a pure
+    function of the score and slope, so a solver that scores that edge only
+    when an iterate reaches it must return the same floats; ``digamma`` and
+    ``trigamma`` are the library's, passed in, because the comparison is bit
+    for bit."""
+    delta = np.asarray(delta, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    mass = float(weights.sum())
+    lo, hi = bracket
+
+    def score(nu):
+        t = delta / nu
+        b = t / (1.0 + t)
+        value = (mass * (digamma((nu + q) / 2.0) - digamma(nu / 2.0) - q / nu)
+                 - weights @ np.log1p(t) + (1.0 + q / nu) * (weights @ b))
+        return float(value), b
+
+    def slope(nu, b):
+        wb, wbb = float(weights @ b), float(weights @ (b * b))
+        return (mass * (0.5 * (trigamma((nu + q) / 2.0) - trigamma(nu / 2.0)) + q / nu**2)
+                + wbb / nu - q * (2.0 * wb - wbb) / nu**2)
+
+    nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
+    value, b = score(nu)
+    if not math.isfinite(value):
+        raise ValueError("non-finite dof score")
+    if value <= 0.0 and (nu == lo or score(lo)[0] <= 0.0):
+        return float(lo)
+    if value >= 0.0 and (nu == hi or score(hi)[0] >= 0.0):
+        return float(hi)
+    for _ in range(100):
+        if value == 0.0:
+            return nu
+        if value > 0.0:
+            lo = nu
+        else:
+            hi = nu
+        fp = slope(nu, b)
+        new = nu - value / fp if fp < 0.0 else lo
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - nu) < 1e-10 * nu or hi - lo < 1e-10 * nu:
+            return new
+        nu = new
+        value, b = score(nu)
+    return nu
 
 
 # --- 64-bit generator references (independent transcriptions) --------------

@@ -354,8 +354,8 @@ def test_estimate_dof_same_root_from_any_start(root):
 @pytest.mark.parametrize("root", DOF_ROOTS)
 def test_solve_dof_warm_start_needs_few_digammas(monkeypatch, root):
     # an ECME iteration moves a dof a little; from 10 % off, each component's
-    # solve scores the start, the edge on the rising side and at most five
-    # Newton steps, two digammas per score
+    # solve scores the start, at most the edge on the rising side and at most
+    # five Newton steps, two digammas per score
     digamma = em.digamma
     calls = []
     monkeypatch.setattr(em, "digamma", lambda x: calls.append(x) or digamma(x))
@@ -402,6 +402,72 @@ def test_estimate_dof_start_on_bound_with_root_beyond(monkeypatch, bound):
     assert assert_no_warning(em.estimate_dof, delta, np.ones(40), 1, start=bound) == bound
     # the start is the edge the objective rises towards: one score decides
     assert args == [(bound + 1) / 2.0, bound / 2.0]
+
+
+def dof_problems(count, seed=2026):
+    """``count`` seeded (delta, weights, q): q in {1, 2, 3}, 5 to 200 points
+    from a t law whose dof is log-uniform over 0.2 to 400, random weights."""
+    r = np.random.default_rng(seed)
+    for _ in range(count):
+        q, n = int(r.integers(1, 4)), int(r.integers(5, 201))
+        dof = float(np.exp(r.uniform(math.log(0.2), math.log(400.0))))
+        yield t_distances(r, dof, q, n), r.uniform(size=n), q
+
+
+def test_estimate_dof_equals_the_eager_edge_solve():
+    # scoring the rising edge only when an iterate reaches it changes no
+    # iterate: from every start, the same float as scoring it up front
+    lo, hi = em.DOF_BRACKET
+    for delta, weights, q in dof_problems(2000):
+        root = oracles.estimate_dof_eager(delta, weights, q, em.digamma, em.trigamma)
+        far = 30.0 * root if root < 10.0 else root / 30.0
+        for start in (None, lo, hi, 0.9 * root, 1.1 * root, far):
+            want = oracles.estimate_dof_eager(delta, weights, q, em.digamma, em.trigamma,
+                                              start=start)
+            got = estimate_dof(delta, weights, q, start=start)
+            assert type(got) is float and got == want, (q, delta.size, start)
+
+
+@pytest.mark.parametrize("root", DOF_ROOTS)
+def test_estimate_dof_warm_start_inside_the_bracket_scores_no_edge(monkeypatch, root):
+    # Newton from 10 % off an interior root never leaves the bracket, so
+    # neither edge is scored: one score fewer than the eager solve
+    digamma = em.digamma
+    args = []
+    monkeypatch.setattr(em, "digamma", lambda x: args.append(x) or digamma(x))
+    eager_args = []
+    counted = lambda x: eager_args.append(x) or digamma(x)  # noqa: E731
+    lo, hi = em.DOF_BRACKET
+    for q in (1, 2, 3):
+        delta, weights = dof_problem(root, q)
+        want = estimate_dof(delta, weights, q)
+        if want in em.DOF_BRACKET:
+            continue
+        for start in (0.9 * want, min(1.1 * want, 0.5 * (want + hi))):
+            args.clear()
+            eager_args.clear()
+            got = estimate_dof(delta, weights, q, start=start)
+            assert got == oracles.estimate_dof_eager(delta, weights, q, counted, em.trigamma,
+                                                     start=start)
+            assert not {lo / 2.0, (lo + q) / 2.0, hi / 2.0, (hi + q) / 2.0} & set(args)
+            assert len(args) == len(eager_args) - 2
+
+
+def test_estimate_dof_interior_start_still_returns_the_lower_edge(monkeypatch):
+    # heavy tails (0.2 dof) put the maximizer below the bracket: from inside
+    # it, the iterates reach the lower edge, score it and return it exactly
+    digamma = em.digamma
+    args = []
+    monkeypatch.setattr(em, "digamma", lambda x: args.append(x) or digamma(x))
+    lo, hi = em.DOF_BRACKET
+    r = np.random.default_rng(3)
+    for q in (1, 2, 3):
+        delta, weights = t_distances(r, 0.2, q, 40), r.uniform(size=40)
+        for start in (1.0, 10.0, 100.0):
+            args.clear()
+            got = assert_no_warning(em.estimate_dof, delta, weights, q, start=start)
+            assert type(got) is float and got == lo
+            assert args.count(lo / 2.0) == 1 and hi / 2.0 not in args
 
 
 # ------------------------------------------------------------ x-law update
@@ -712,6 +778,46 @@ def test_m_step_hands_the_e_step_its_distances(variant):
         terms = em._log_component_terms(model, data.x, data.y, dist)
         resp = np.exp(terms - densities.log_sum_exp(terms, axis=1)[:, None])
         model, dist, _ = em._m_step(data, config, resp, model, dist, const)
+
+
+def assert_m_step_hands_off_its_distances(data, config):
+    """Three M-steps from a k-means start: the distances each returns are bit
+    for bit a fresh ``_component_distances`` of the model it returns."""
+    const = em._start_constants(data, VARIANT_SPECS[config.variant].gated)
+    resp = initialize(data, config, np.random.default_rng([0, 0]))
+    model, dist, _ = em._m_step(data, config, resp, None, None, const)
+    for _ in range(3):
+        for got, want in zip(dist, _component_distances(model, data.x, data.y)):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+        terms = em._log_component_terms(model, data.x, data.y, dist)
+        resp = np.exp(terms - densities.log_sum_exp(terms, axis=1)[:, None])
+        model, dist, _ = em._m_step(data, config, resp, model, dist, const)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_m_step_hands_the_e_step_its_bivariate_distances(variant):
+    # as above with d = 2, where whitening and residuals sum over x's
+    # coordinates: the M-step's N-innermost products give the same bits
+    spec = builtin_scenario("ex6_s2").with_seed(1)
+    data = generate(spec)
+    assert data.d == 2
+    assert_m_step_hands_off_its_distances(
+        data, FitConfig(G=len(spec.groups), variant=variant, n_starts=1))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_m_step_hands_the_e_step_its_distances_in_four_dimensions(variant):
+    # at d = 4 the whitening's triangular solve sums through a BLAS product
+    # whose bits depend on the layout of the centred x; scoring lays x out
+    # as the M-step does, so the hand-off stays exact
+    r = np.random.default_rng(4)
+    labels = r.integers(0, 3, size=400)
+    x = r.normal(size=(400, 4)) @ r.normal(size=(4, 4)) + 3.0 * labels[:, None]
+    data = Dataset(x, x @ r.normal(size=4) + labels + r.normal(size=400))
+    assert_m_step_hands_off_its_distances(data, FitConfig(G=3, variant=variant, n_starts=1))
 
 
 def test_fit_never_recomputes_the_distances(monkeypatch):
