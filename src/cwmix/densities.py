@@ -12,9 +12,7 @@ whose pivot falls below 1e-12 times the largest diagonal entry is rejected
 as non-positive-definite.  ``cholesky_lower``, ``solve_lower`` and
 ``solve_spd`` take one k-by-k matrix or a (G, k, k) stack: the column loop
 runs once for the whole stack, every matrix gets the same checks, and a
-matrix gets the same bits alone or stacked.  A law built from a stacked
-factorization skips factoring again (``GaussianParams._from_factor``,
-``StudentParams._from_factor``).
+matrix gets the same bits alone or stacked.
 """
 
 from __future__ import annotations
@@ -108,19 +106,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _assemble(cls, chol, **fields):
-    """A law of class ``cls`` from fields that are already float arrays and the
-    Cholesky factor of its matrix, without validating or factoring again."""
-    law = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(law, name, value)
-    _set_factor(law, chol)
-    return law
-
-
 def _set_factor(law, chol) -> None:
     object.__setattr__(law, "_chol", chol)
-    object.__setattr__(law, "_log_det", _log_det(chol))
+    object.__setattr__(law, "_log_det", float(_log_det(chol)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +130,6 @@ class GaussianParams:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         _set_factor(self, cholesky_lower(cov))
-
-    @classmethod
-    def _from_factor(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> "GaussianParams":
-        """The law of a float mean vector and covariance whose Cholesky factor
-        the caller already has (one matrix of a stacked factorization)."""
-        return _assemble(cls, chol, mean=mean, cov=cov)
 
     @property
     def dim(self) -> int:
@@ -188,16 +170,6 @@ class StudentParams:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "dof", dof)
         _set_factor(self, cholesky_lower(scale))
-
-    @classmethod
-    def _from_factor(cls, location: np.ndarray, scale: np.ndarray, dof: float,
-                     chol: np.ndarray) -> "StudentParams":
-        """The law of a float location and scale matrix whose Cholesky factor
-        the caller already has (one matrix of a stacked factorization)."""
-        dof = float(dof)
-        if not dof > 0:
-            raise ValueError(f"dof must be strictly positive, got {dof}")
-        return _assemble(cls, chol, location=location, scale=scale, dof=dof)
 
     @property
     def dim(self) -> int:
@@ -253,8 +225,10 @@ def mahalanobis_sq(z, params) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _log_det(chol) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+def _log_det(chol):
+    """log|Sigma| from its Cholesky factor, or one per factor of a (G, k, k)
+    stack: a law and a stack of laws get the same bits."""
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def gaussian_log_density(maha, q: int, log_det):

@@ -24,12 +24,15 @@ start near an interior root scores neither edge.
 Both CM-steps raise the observed log-likelihood, and the dof step removes
 the slow direction of ECM's, so t fits converge in tens of iterations.
 
-``_m_step`` returns, with the new model, the ``Distances`` the next E-step
-reads of it: the x distances to the x laws it just factored, the residuals it
-formed for the noise variances and the log gate of the gating it accepted.
-No dof enters them, so the dof step reads them too, and the M-step after
-takes its t weights and gating step from them: x is whitened once and the
-gate evaluated once per iteration.
+EM reads and writes one record, ``model._Stack``: every parameter as a
+G-stacked array.  ``_m_step`` returns the new record and the ``Distances``
+the next E-step reads of it: the x distances to the x laws it just factored,
+the residuals it formed for the noise variances and the log gate of the
+gating it accepted.  No dof enters them, so the dof step reads them too, and
+the M-step after takes its t weights and gating step from them: x is
+whitened once and the gate evaluated once per iteration.  A start builds its
+validated ``CwmModel`` once, from the record its last E-step read
+(``model._unstack``).
 
 One iteration does its small-matrix work once for all G components, with no
 per-component loop on the hot path.  The M-step works on G-by-N weights:
@@ -37,7 +40,7 @@ every weighted Gram matrix, right-hand side, x moment and noise variance
 comes from a stacked product, one stacked factorization solves every
 least-squares fit, and one more factors every x covariance (one that does
 not factor sends each component through ``_regularize_cov``).  Only the dof
-solves and the building of the component objects stay per component.
+solves stay per component.
 Every weighted product runs over N as its innermost, contiguous axis: x is
 centred at each component's mean as G-by-d-by-N rows, the weighted design
 as G-by-(d+1)-by-N, and the next E-step's x distances whiten that same
@@ -74,7 +77,7 @@ import numpy as np
 # distances); perfbench/tracing.py still looks it up in this module.
 from .densities import (  # noqa: F401
     GaussianParams,
-    StudentParams,
+    _log_det,
     cholesky_lower,
     digamma,
     log_sum_exp,
@@ -85,16 +88,13 @@ from .densities import (  # noqa: F401
 from .model import (
     VARIANT_SPECS,
     VARIANTS,
-    Component,
-    Conditional,
     CwmModel,
     Dataset,
     Distances,
-    Gating,
-    LinearMap,
     _gate_logits,
-    _gating_theta,
     _log_component_terms,
+    _Stack,
+    _unstack,
     _x_distances,
 )
 
@@ -127,18 +127,21 @@ class FitConfig:
     n_starts: int = 10
     init: str = "kmeans"
     dof_mode: float | str = "estimate"
-    equal_weights: bool = False
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("G", "max_iter", "n_starts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.G < 1:
             raise ValueError("G must be at least 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError("rel_tol must be finite and positive")
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
         if self.init not in _INITS:
@@ -317,12 +320,12 @@ def estimate_dof(delta, weights, q: int, start: float | None = None,
     return nu
 
 
-def _solve_dof(old_dofs, q: int, delta: np.ndarray, resp: np.ndarray) -> list[float]:
+def _solve_dof(old_dofs, q: int, delta: np.ndarray, resp: np.ndarray) -> np.ndarray:
     """ECME dofs of every component of one q-variate t law: component g's
     maximizes sum_i resp_ig log t_q(delta_gi; nu), with delta the G-by-N
     distances to the laws this M-step set, warm-started from its old dof."""
-    return [estimate_dof(row, r, q, start=old)
-            for old, row, r in zip(old_dofs, delta, np.ascontiguousarray(resp.T))]
+    return np.array([estimate_dof(row, r, q, start=old)
+                     for old, row, r in zip(old_dofs, delta, np.ascontiguousarray(resp.T))])
 
 
 # ------------------------------------------------------------------- M-step
@@ -369,31 +372,30 @@ def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.n
     return beta[:, :-1], beta[:, -1]
 
 
-def _latent_weights(model: CwmModel | None, dist: Distances | None) -> _Weights:
-    """Per-point t precision weights at ``model``, from the E-step's distances
+def _latent_weights(stack: _Stack | None, dist: Distances | None) -> _Weights:
+    """Per-point t precision weights at ``stack``, from the E-step's distances
     ``dist`` to it; a joint t (fmt) gives x and y the one weight of its
     (d+1)-variate law.  (None, None) when no t law weights the points."""
-    if model is None or model.spec.x_law != "t":
+    if stack is None or stack.nu is None:
         return _Weights(None, None)
-    d = model.d
-    conds = [comp.y_conditional for comp in model.components]
-    nu = np.array([[comp.x_marginal.dof] for comp in model.components])
-    delta_y = dist.resid**2 / np.array([[cond.noise_scale] for cond in conds]) ** 2
+    d = stack.slope.shape[1]
+    nu = stack.nu[:, None]
+    delta_y = dist.resid**2 / stack.noise_scale[:, None] ** 2
     # distances are G-by-N; the weights are N-by-G like the responsibilities
-    if model.spec.y_law == "joint_t":
+    if VARIANT_SPECS[stack.variant].y_law == "joint_t":
         u = ((nu + d + 1.0) / (nu + dist.x + delta_y)).T
         return _Weights(u, u)
-    zeta = np.array([[cond.dof] for cond in conds])
+    zeta = stack.zeta[:, None]
     return _Weights(((nu + d) / (nu + dist.x)).T, ((zeta + 1.0) / (zeta + delta_y)).T)
 
 
-def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate, design: np.ndarray,
-                outer: np.ndarray) -> tuple[tuple[Gating, ...], np.ndarray]:
+def _fit_gating(x: np.ndarray, resp: np.ndarray, theta: np.ndarray, log_gate, design: np.ndarray,
+                outer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One penalized Newton (IRLS) step on the gating objective
-    sum(resp * log_gate), taken from the previous gating: (gating, its G-by-N
-    log gate).
+    sum(resp * log_gate), taken from the previous gating rows ``theta``
+    ((G-1)-by-(d+1), as ``_Stack.theta``): (new rows, their G-by-N log gate).
 
-    ``log_gate`` is the E-step's log gate at ``old_gating``
+    ``log_gate`` is the E-step's log gate at ``theta``
     (``Distances.log_gate``; None before the first E-step, and then computed
     here), ``design`` the N-by-(d+1) [x, 1] and ``outer`` its rows'
     N-by-(d+1)^2 self products.  The step is halved until the objective
@@ -406,16 +408,10 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate, design: n
     n, d = x.shape
     G = resp.shape[1]
     m, k = G - 1, (G - 1) * (d + 1)
-    theta = _gating_theta(old_gating)
 
     def log_gate_at(th):
         logits = _gate_logits(x, th)
         return logits - log_sum_exp(logits, axis=0)
-
-    def gating(th):
-        return (Gating(np.zeros(d), 0.0),) + tuple(
-            Gating(th[i, :d].copy(), float(th[i, d])) for i in range(m)
-        )
 
     if log_gate is None:
         log_gate = log_gate_at(theta)
@@ -423,7 +419,7 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate, design: n
     prob = np.exp(log_gate[1:].T)
     grad = (resp[:, 1:] - prob).T @ design
     if m == 0 or np.max(np.abs(grad)) < 1e-10:
-        return gating(theta), log_gate
+        return theta, log_gate
     # negated Hessian, positive semidefinite: block (g, h) is
     # X' diag(p_g (delta_gh - p_h)) X, every block from one product
     w = prob[:, :, None] * (np.eye(m) - prob[:, None, :])
@@ -432,36 +428,34 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, old_gating, log_gate, design: n
     try:
         step = solve_spd(hess + 1e-6 * np.eye(k), grad.ravel()).reshape(m, d + 1)
     except ValueError:
-        return gating(theta), log_gate
+        return theta, log_gate
     scale = 1.0
     for _ in range(20):
         candidate = theta + scale * step
         candidate_log_gate = log_gate_at(candidate)
         if float(np.sum(resp * candidate_log_gate.T)) >= value - 1e-12:
-            return gating(candidate), candidate_log_gate
+            return candidate, candidate_log_gate
         scale *= 0.5
-    return gating(theta), log_gate
+    return theta, log_gate
 
 
-def _next_dofs(config, spec, old_model, d, resp, delta_x, delta_y):
-    """Per component, the (x dofs, y dofs) of the t laws; a joint t ties y's
-    to nu + d.  ``delta_x`` and ``delta_y`` are the G-by-N squared distances
-    of x and of the y residuals to the laws this M-step set."""
+def _next_dofs(config, spec, old, d, resp, delta_x, delta_y):
+    """The G (x dofs, y dofs) of the t laws; a joint t ties y's to nu + d.
+    ``old`` is the previous record (None at the first M-step), and
+    ``delta_x`` and ``delta_y`` are the G-by-N squared distances of x and of
+    the y residuals to the laws this M-step set."""
     joint = spec.y_law == "joint_t"
     G = resp.shape[1]
     if config.dof_mode != "estimate":
-        nu = zeta = [float(config.dof_mode)] * G
-    elif old_model is None:
-        nu = zeta = [_INIT_DOF] * G
+        nu = zeta = np.full(G, float(config.dof_mode))
+    elif old is None:
+        nu = zeta = np.full(G, _INIT_DOF)
+    elif joint:
+        nu = _solve_dof(old.nu, d + 1, delta_x + delta_y, resp)
     else:
-        comps = old_model.components
-        old_nu = [c.x_marginal.dof for c in comps]
-        if joint:
-            nu = _solve_dof(old_nu, d + 1, delta_x + delta_y, resp)
-        else:
-            nu = _solve_dof(old_nu, d, delta_x, resp)
-            zeta = _solve_dof([c.y_conditional.dof for c in comps], 1, delta_y, resp)
-    return nu, [v + d for v in nu] if joint else zeta
+        nu = _solve_dof(old.nu, d, delta_x, resp)
+        zeta = _solve_dof(old.zeta, 1, delta_y, resp)
+    return nu, nu + d if joint else zeta
 
 
 #: What every M-step of one start reads unchanged: the N-by-(d+1) design
@@ -478,9 +472,10 @@ def _start_constants(data: Dataset, gated: bool = False) -> _StartConstants:
                            np.ascontiguousarray(data.x.T))
 
 
-def _m_step(data, config, resp, old_model, old_dist, const):
-    """(model, dist, ridged) from ``resp`` and the E-step's distances
-    ``old_dist`` to ``old_model`` (both None before the first E-step).
+def _m_step(data, config, resp, old, old_dist, const):
+    """(stack, dist, ridged): the new ``_Stack`` from ``resp`` and the E-step's
+    distances ``old_dist`` to the record ``old`` (both None before the first
+    E-step).
 
     Every component is updated at once: G-by-N weights, stacked moments, one
     stacked least-squares solve and one stacked x-law factorization, then the
@@ -488,17 +483,14 @@ def _m_step(data, config, resp, old_model, old_dist, const):
     taken from what these computed; ``ridged`` tells whether an x covariance
     was ridged."""
     x, y = data.x, data.y
-    u = _latent_weights(old_model, old_dist)
+    u = _latent_weights(old, old_dist)
     d, G = data.d, config.G
     spec = VARIANT_SPECS[config.variant]
     mass = resp.sum(axis=0)
     if np.any(mass < d + 2):
         raise _DegenerateStart("cluster responsibility mass below d + 2")
-    if config.equal_weights:
-        weights = np.full(G, 1.0 / G)
-    else:
-        weights = mass / mass.sum()
-    used_ridge, dist_x = False, None
+    used_ridge = False
+    mu = covs = chols = log_det = dist_x = None
     if spec.x_law is not None:
         wx = (resp if u.x is None else resp * u.x).T
         # without t weights the weight sums are the masses, bit for bit
@@ -507,6 +499,7 @@ def _m_step(data, config, resp, old_model, old_dist, const):
         weighted = np.ascontiguousarray(wx)[:, None, :] * centered
         covs = weighted @ centered.transpose(0, 2, 1) / mass[:, None, None]
         covs, chols, used_ridge = _x_factors(mu, covs)
+        log_det = _log_det(chols)
         dist_x = _x_distances(chols, centered)
     wy = resp if u.y is None else resp * u.y
     slopes, intercepts = _weighted_ls(const.design, y, wy)
@@ -514,24 +507,17 @@ def _m_step(data, config, resp, old_model, old_dist, const):
     noise_var = (wy.T * resid**2).sum(axis=1) / mass
     if not np.all(noise_var > const.var_floor):
         raise _DegenerateStart("collapsed noise variance")
-    margs = zetas = [None] * G
-    if spec.x_law == "gaussian":
-        margs = [GaussianParams._from_factor(*args) for args in zip(mu, covs, chols)]
-    elif spec.x_law == "t":
-        nus, zetas = _next_dofs(config, spec, old_model, d, resp, dist_x,
-                                resid**2 / noise_var[:, None])
-        margs = [StudentParams._from_factor(*args) for args in zip(mu, covs, nus, chols)]
-    comps = tuple(
-        Component(weight, marg, Conditional(LinearMap(slope, b0), math.sqrt(var), dof=zeta))
-        for weight, marg, slope, b0, var, zeta
-        in zip(weights, margs, slopes, intercepts, noise_var, zetas)
-    )
-    gating = log_gate = None
+    nus = zetas = None
+    if spec.x_law == "t":
+        nus, zetas = _next_dofs(config, spec, old, d, resp, dist_x, resid**2 / noise_var[:, None])
+    theta = log_gate = None
     if spec.gated:
-        old_gating = old_model.gating if old_model is not None else [Gating(np.zeros(d), 0.0)] * G
+        old_theta = old.theta if old is not None else np.zeros((G - 1, d + 1))
         old_log_gate = old_dist.log_gate if old_dist is not None else None
-        gating, log_gate = _fit_gating(x, resp, old_gating, old_log_gate, const.design, const.outer)
-    return CwmModel(config.variant, comps, gating), Distances(dist_x, resid, log_gate), used_ridge
+        theta, log_gate = _fit_gating(x, resp, old_theta, old_log_gate, const.design, const.outer)
+    stack = _Stack(config.variant, mass / mass.sum(), slopes, intercepts, np.sqrt(noise_var),
+                   mu, covs, chols, log_det, nus, zetas, theta)
+    return stack, Distances(dist_x, resid, log_gate), used_ridge
 
 
 # -------------------------------------------------------------------- driver
@@ -539,12 +525,12 @@ def _m_step(data, config, resp, old_model, old_dist, const):
 def _run_start(data, config, resp, start_index):
     x, y = data.x, data.y
     const = _start_constants(data, VARIANT_SPECS[config.variant].gated)
-    model, dist, ridged = _m_step(data, config, resp, None, None, const)
+    stack, dist, ridged = _m_step(data, config, resp, None, None, const)
     streak = 1 if ridged else 0
     trace = []
     converged = False
     for it in range(config.max_iter):
-        terms = _log_component_terms(model, x, y, dist)
+        terms = _log_component_terms(stack, x, y, dist)
         row_lse = log_sum_exp(terms, axis=1)
         loglik = float(row_lse.sum())
         if not math.isfinite(loglik):
@@ -556,12 +542,12 @@ def _run_start(data, config, resp, start_index):
             break
         if it == config.max_iter - 1:
             break
-        model, dist, ridged = _m_step(data, config, resp, model, dist, const)
+        stack, dist, ridged = _m_step(data, config, resp, stack, dist, const)
         streak = streak + 1 if ridged else 0
         if streak >= 3:
             raise _DegenerateStart("covariance required repeated regularization")
     return FitResult(
-        model=model,
+        model=_unstack(stack),
         loglik_trace=np.asarray(trace),
         responsibilities=resp,
         converged=converged,

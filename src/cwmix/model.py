@@ -11,10 +11,15 @@ gaussian_cwm's row and its EM update.  fmt's "joint_t" conditional is that of
 a joint t: its dof is tied to nu + d and its scale grows with the Mahalanobis
 distance of x.
 
-Evaluation is laid out G-by-N, one row per component: the distances of every
-observation to every component come from one stacked triangular solve, and
-the log-densities are G-by-N expressions with per-component parameters as
-G-by-1 columns.  Only ``log_gamma`` of each dof is taken per component.
+A ``CwmModel`` is the validated public form.  Evaluation and EM read and
+write ``_Stack`` instead: one namedtuple of G-stacked parameter arrays.
+``_stack`` and ``_unstack`` are the only code that knows both forms; scoring
+stacks a model once per call, and a fit builds its model once, from the
+record its last E-step read.  Evaluation is laid out G-by-N, one row per
+component: the distances of every observation to every component come from
+one stacked triangular solve, and the log-densities are G-by-N expressions
+with per-component parameters as G-by-1 columns.  Only ``log_gamma`` of each
+dof is taken per component.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 from .densities import (  # noqa: F401
     GaussianParams,
     StudentParams,
+    _log_det,
     gaussian_log_density,
     gaussian_logpdf,
     law_from_dict,
@@ -259,15 +265,60 @@ def _as_batch(model: CwmModel, x, y):
 Distances = namedtuple("Distances", ["x", "resid", "log_gate"])
 
 
-def _column(values) -> np.ndarray:
-    """G-by-1 column of per-component scalars, to broadcast against G-by-N."""
-    return np.array(values, dtype=float)[:, None]
+#: Every parameter of a model as G-stacked arrays, the form EM iterates on:
+#: ``weight``, ``intercept`` and ``noise_scale`` of length G, ``slope`` G-by-d;
+#: when x is modelled, the x laws' ``center`` (G-by-d), ``scatter`` (covariance
+#: or t scale matrix), its Cholesky factor ``chol`` (both G-by-d-by-d) and
+#: ``log_det`` (length G); for t laws, the x dofs ``nu`` and the y dofs
+#: ``zeta``; when gated, ``theta``, the (G-1)-by-(d+1) gating rows (w, w0) of
+#: every component but the baseline.  A field that does not apply is None.
+_Stack = namedtuple("_Stack", ["variant", "weight", "slope", "intercept", "noise_scale",
+                               "center", "scatter", "chol", "log_det", "nu", "zeta", "theta"])
 
 
-def _gating_theta(gating) -> np.ndarray:
-    """(G-1)-by-(d+1) rows (w, w0) of every gating entry but the baseline."""
-    rows = [np.append(g.w, g.w0) for g in gating[1:]]
-    return np.array(rows).reshape(len(rows), gating[0].w.size + 1)
+def _stack(model: CwmModel) -> _Stack:
+    """The G-stacked parameters of ``model``."""
+    spec = model.spec
+    comps = model.components
+    margs = [c.x_marginal for c in comps]
+    conds = [c.y_conditional for c in comps]
+    center = scatter = chol = log_det = nu = zeta = theta = None
+    if spec.x_law is not None:
+        center = np.array([m.center for m in margs])
+        scatter = np.array([m.scale if spec.x_law == "t" else m.cov for m in margs])
+        chol = np.array([m.chol for m in margs])
+        log_det = _log_det(chol)
+    if spec.x_law == "t":
+        nu = np.array([m.dof for m in margs])
+    if spec.y_law != "gaussian":
+        zeta = np.array([c.dof for c in conds])
+    if spec.gated:
+        rows = [np.append(g.w, g.w0) for g in model.gating[1:]]
+        theta = np.array(rows).reshape(len(rows), model.d + 1)
+    return _Stack(model.variant, np.array([c.weight for c in comps]),
+                  np.array([c.map.slope for c in conds]), np.array([c.map.intercept for c in conds]),
+                  np.array([c.noise_scale for c in conds]), center, scatter, chol, log_det,
+                  nu, zeta, theta)
+
+
+def _unstack(stack: _Stack) -> CwmModel:
+    """The validated ``CwmModel`` of a stacked record."""
+    spec = VARIANT_SPECS[stack.variant]
+    G, d = stack.slope.shape
+    comps = []
+    for g in range(G):
+        marg = None
+        if spec.x_law == "gaussian":
+            marg = GaussianParams(stack.center[g], stack.scatter[g])
+        elif spec.x_law == "t":
+            marg = StudentParams(stack.center[g], stack.scatter[g], stack.nu[g])
+        cond = Conditional(LinearMap(stack.slope[g], stack.intercept[g]), stack.noise_scale[g],
+                           dof=None if stack.zeta is None else stack.zeta[g])
+        comps.append(Component(stack.weight[g], marg, cond))
+    gating = None
+    if spec.gated:
+        gating = (Gating(np.zeros(d), 0.0),) + tuple(Gating(row[:-1], row[-1]) for row in stack.theta)
+    return CwmModel(stack.variant, tuple(comps), gating)
 
 
 def _gate_logits(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -281,26 +332,20 @@ def _gate_logits(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _component_distances(model: CwmModel, xb: np.ndarray, yb: np.ndarray) -> Distances:
+def _component_distances(stack: _Stack, xb: np.ndarray, yb: np.ndarray) -> Distances:
     """Whiten x against every component's x law in one stacked triangular
     solve, take the y residuals, and evaluate the gate.  x is laid out as d
     contiguous rows of N, as the M-step lays it out, so the distances the
     M-step hands the E-step are these bit for bit."""
-    comps = model.components
     x_t = np.ascontiguousarray(xb.T)
-    slopes = np.array([c.y_conditional.map.slope for c in comps])
-    intercepts = np.array([c.y_conditional.map.intercept for c in comps])
-    resid = yb - (slopes @ x_t + intercepts[:, None])
+    resid = yb - (stack.slope @ x_t + stack.intercept[:, None])
     log_gate = None
-    if model.spec.gated:
-        logits = _gate_logits(xb, _gating_theta(model.gating))
+    if stack.theta is not None:
+        logits = _gate_logits(xb, stack.theta)
         log_gate = logits - log_sum_exp(logits, axis=0)
-    if model.spec.x_law is None:
+    if stack.center is None:
         return Distances(None, resid, log_gate)
-    margs = [c.x_marginal for c in comps]
-    chols = np.array([m.chol for m in margs])
-    centers = np.array([m.center for m in margs])
-    return Distances(_x_distances(chols, x_t - centers[:, :, None]), resid, log_gate)
+    return Distances(_x_distances(stack.chol, x_t - stack.center[:, :, None]), resid, log_gate)
 
 
 def _x_distances(chols: np.ndarray, centered: np.ndarray) -> np.ndarray:
@@ -311,42 +356,35 @@ def _x_distances(chols: np.ndarray, centered: np.ndarray) -> np.ndarray:
     return np.sum(white * white, axis=1)
 
 
-def _log_component_terms(model: CwmModel, xb: np.ndarray, yb: np.ndarray,
+def _log_component_terms(stack: _Stack, xb: np.ndarray, yb: np.ndarray,
                          dist: Distances | None = None) -> np.ndarray:
     """N-by-G matrix of log(weight_g * density_g) at each observation.
 
-    ``dist`` is ``_component_distances(model, xb, yb)`` when the caller already
-    has it.  Every density is evaluated from those distances as one G-by-N
-    expression, with per-component scales, dofs and log-determinants as G-by-1
-    columns; the result is the transpose of that G-by-N array.
+    ``dist`` is ``_component_distances(stack, xb, yb)`` when the caller
+    already has it.  Every density is evaluated from those distances as one
+    G-by-N expression, with per-component scales, dofs and log-determinants
+    as G-by-1 columns; the result is the transpose of that G-by-N array.
     """
     if dist is None:
-        dist = _component_distances(model, xb, yb)
+        dist = _component_distances(stack, xb, yb)
     d = xb.shape[1]
-    spec = model.spec
-    margs = [comp.x_marginal for comp in model.components]
-    conds = [comp.y_conditional for comp in model.components]
-    scale_sq = _column([cond.noise_scale for cond in conds]) ** 2
+    spec = VARIANT_SPECS[stack.variant]
+    scale_sq = stack.noise_scale[:, None] ** 2
     if spec.y_law == "joint_t":
         # joint-t factorization: conditional scale grows with the
         # marginal Mahalanobis distance of x
-        nu = _column([marg.dof for marg in margs])
+        nu = stack.nu[:, None]
         scale_sq = scale_sq * (nu + dist.x) / (nu + d)
     maha_y = dist.resid**2 / scale_sq
     if spec.y_law == "gaussian":
         ll = gaussian_log_density(maha_y, 1, np.log(scale_sq))
     else:
-        ll = student_log_density(maha_y, 1, np.log(scale_sq), _column([cond.dof for cond in conds]))
-    if spec.x_law is not None:
-        log_det = _column([marg.log_det for marg in margs])
-        if spec.x_law == "t":
-            ll = ll + student_log_density(dist.x, d, log_det, _column([marg.dof for marg in margs]))
-        else:
-            ll = ll + gaussian_log_density(dist.x, d, log_det)
-    if spec.gated:
-        log_weight = dist.log_gate
-    else:
-        log_weight = np.log(_column([comp.weight for comp in model.components]))
+        ll = student_log_density(maha_y, 1, np.log(scale_sq), stack.zeta[:, None])
+    if spec.x_law == "t":
+        ll = ll + student_log_density(dist.x, d, stack.log_det[:, None], stack.nu[:, None])
+    elif spec.x_law == "gaussian":
+        ll = ll + gaussian_log_density(dist.x, d, stack.log_det[:, None])
+    log_weight = dist.log_gate if spec.gated else np.log(stack.weight[:, None])
     return (log_weight + ll).T
 
 
@@ -357,14 +395,14 @@ def joint_logpdf(model: CwmModel, x, y):
     (x: N-by-d, y: vector(N)).
     """
     xb, yb, scalar = _as_batch(model, x, y)
-    values = log_sum_exp(_log_component_terms(model, xb, yb), axis=1)
+    values = log_sum_exp(_log_component_terms(_stack(model), xb, yb), axis=1)
     return float(values[0]) if scalar else values
 
 
 def posterior(model: CwmModel, x, y):
     """Posterior membership probabilities, one row per observation."""
     xb, yb, scalar = _as_batch(model, x, y)
-    terms = _log_component_terms(model, xb, yb)
+    terms = _log_component_terms(_stack(model), xb, yb)
     prob = np.exp(terms - log_sum_exp(terms, axis=1)[:, None])
     return prob[0] if scalar else prob
 
@@ -433,14 +471,9 @@ def check_fmr_reduction(model: CwmModel) -> bool:
     reduces to the plain mixture-of-regressions posterior."""
     if model.variant != "gaussian_cwm":
         raise ValueError("reduction check applies to gaussian_cwm models")
-    ref = model.components[0].x_marginal
-    for comp in model.components[1:]:
-        marg = comp.x_marginal
-        if np.max(np.abs(marg.mean - ref.mean)) > 1e-10:
-            return False
-        if np.max(np.abs(marg.cov - ref.cov)) > 1e-10:
-            return False
-    return True
+    stack = _stack(model)
+    return not (np.max(np.abs(stack.center - stack.center[0])) > 1e-10
+                or np.max(np.abs(stack.scatter - stack.scatter[0])) > 1e-10)
 
 
 def cwm_to_fmrc_gating(model: CwmModel) -> list[Gating]:
@@ -449,18 +482,14 @@ def cwm_to_fmrc_gating(model: CwmModel) -> list[Gating]:
     w_g0 = -(mu_g + mu_1)' Sigma^-1 (mu_g - mu_1) / 2."""
     if model.variant != "gaussian_cwm":
         raise ValueError("gating extraction applies to gaussian_cwm models")
-    comps = model.components
-    sigma = comps[0].x_marginal.cov
-    for comp in comps[1:]:
-        if np.max(np.abs(comp.x_marginal.cov - sigma)) > 1e-10:
-            raise ValueError("gating extraction requires a common covariance")
-    weights = [c.weight for c in comps]
-    if max(weights) - min(weights) > 1e-12:
+    stack = _stack(model)
+    sigma, mu1 = stack.scatter[0], stack.center[0]
+    if np.max(np.abs(stack.scatter - sigma)) > 1e-10:
+        raise ValueError("gating extraction requires a common covariance")
+    if stack.weight.max() - stack.weight.min() > 1e-12:
         raise ValueError("gating extraction requires equal mixing weights")
-    mu1 = comps[0].x_marginal.mean
     gating = [Gating(np.zeros(model.d), 0.0)]
-    for comp in comps[1:]:
-        mu = comp.x_marginal.mean
+    for mu in stack.center[1:]:
         w = solve_spd(sigma, mu - mu1)
         gating.append(Gating(w, -0.5 * float((mu + mu1) @ w)))
     return gating
@@ -469,16 +498,11 @@ def cwm_to_fmrc_gating(model: CwmModel) -> list[Gating]:
 def check_degenerate_conditional(model: CwmModel) -> bool:
     """True iff all components share one conditional law (slope, intercept,
     noise variance), so f(y|x) collapses to a single regression line."""
-    ref = model.components[0].y_conditional
-    for comp in model.components[1:]:
-        cond = comp.y_conditional
-        if np.max(np.abs(cond.map.slope - ref.map.slope)) > 1e-10:
-            return False
-        if abs(cond.map.intercept - ref.map.intercept) > 1e-10:
-            return False
-        if abs(cond.noise_scale**2 - ref.noise_scale**2) > 1e-10:
-            return False
-    return True
+    stack = _stack(model)
+    noise_var = stack.noise_scale**2
+    return not (np.max(np.abs(stack.slope - stack.slope[0])) > 1e-10
+                or np.max(np.abs(stack.intercept - stack.intercept[0])) > 1e-10
+                or np.max(np.abs(noise_var - noise_var[0])) > 1e-10)
 
 
 # -------------------------------------------------------------- serialization

@@ -40,11 +40,12 @@ from cwmix.model import (
     Gating,
     _component_distances,
     _gate_logits,
-    _gating_theta,
+    _stack,
     classify,
     fmg_to_cwm,
     joint_logpdf,
     model_to_dict,
+    posterior,
 )
 
 mp.dps = 50
@@ -93,11 +94,23 @@ def test_fit_config_defaults():
         dict(G=2, dof_mode=-3.0),
         dict(G=2, dof_mode=True),
         dict(G=2, dof_mode=float("inf")),
+        dict(G=2.5),
+        dict(G=True),
+        dict(G=2, n_starts=2.5),
+        dict(G=2, max_iter=2.5),
+        dict(G=2, seed=1.7),
+        dict(G=2, rel_tol=float("inf")),
     ],
 )
 def test_fit_config_validation(kwargs):
     with pytest.raises(ValueError):
         FitConfig(**kwargs)
+
+
+def test_fit_config_accepts_numpy_integers():
+    data = generate(builtin_scenario("ex1").with_seed(1))
+    config = FitConfig(G=np.int64(2), max_iter=np.int32(5), n_starts=np.uint8(2), seed=np.uint64(3))
+    assert fit(data, config).n_iter <= 5
 
 
 @pytest.mark.parametrize("dof", (np.int64(5), np.float64(5.0)))
@@ -534,14 +547,14 @@ def test_m_step_ridges_only_the_singular_component(monkeypatch):
     model, _, ridged = em._m_step(data, FitConfig(G=2, variant="t_cwm"), resp, None, None,
                                   em._start_constants(data))
     assert ridged and flags == [True, False]
-    for g, comp in enumerate(model.components):
+    for g in range(2):
         w = resp[:, g] * ux[:, g]
         mu = w @ x / w.sum()
         cov = (w[:, None] * (x - mu)).T @ (x - mu) / 30.0
         if g == 0:
             cov = cov + 1e-8 * np.trace(cov) / 2 * np.eye(2)
-        np.testing.assert_allclose(comp.x_marginal.scale, cov, rtol=1e-12)
-        np.testing.assert_allclose(comp.x_marginal.location, mu, rtol=1e-12)
+        np.testing.assert_allclose(model.scatter[g], cov, rtol=1e-12)
+        np.testing.assert_allclose(model.center[g], mu, rtol=1e-12)
     # without the singular component the stacked factorization builds both
     flags.clear()
     ux[10:30, 0] = 1.0
@@ -729,7 +742,8 @@ def test_fmt_latent_weight_is_joint_t_weight(d):
     model = random_model(r, "fmt", 3, d)
     x, y = random_points(r, 40, d)
     z = np.column_stack([x, y])
-    u = _latent_weights(model, _component_distances(model, x, y))
+    stack = _stack(model)
+    u = _latent_weights(stack, _component_distances(stack, x, y))
     for g, comp in enumerate(model.components):
         marg, cond = comp.x_marginal, comp.y_conditional
         # the (d+1)-variate t whose x-marginal and y|x conditional these are
@@ -818,6 +832,39 @@ def test_m_step_hands_the_e_step_its_distances_in_four_dimensions(variant):
     x = r.normal(size=(400, 4)) @ r.normal(size=(4, 4)) + 3.0 * labels[:, None]
     data = Dataset(x, x @ r.normal(size=4) + labels + r.normal(size=400))
     assert_m_step_hands_off_its_distances(data, FitConfig(G=3, variant=variant, n_starts=1))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_builds_one_model_per_distinct_start(monkeypatch, variant):
+    # EM iterates on the stacked record; each start that runs builds its
+    # validated model once, at the end
+    built, ran = [], []
+    post_init = CwmModel.__post_init__
+    monkeypatch.setattr(CwmModel, "__post_init__", lambda self: built.append(1) or post_init(self))
+    run_start = em._run_start
+
+    def counted(*args):
+        result = run_start(*args)
+        ran.append(result.n_iter)
+        return result
+
+    monkeypatch.setattr(em, "_run_start", counted)
+    spec = builtin_scenario("ex4_s2").with_seed(1)
+    fit(generate(spec), FitConfig(G=3, variant=variant, n_starts=3, max_iter=20))
+    assert len(ran) >= 2 and min(ran) > 2
+    assert len(built) == len(ran)
+
+
+@pytest.mark.parametrize("name", ("ex4_s2", "ex6_s2"))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_model_scores_its_own_responsibilities(name, variant):
+    # the model a fit returns, scored afresh, gives the last E-step's
+    # responsibilities and log-likelihood bit for bit
+    spec = builtin_scenario(name).with_seed(1)
+    data = generate(spec)
+    res = fit(data, FitConfig(G=len(spec.groups), variant=variant, n_starts=3))
+    np.testing.assert_array_equal(posterior(res.model, data.x, data.y), res.responsibilities)
+    assert joint_logpdf(res.model, data.x, data.y).sum() == res.loglik_trace[-1]
 
 
 def test_fit_never_recomputes_the_distances(monkeypatch):
@@ -930,10 +977,10 @@ def gating_theta(gating):
     return np.array([np.append(g.w, g.w0) for g in gating[1:]])
 
 
-def gating_step(x, resp, gating):
-    # one gating M-step from ``gating``, before any E-step has run
+def gating_step(x, resp, theta):
+    # one gating M-step from the gating rows ``theta``, before any E-step has run
     const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
-    return _fit_gating(x, resp, gating, None, const.design, const.outer)[0]
+    return _fit_gating(x, resp, theta, None, const.design, const.outer)[0]
 
 
 def gating_objective_and_grad(x, resp, theta):
@@ -955,7 +1002,7 @@ def test_fit_gating_step_never_decreases_objective(seed):
             Gating(r.normal(size=2, scale=spread), float(r.normal(scale=spread))) for _ in range(2)
         ]
         before, _ = gating_objective_and_grad(x, resp, gating_theta(warm))
-        after, _ = gating_objective_and_grad(x, resp, gating_theta(gating_step(x, resp, warm)))
+        after, _ = gating_objective_and_grad(x, resp, gating_step(x, resp, gating_theta(warm)))
         assert after >= before - 1e-12
 
 
@@ -964,13 +1011,13 @@ def test_fit_gating_repeated_steps_reach_full_m_step_optimum(seed):
     from scipy.optimize import minimize
 
     x, resp = gating_problem(seed)
-    gating = [Gating(np.zeros(2), 0.0)] * 3
+    theta = np.zeros((2, 3))
     for _ in range(50):
-        gating = gating_step(x, resp, gating)
-    theta = gating_theta(gating)
+        theta = gating_step(x, resp, theta)
     value, grad = gating_objective_and_grad(x, resp, theta)
     assert np.max(np.abs(grad)) < 1e-8
-    assert np.all(gating[0].w == 0.0) and gating[0].w0 == 0.0
+    # the baseline has no row: only the other components' gates move
+    assert theta.shape == (2, 3)
     # independent optimizer on the same concave objective finds no better point
     ref = minimize(
         lambda t: -gating_objective_and_grad(x, resp, t.reshape(theta.shape))[0],
@@ -987,19 +1034,20 @@ def test_fit_gating_reuses_the_e_step_log_gate(monkeypatch, seed):
     x, resp = gating_problem(seed)
     r = np.random.default_rng(200 + seed)
     warm = [Gating(np.zeros(2), 0.0)] + [Gating(r.normal(size=2), float(r.normal())) for _ in range(2)]
-    logits = _gate_logits(x, _gating_theta(warm))
+    theta = gating_theta(warm)
+    logits = _gate_logits(x, theta)
     log_gate = logits - densities.log_sum_exp(logits, axis=0)
     const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
     calls = []
     log_sum_exp = em.log_sum_exp
     monkeypatch.setattr(em, "log_sum_exp", lambda *a, **k: calls.append(1) or log_sum_exp(*a, **k))
-    fresh = _fit_gating(x, resp, warm, None, const.design, const.outer)
+    fresh = _fit_gating(x, resp, theta, None, const.design, const.outer)
     without = len(calls)
     calls.clear()
-    reused = _fit_gating(x, resp, warm, log_gate, const.design, const.outer)
+    reused = _fit_gating(x, resp, theta, log_gate, const.design, const.outer)
     # the same step and log gate, one log-softmax fewer
     assert len(calls) == without - 1 >= 1
-    np.testing.assert_array_equal(gating_theta(reused[0]), gating_theta(fresh[0]))
+    np.testing.assert_array_equal(reused[0], fresh[0])
     np.testing.assert_array_equal(reused[1], fresh[1])
 
 
@@ -1008,13 +1056,13 @@ def test_fit_gating_hoisted_outer_takes_the_same_step(seed):
     # the Hessian's per-point blocks depend on x only: computed once per
     # start, they give the step that blocks formed here give, bit for bit
     x, resp = gating_problem(seed)
-    warm = [Gating(np.zeros(2), 0.0)] * 3
+    warm = np.zeros((2, 3))
     const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
     design = np.column_stack([x, np.ones(len(x))])
     outer = np.einsum("ni,nj->nij", design, design).reshape(len(x), -1)
     np.testing.assert_array_equal(
-        gating_theta(_fit_gating(x, resp, warm, None, const.design, const.outer)[0]),
-        gating_theta(_fit_gating(x, resp, warm, None, design, outer)[0]))
+        _fit_gating(x, resp, warm, None, const.design, const.outer)[0],
+        _fit_gating(x, resp, warm, None, design, outer)[0])
     assert em._start_constants(Dataset(x, np.zeros(len(x)))).outer is None
 
 

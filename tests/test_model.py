@@ -26,6 +26,8 @@ from cwmix.model import (
     Gating,
     LinearMap,
     _log_component_terms,
+    _stack,
+    _unstack,
     check_degenerate_conditional,
     check_fmr_reduction,
     classify,
@@ -174,7 +176,7 @@ def test_log_component_terms_match_per_component_densities(variant, d):
     r = np.random.default_rng(100 * d + VARIANTS.index(variant))
     model = random_model(r, variant, 3, d)
     x, y = random_points(r, 25, d)
-    got = _log_component_terms(model, x, y)
+    got = _log_component_terms(_stack(model), x, y)
     assert got.shape == (25, 3)
     np.testing.assert_allclose(got, component_log_terms(model, x, y), rtol=1e-12)
 
@@ -604,6 +606,14 @@ def test_model_json_roundtrip(variant):
     assert np.max(np.abs(joint_logpdf(m2, x, y) - joint_logpdf(m, x, y))) < 1e-12
     # serialization keeps full double precision
     assert json.dumps(model_to_dict(m2)) == blob
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_stack_round_trip_keeps_every_parameter(variant, d):
+    # the stacked record EM iterates on holds the whole model
+    m = random_model(np.random.default_rng(10 * d + VARIANTS.index(variant)), variant, 3, d)
+    assert model_to_dict(_unstack(_stack(m))) == model_to_dict(m)
 
 
 def test_model_dict_shape():
