@@ -13,6 +13,14 @@ as non-positive-definite.  ``cholesky_lower``, ``solve_lower`` and
 ``solve_spd`` take one k-by-k matrix or a (G, k, k) stack: the column loop
 runs once for the whole stack, every matrix gets the same checks, and a
 matrix gets the same bits alone or stacked.
+
+A Gaussian and a Student-t law share one body: a finite center, a scatter
+matrix, its Cholesky factor and log-determinant, read as ``center``,
+``scatter``, ``chol`` and ``log_det`` whichever the law; the t law adds only
+its dof.  Squared Mahalanobis distances have one implementation,
+``_whitened_sq``: the per-law ``mahalanobis_sq``, ``gaussian_logpdf`` and
+``student_logpdf`` call it with one factor, and the E- and M-steps with the
+stacked factors of every component.
 """
 
 from __future__ import annotations
@@ -106,113 +114,94 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _set_factor(law, chol) -> None:
-    object.__setattr__(law, "_chol", chol)
-    object.__setattr__(law, "_log_det", float(_log_det(chol)))
+class _EllipticalLaw:
+    """The body a Gaussian and a Student-t law share: a finite ``center``
+    vector, a symmetric positive-definite ``scatter`` matrix, its Cholesky
+    factor ``chol`` and ``log_det``, log|scatter|.  A law names its center and
+    scatter fields in ``_fields``; both are coerced and checked here, once."""
+
+    _fields: tuple[str, str]
+
+    def __post_init__(self):
+        center_name, scatter_name = self._fields
+        center = np.atleast_1d(np.asarray(getattr(self, center_name), dtype=float))
+        scatter = np.atleast_2d(np.asarray(getattr(self, scatter_name), dtype=float))
+        if center.ndim != 1:
+            raise ValueError(f"{center_name} must be a vector")
+        if scatter.shape != (center.size, center.size):
+            raise ValueError(f"{scatter_name} shape {scatter.shape} does not match "
+                             f"{center_name} dimension {center.size}")
+        if not (np.isfinite(center).all() and np.isfinite(scatter).all()):
+            raise ValueError(f"non-finite {center_name} or {scatter_name}")
+        object.__setattr__(self, center_name, center)
+        object.__setattr__(self, scatter_name, scatter)
+        object.__setattr__(self, "chol", cholesky_lower(scatter))
+        object.__setattr__(self, "log_det", float(_log_det(self.chol)))
+
+    @property
+    def center(self) -> np.ndarray:
+        return getattr(self, self._fields[0])
+
+    @property
+    def scatter(self) -> np.ndarray:
+        return getattr(self, self._fields[1])
+
+    @property
+    def dim(self) -> int:
+        return self.center.size
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianParams:
+class GaussianParams(_EllipticalLaw):
     """Gaussian law: mean vector and symmetric positive-definite covariance."""
 
     mean: np.ndarray
     cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"covariance shape {cov.shape} does not match mean dimension {mean.size}"
-            )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        _set_factor(self, cholesky_lower(cov))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.mean
-
-    @property
-    def chol(self) -> np.ndarray:
-        return self._chol
-
-    @property
-    def log_det(self) -> float:
-        return self._log_det
+    _fields = ("mean", "cov")
 
 
 @dataclass(frozen=True, eq=False)
-class StudentParams:
-    """Student-t law: location, positive-definite scale matrix, dof > 0."""
+class StudentParams(_EllipticalLaw):
+    """Student-t law: location, positive-definite scale matrix, finite dof > 0."""
 
     location: np.ndarray
     scale: np.ndarray
     dof: float
+    _fields = ("location", "scale")
 
     def __post_init__(self):
-        location = np.atleast_1d(np.asarray(self.location, dtype=float))
-        scale = np.atleast_2d(np.asarray(self.scale, dtype=float))
-        if scale.shape != (location.size, location.size):
-            raise ValueError(
-                f"scale shape {scale.shape} does not match location dimension {location.size}"
-            )
         dof = float(self.dof)
-        if not dof > 0:
-            raise ValueError(f"dof must be strictly positive, got {dof}")
-        object.__setattr__(self, "location", location)
-        object.__setattr__(self, "scale", scale)
+        if not 0.0 < dof < math.inf:
+            raise ValueError(f"dof must be strictly positive and finite, got {dof}")
         object.__setattr__(self, "dof", dof)
-        _set_factor(self, cholesky_lower(scale))
+        super().__post_init__()
 
-    @property
-    def dim(self) -> int:
-        return self.location.size
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.location
-
-    @property
-    def chol(self) -> np.ndarray:
-        return self._chol
-
-    @property
-    def log_det(self) -> float:
-        return self._log_det
+def _law(center, scatter, dof=None) -> GaussianParams | StudentParams:
+    """The Student-t law with ``dof``, or the Gaussian law when dof is None."""
+    return GaussianParams(center, scatter) if dof is None else StudentParams(center, scatter, dof)
 
 
 def law_to_dict(law: GaussianParams | StudentParams) -> dict:
     """JSON-ready {"mean", "cov"} of a law, with "dof" for a Student-t."""
+    doc = {"mean": law.center.tolist(), "cov": law.scatter.tolist()}
     if isinstance(law, StudentParams):
-        return {"mean": law.location.tolist(), "cov": law.scale.tolist(), "dof": law.dof}
-    return {"mean": law.mean.tolist(), "cov": law.cov.tolist()}
+        doc["dof"] = law.dof
+    return doc
 
 
 def law_from_dict(doc: dict) -> GaussianParams | StudentParams:
     """Inverse of law_to_dict; a null "dof" reads as a Gaussian law."""
-    mean = np.asarray(doc["mean"], dtype=float)
-    cov = np.asarray(doc["cov"], dtype=float)
-    if doc.get("dof") is not None:
-        return StudentParams(mean, cov, float(doc["dof"]))
-    return GaussianParams(mean, cov)
+    return _law(doc["mean"], doc["cov"], doc.get("dof"))
 
 
-def _whitened(z, params):
-    """L^-1 (z - center)^T for z of shape (q,) or (N,q); returns (q, N)."""
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    pts = np.atleast_2d(z)
-    if pts.shape[1] != params.dim:
-        raise ValueError(f"point dimension {pts.shape[1]} != parameter dimension {params.dim}")
-    w = solve_lower(params.chol, (pts - params.center).T)
-    return w, single
+def _whitened_sq(chol, centered) -> np.ndarray:
+    """Squared Mahalanobis distances: the squared norms of L^-1 (z - center)
+    for points ``centered`` at their law, coordinates on the second-to-last
+    axis.  One law's k-by-k factor takes (k, N) points; a (G, k, k) stack
+    takes (G, k, N), one stacked triangular solve giving G-by-N distances."""
+    white = solve_lower(chol, centered)
+    return np.sum(white * white, axis=-2)
 
 
 def mahalanobis_sq(z, params) -> float | np.ndarray:
@@ -220,9 +209,12 @@ def mahalanobis_sq(z, params) -> float | np.ndarray:
 
     Accepts a single point of shape (q,) or a batch of shape (N,q).
     """
-    w, single = _whitened(z, params)
-    out = np.sum(w * w, axis=0)
-    return float(out[0]) if single else out
+    z = np.asarray(z, dtype=float)
+    pts = np.atleast_2d(z)
+    if pts.shape[1] != params.dim:
+        raise ValueError(f"point dimension {pts.shape[1]} != parameter dimension {params.dim}")
+    out = _whitened_sq(params.chol, (pts - params.center).T)
+    return float(out[0]) if z.ndim == 1 else out
 
 
 def _log_det(chol):
@@ -252,16 +244,14 @@ def student_log_density(maha, q: int, log_det, nu):
 
 def gaussian_logpdf(z, params: GaussianParams) -> float | np.ndarray:
     """Log-density of the q-variate normal; batched like mahalanobis_sq."""
-    w, single = _whitened(z, params)
-    out = gaussian_log_density(np.sum(w * w, axis=0), params.dim, params.log_det)
-    return float(out[0]) if single else out
+    out = gaussian_log_density(mahalanobis_sq(z, params), params.dim, params.log_det)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def student_logpdf(z, params: StudentParams) -> float | np.ndarray:
     """Log-density of the q-variate Student-t; batched like mahalanobis_sq."""
-    w, single = _whitened(z, params)
-    out = student_log_density(np.sum(w * w, axis=0), params.dim, params.log_det, params.dof)
-    return float(out[0]) if single else out
+    out = student_log_density(mahalanobis_sq(z, params), params.dim, params.log_det, params.dof)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,7 @@ import numpy as np
 from .densities import (  # noqa: F401
     GaussianParams,
     _log_det,
+    _whitened_sq,
     cholesky_lower,
     digamma,
     log_sum_exp,
@@ -95,7 +96,6 @@ from .model import (
     _log_component_terms,
     _Stack,
     _unstack,
-    _x_distances,
 )
 
 DOF_BRACKET = (0.5, 200.0)
@@ -173,18 +173,19 @@ def _kmeans_columns(data: Dataset) -> np.ndarray:
     return np.column_stack([data.x, data.y]).T.copy()
 
 
-def _kmeans_labels(columns: np.ndarray, G: int, rng, max_iter: int = 20) -> np.ndarray:
-    """Lloyd's k-means on the D-by-N ``columns`` from G distinct random points,
-    restarted from new points when a cluster empties.  The squared distances
-    are summed one coordinate at a time, left to right, which is the order of
-    numpy's ``sum`` over fewer than eight terms (every (x, y) with d <= 6);
-    each centroid sums its points in index order, as a masked mean does."""
+def _kmeans_labels(columns: np.ndarray, G: int, rng) -> np.ndarray:
+    """Lloyd's k-means, at most 20 iterations, on the D-by-N ``columns`` from
+    G distinct random points, restarted from new points when a cluster
+    empties.  The squared distances are summed one coordinate at a time, left
+    to right, which is the order of numpy's ``sum`` over fewer than eight
+    terms (every (x, y) with d <= 6); each centroid sums its points in index
+    order, as a masked mean does."""
     n = columns.shape[1]
     for _ in range(50):
         centers = columns[:, rng.choice(n, size=G, replace=False)]
         assign = None
         ok = True
-        for _ in range(max_iter):
+        for _ in range(20):
             dist = (columns[0][:, None] - centers[0]) ** 2
             for column, center in zip(columns[1:], centers[1:]):
                 dist += (column[:, None] - center) ** 2
@@ -235,9 +236,8 @@ def initialize(data: Dataset, config: FitConfig, rng,
 
 # ----------------------------------------------------------- dof estimation
 
-def estimate_dof(delta, weights, q: int, start: float | None = None,
-                 bracket: tuple[float, float] = DOF_BRACKET) -> float:
-    """The dof v in ``bracket`` that maximizes sum_i w_i log t_q(delta_i; v),
+def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
+    """The dof v in ``DOF_BRACKET`` that maximizes sum_i w_i log t_q(delta_i; v),
     the weighted log-density of a q-variate t law whose location and scale
     are held fixed, at the squared Mahalanobis distances ``delta`` from it.
 
@@ -269,7 +269,7 @@ def estimate_dof(delta, weights, q: int, start: float | None = None,
     delta = np.asarray(delta, dtype=float)
     weights = np.asarray(weights, dtype=float)
     mass = float(weights.sum())
-    lo, hi = bracket
+    lo, hi = DOF_BRACKET
 
     def score(nu):
         t = delta / nu
@@ -500,7 +500,7 @@ def _m_step(data, config, resp, old, old_dist, const):
         covs = weighted @ centered.transpose(0, 2, 1) / mass[:, None, None]
         covs, chols, used_ridge = _x_factors(mu, covs)
         log_det = _log_det(chols)
-        dist_x = _x_distances(chols, centered)
+        dist_x = _whitened_sq(chols, centered)
     wy = resp if u.y is None else resp * u.y
     slopes, intercepts = _weighted_ls(const.design, y, wy)
     resid = y - (slopes @ const.x_t + intercepts[:, None])

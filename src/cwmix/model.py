@@ -15,9 +15,12 @@ A ``CwmModel`` is the validated public form.  Evaluation and EM read and
 write ``_Stack`` instead: one namedtuple of G-stacked parameter arrays.
 ``_stack`` and ``_unstack`` are the only code that knows both forms; scoring
 stacks a model once per call, and a fit builds its model once, from the
-record its last E-step read.  Evaluation is laid out G-by-N, one row per
-component: the distances of every observation to every component come from
-one stacked triangular solve, and the log-densities are G-by-N expressions
+record its last E-step read.  Both read a law through the names its two
+kinds share (``center``, ``scatter``) and build one through
+``densities._law``.  Evaluation is laid out G-by-N, one row per component:
+the distances of every observation to every component come from one stacked
+triangular solve in ``densities._whitened_sq``, the whitening the per-law
+densities use too, and the log-densities are G-by-N expressions
 with per-component parameters as G-by-1 columns.  Only ``log_gamma`` of each
 dof is taken per component.
 """
@@ -36,14 +39,15 @@ import numpy as np
 from .densities import (  # noqa: F401
     GaussianParams,
     StudentParams,
+    _law,
     _log_det,
+    _whitened_sq,
     gaussian_log_density,
     gaussian_logpdf,
     law_from_dict,
     law_to_dict,
     log_sum_exp,
     mahalanobis_sq,
-    solve_lower,
     solve_spd,
     student_log_density,
     student_logpdf,
@@ -81,6 +85,8 @@ class LinearMap:
             raise ValueError("slope must be a vector")
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "intercept", float(self.intercept))
+        if not (np.isfinite(slope).all() and math.isfinite(self.intercept)):
+            raise ValueError("non-finite slope or intercept")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.slope + self.intercept
@@ -98,12 +104,12 @@ class Conditional:
 
     def __post_init__(self):
         object.__setattr__(self, "noise_scale", float(self.noise_scale))
-        if self.noise_scale <= 0:
-            raise ValueError("noise_scale must be positive")
+        if not 0.0 < self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be positive and finite")
         if self.dof is not None:
             object.__setattr__(self, "dof", float(self.dof))
-            if self.dof <= 0:
-                raise ValueError("dof must be positive")
+            if not 0.0 < self.dof < math.inf:
+                raise ValueError("dof must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +138,8 @@ class Gating:
         w = np.atleast_1d(np.asarray(self.w, dtype=float))
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "w0", float(self.w0))
+        if not (np.isfinite(w).all() and math.isfinite(self.w0)):
+            raise ValueError("non-finite gating parameters")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +259,7 @@ def _as_batch(model: CwmModel, x, y):
     xb = x[None, :] if scalar else x
     if xb.ndim != 2 or xb.shape[1] != model.d:
         raise ValueError(f"x must have {model.d} columns")
-    yb = np.atleast_1d(np.asarray(y, dtype=float))
+    yb = np.asarray(y, dtype=float).ravel()
     if yb.shape[0] != xb.shape[0]:
         raise ValueError("x and y lengths disagree")
     return xb, yb, scalar
@@ -285,7 +293,7 @@ def _stack(model: CwmModel) -> _Stack:
     center = scatter = chol = log_det = nu = zeta = theta = None
     if spec.x_law is not None:
         center = np.array([m.center for m in margs])
-        scatter = np.array([m.scale if spec.x_law == "t" else m.cov for m in margs])
+        scatter = np.array([m.scatter for m in margs])
         chol = np.array([m.chol for m in margs])
         log_det = _log_det(chol)
     if spec.x_law == "t":
@@ -308,10 +316,8 @@ def _unstack(stack: _Stack) -> CwmModel:
     comps = []
     for g in range(G):
         marg = None
-        if spec.x_law == "gaussian":
-            marg = GaussianParams(stack.center[g], stack.scatter[g])
-        elif spec.x_law == "t":
-            marg = StudentParams(stack.center[g], stack.scatter[g], stack.nu[g])
+        if spec.x_law is not None:
+            marg = _law(stack.center[g], stack.scatter[g], None if stack.nu is None else stack.nu[g])
         cond = Conditional(LinearMap(stack.slope[g], stack.intercept[g]), stack.noise_scale[g],
                            dof=None if stack.zeta is None else stack.zeta[g])
         comps.append(Component(stack.weight[g], marg, cond))
@@ -345,15 +351,7 @@ def _component_distances(stack: _Stack, xb: np.ndarray, yb: np.ndarray) -> Dista
         log_gate = logits - log_sum_exp(logits, axis=0)
     if stack.center is None:
         return Distances(None, resid, log_gate)
-    return Distances(_x_distances(stack.chol, x_t - stack.center[:, :, None]), resid, log_gate)
-
-
-def _x_distances(chols: np.ndarray, centered: np.ndarray) -> np.ndarray:
-    """G-by-N squared Mahalanobis distances to every x law, given the laws'
-    G-by-d-by-d Cholesky factors and x centred at each law as G-by-d-by-N
-    rows: one stacked triangular solve."""
-    white = solve_lower(chols, centered)
-    return np.sum(white * white, axis=1)
+    return Distances(_whitened_sq(stack.chol, x_t - stack.center[:, :, None]), resid, log_gate)
 
 
 def _log_component_terms(stack: _Stack, xb: np.ndarray, yb: np.ndarray,

@@ -595,6 +595,62 @@ def test_dataset_validation():
     assert d.n == 3 and d.d == 1
 
 
+def _edited_model(variant, path, **change):
+    """model_from_dict of a valid model's dict, with the entry at ``path``
+    (the keys leading to it) updated by ``change``."""
+    doc = model_to_dict(random_model(np.random.default_rng(3), variant, 2, 1))
+    entry = doc
+    for key in path:
+        entry = entry[key]
+    entry.update(change)
+    return model_from_dict(doc)
+
+
+_line = LinearMap([1.0], 0.0)
+_marg = ("components", 1, "x_marginal")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: GaussianParams([np.nan], [[1.0]]), id="gaussian-nan-mean"),
+    pytest.param(lambda: GaussianParams([0.0, 1.0], [[1.0, np.nan], [0.0, 1.0]]),
+                 id="gaussian-nan-cov"),
+    pytest.param(lambda: StudentParams([np.inf], [[1.0]], 3.0), id="student-inf-location"),
+    pytest.param(lambda: StudentParams([0.0], [[1.0]], np.inf), id="student-inf-dof"),
+    pytest.param(lambda: StudentParams([0.0], [[1.0]], np.nan), id="student-nan-dof"),
+    pytest.param(lambda: LinearMap([np.nan], 0.0), id="map-nan-slope"),
+    pytest.param(lambda: LinearMap([1.0], np.inf), id="map-inf-intercept"),
+    pytest.param(lambda: Conditional(_line, np.nan), id="conditional-nan-scale"),
+    pytest.param(lambda: Conditional(_line, np.inf), id="conditional-inf-scale"),
+    pytest.param(lambda: Conditional(_line, 1.0, dof=np.nan), id="conditional-nan-dof"),
+    pytest.param(lambda: Conditional(_line, 1.0, dof=np.inf), id="conditional-inf-dof"),
+    pytest.param(lambda: Gating([np.nan], 0.0), id="gating-nan-w"),
+    pytest.param(lambda: Gating([0.0], np.inf), id="gating-inf-w0"),
+    pytest.param(lambda: _edited_model("t_cwm", _marg, mean=[np.nan]), id="dict-nan-mean"),
+    pytest.param(lambda: _edited_model("t_cwm", _marg, dof=np.inf), id="dict-inf-dof"),
+    pytest.param(lambda: _edited_model("fmr", ("components", 0, "y_conditional"), noise_var=np.inf),
+                 id="dict-inf-noise-var"),
+    pytest.param(lambda: _edited_model("fmrc", ("gating", 1), w0=np.inf), id="dict-inf-w0"),
+])
+def test_non_finite_parameters_are_rejected_when_built(build):
+    # a NaN mean would otherwise score NaN, and an infinite dof fail only
+    # when scored
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("G, n", [(1, 4), (3, 3)])
+def test_column_y_scores_like_flat_y(G, n):
+    # a (N, 1) y is read as Dataset reads it, not broadcast against the
+    # G-by-N regression lines
+    r = np.random.default_rng(G)
+    m = random_model(r, "gaussian_cwm", G, 2)
+    x, y = random_points(r, n, 2)
+    for score in (joint_logpdf, posterior):
+        np.testing.assert_array_equal(score(m, x, y[:, None]), score(m, x, y))
+    with pytest.raises(ValueError):
+        joint_logpdf(m, x, np.append(y, 0.0)[:, None])
+
+
 @pytest.mark.parametrize("variant", ["gaussian_cwm", "t_cwm", "fmg", "fmt", "fmr", "fmrc"])
 def test_model_json_roundtrip(variant):
     r = np.random.default_rng(VARIANTS.index(variant))

@@ -1,8 +1,11 @@
 """Packaging metadata: every console script named in pyproject.toml resolves,
-and every package function the benchmark tracer wraps still exists."""
+every package function the benchmark tracer wraps still exists, and the
+package imports nothing at run time but numpy and the standard library."""
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "cwmix"
 
 
 def resolve_entry_point(target: str):
@@ -44,3 +48,22 @@ def test_traced_layers_resolve():
         module_name, _, attr = target.rpartition(".")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{target} is not a callable"
+
+
+def test_package_depends_only_on_numpy():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    foreign = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative one (inside the package)
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in ("numpy", "cwmix") and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.relative_to(ROOT)}:{node.lineno} imports {name}")
+    assert not foreign, "\n".join(foreign)
