@@ -4,7 +4,8 @@ Every random draw comes from a self-contained 64-bit generator, so a dataset
 depends only on its spec and seed, not on numpy's generators.  The
 algorithms, spelled out so another implementation can match the stream:
 
-    seeding      splitmix64 expands the 64-bit seed into the 256-bit state
+    seeding      splitmix64 expands the seed (any integer type but bool, in
+                 [0, 2^64), as for ``FitConfig``) into the 256-bit state
     core         xoshiro256++ (rotl(s0 + s3, 23) + s0 output function)
     uniforms     top 53 bits of each word, scaled by 2^-53 -> [0, 1)
     normals      Box-Muller pairs (u1 redrawn while it is 0); the sine of a
@@ -41,7 +42,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .densities import GaussianParams, StudentParams, cholesky_lower, law_from_dict, law_to_dict
-from .model import NOISE, Dataset
+from .model import NOISE, Dataset, LinearMap, _integer, _seed
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -115,10 +116,7 @@ class Xoshiro256:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed <= _MASK64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        g = _splitmix64(seed)
+        g = _splitmix64(_seed(seed))
         self._stream = _xoshiro256pp(*(next(g) for _ in range(4)))
         self._spare_normal: float | None = None
 
@@ -234,18 +232,16 @@ class GroupSpec:
     noise_sd: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _integer("n", self.n))
         if self.n < 1:
             raise ValueError("each group needs n >= 1")
-        slope = np.atleast_1d(np.asarray(self.slope, dtype=float))
-        if slope.ndim != 1:
-            raise ValueError("slope must be a vector")
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "intercept", float(self.intercept))
+        line = LinearMap(self.slope, self.intercept)
+        object.__setattr__(self, "slope", line.slope)
+        object.__setattr__(self, "intercept", line.intercept)
         object.__setattr__(self, "noise_sd", float(self.noise_sd))
-        if not self.noise_sd > 0:
-            raise ValueError("noise_sd must be positive")
-        if slope.shape[0] != self.x_law.dim:
+        if not 0 < self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be positive and finite")
+        if line.slope.shape[0] != self.x_law.dim:
             raise ValueError("slope length must match the x-law dimension")
 
 
@@ -257,15 +253,14 @@ class NoiseSpec:
     box: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _integer("noise count", self.count))
         if self.count < 1:
             raise ValueError("noise count must be >= 1")
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
         if not box:
             raise ValueError("box needs at least two intervals (x and y)")
-        for lo, hi in box:
-            if not hi >= lo:
-                raise ValueError("box intervals must be nonempty")
+        if not all(-math.inf < lo <= hi < math.inf for lo, hi in box):
+            raise ValueError("box intervals must be finite and nonempty")
         object.__setattr__(self, "box", box)
 
 
@@ -285,10 +280,7 @@ class ScenarioSpec:
         object.__setattr__(self, "groups", groups)
         if self.noise is not None and len(self.noise.box) != d + 1:
             raise ValueError(f"noise box must have {d + 1} intervals")
-        seed = int(self.seed)
-        if not 0 <= seed <= _MASK64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     @property
     def d(self) -> int:
@@ -356,12 +348,8 @@ def generate(spec: ScenarioSpec) -> Dataset:
     return Dataset(x[perm], y[perm], lab[perm])
 
 
-def _gauss1(mu: float, sigma: float) -> GaussianParams:
-    return GaussianParams(np.array([float(mu)]), np.array([[float(sigma) ** 2]]))
-
-
 def _line_group(n, mu, sigma, intercept, slope, noise_sd) -> GroupSpec:
-    return GroupSpec(n, _gauss1(mu, sigma), np.array([float(slope)]), intercept, noise_sd)
+    return GroupSpec(n, GaussianParams([mu], [[sigma**2]]), [slope], intercept, noise_sd)
 
 
 def builtin_scenario(name: str) -> ScenarioSpec:

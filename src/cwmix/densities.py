@@ -38,9 +38,9 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix,
     or of every matrix in a (G, k, k) stack.
 
-    Raises ValueError if any matrix is not symmetric or one of its pivots falls
-    below 1e-12 x (its largest diagonal entry).  The column loop runs once for
-    the whole stack; a matrix gets the same factor alone or in a stack.
+    Raises ValueError if any matrix is not finite and symmetric, or a pivot
+    falls below 1e-12 x its largest diagonal entry.  The column loop runs
+    once for the whole stack; a matrix gets the same factor alone or stacked.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -49,11 +49,11 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     stack = a.reshape(-1, n, n)
     flat = stack.reshape(-1, n * n)
     scale = np.abs(flat).max(axis=1)
-    if (np.abs(flat - stack.transpose(0, 2, 1).reshape(-1, n * n)).max(axis=1)
-            > 1e-8 * np.maximum(1.0, scale)).any():
+    asym = np.abs(flat - stack.transpose(0, 2, 1).reshape(-1, n * n)).max(axis=1)
+    if not ((scale < np.inf) & (asym <= 1e-8 * np.maximum(1.0, scale))).all():
         raise ValueError("matrix is not symmetric")
     diag_max = flat[:, :: n + 1].max(axis=1)
-    if not ((diag_max > 0.0) & (diag_max < np.inf)).all():
+    if not (diag_max > 0.0).all():
         raise ValueError("matrix is not positive definite (non-positive diagonal)")
     floor = _PIVOT_REL_FLOOR * diag_max
     L = np.zeros_like(stack)
@@ -276,24 +276,20 @@ _LANCZOS_COEF = (
 )
 
 
-def _log_gamma_scalar(x: float) -> float:
+def log_gamma(x: float) -> float:
+    """Natural log of the Gamma function for a finite x > 0; x < 0.5 reflects to 1 - x."""
+    x = float(x)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
         # log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
-        return math.log(math.pi / math.sin(math.pi * x)) - _log_gamma_scalar(1.0 - x)
+        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
     x -= 1.0
     acc = _LANCZOS_COEF[0]
     for k in range(1, len(_LANCZOS_COEF)):
         acc += _LANCZOS_COEF[k] / (x + k)
     t = x + _LANCZOS_G + 0.5
     return 0.5 * _LOG_2PI + (x + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for a finite x > 0."""
-    x = float(x)
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return _log_gamma_scalar(x)
 
 
 def digamma(x: float) -> float:

@@ -76,7 +76,6 @@ import numpy as np
 # mahalanobis_sq is not called here (the weights reuse the E-step's
 # distances); perfbench/tracing.py still looks it up in this module.
 from .densities import (  # noqa: F401
-    GaussianParams,
     _log_det,
     _whitened_sq,
     cholesky_lower,
@@ -93,7 +92,9 @@ from .model import (
     Dataset,
     Distances,
     _gate_logits,
+    _integer,
     _log_component_terms,
+    _seed,
     _Stack,
     _unstack,
 )
@@ -130,10 +131,9 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("G", "max_iter", "n_starts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("G", "max_iter", "n_starts"):
+            _integer(name, getattr(self, name))
+        _seed(self.seed)
         if self.G < 1:
             raise ValueError("G must be at least 1")
         if self.variant not in VARIANTS:
@@ -151,8 +151,6 @@ class FitConfig:
             if (isinstance(dof, bool) or not isinstance(dof, numbers.Real)
                     or not (math.isfinite(dof) and dof > 0)):
                 raise ValueError("dof_mode must be 'estimate' or a finite positive number")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass
@@ -330,33 +328,32 @@ def _solve_dof(old_dofs, q: int, delta: np.ndarray, resp: np.ndarray) -> np.ndar
 
 # ------------------------------------------------------------------- M-step
 
-def _regularize_cov(center: np.ndarray, cov: np.ndarray):
-    """(Gaussian x law, ridged), the law built once; a covariance that does
-    not factor is ridged and tried again."""
-    cov = 0.5 * (cov + cov.T)
+def _regularize_cov(cov: np.ndarray):
+    """((covariance, Cholesky factor), ridged) of one symmetric x covariance:
+    one that does not factor is ridged by 1e-8 x its mean diagonal, once."""
     try:
-        return GaussianParams(center, cov), False
+        return (cov, cholesky_lower(cov)), False
     except ValueError:
         pass
-    ridge = 1e-8 * np.trace(cov) / cov.shape[0]
+    cov = cov + 1e-8 * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
     try:
-        return GaussianParams(center, cov + ridge * np.eye(cov.shape[0])), True
+        return (cov, cholesky_lower(cov)), True
     except ValueError:
         raise _DegenerateStart("singular covariance after regularization") from None
 
 
-def _x_factors(centers: np.ndarray, covs: np.ndarray):
+def _x_factors(covs: np.ndarray):
     """(covariances, Cholesky factors, ridged) of the G-by-d-by-d x
-    covariances, from one stacked factorization.  When any covariance does
-    not factor, each goes through _regularize_cov."""
+    covariances, symmetrized here, from one stacked factorization.  When any
+    covariance does not factor, each goes through _regularize_cov."""
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     try:
         return covs, cholesky_lower(covs), False
     except ValueError:
         pass
-    built = [_regularize_cov(center, cov) for center, cov in zip(centers, covs)]
-    return (np.array([law.cov for law, _ in built]), np.array([law.chol for law, _ in built]),
-            any(ridged for _, ridged in built))
+    factors, ridged = zip(*[_regularize_cov(cov) for cov in covs])
+    covs, chols = zip(*factors)
+    return np.array(covs), np.array(chols), any(ridged)
 
 
 def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,7 +495,7 @@ def _m_step(data, config, resp, old, old_dist, const):
         centered = const.x_t - mu[:, :, None]
         weighted = np.ascontiguousarray(wx)[:, None, :] * centered
         covs = weighted @ centered.transpose(0, 2, 1) / mass[:, None, None]
-        covs, chols, used_ridge = _x_factors(mu, covs)
+        covs, chols, used_ridge = _x_factors(covs)
         log_det = _log_det(chols)
         dist_x = _whitened_sq(chols, centered)
     wy = resp if u.y is None else resp * u.y
@@ -562,8 +559,6 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     A start whose initial partition repeats an earlier start's is not run: the
     fit is deterministic given the partition, so its result would equal the
     earlier one's and, on the tie, lose to it."""
-    if data.n <= config.G:
-        raise ValueError("need more observations than groups")
     # given_labels is deterministic, so extra starts would be identical
     n_starts = 1 if config.init == "given_labels" else config.n_starts
     columns = _kmeans_columns(data) if config.init == "kmeans" else None

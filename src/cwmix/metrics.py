@@ -148,13 +148,18 @@ def free_parameters(variant: str, G: int, d: int) -> int:
     return G * per_component + mixing
 
 
-def bic(fit: FitResult, N: int) -> float:
-    """-2 loglik + k log N (smaller is better)."""
+def _bic(fit: FitResult, N: int, ll_x: float = 0.0, k_x: int = 0) -> float:
+    """-2 (loglik + ll_x) + (k + k_x) log N; ll_x and k_x add an x-marginal to the fit."""
     if not fit.converged:
         warnings.warn("BIC computed from a non-converged fit", RuntimeWarning)
     model = fit.model
-    k = free_parameters(model.variant, model.G, model.d)
-    return float(-2.0 * fit.loglik_trace[-1] + k * math.log(N))
+    k = free_parameters(model.variant, model.G, model.d) + k_x
+    return float(-2.0 * (fit.loglik_trace[-1] + ll_x) + k * math.log(N))
+
+
+def bic(fit: FitResult, N: int) -> float:
+    """-2 loglik + k log N (smaller is better)."""
+    return _bic(fit, N)
 
 
 def bic_joint_nested(fit: FitResult, data: Dataset) -> float:
@@ -164,14 +169,10 @@ def bic_joint_nested(fit: FitResult, data: Dataset) -> float:
     Gaussian x-marginal — the nesting that makes their likelihood comparable
     with joint models; joint fits pass through to plain bic().
     """
-    model = fit.model
-    if model.spec.x_law is not None:
-        return bic(fit, data.n)
-    if not fit.converged:
-        warnings.warn("BIC computed from a non-converged fit", RuntimeWarning)
+    if fit.model.spec.x_law is not None:
+        return _bic(fit, data.n)
     mu = data.x.mean(axis=0)
     centered = data.x - mu
     cov = centered.T @ centered / data.n
     ll_x = float(np.sum(gaussian_logpdf(data.x, GaussianParams(mu, cov))))
-    k = free_parameters(model.variant, model.G, model.d) + data.d + data.d * (data.d + 1) // 2
-    return float(-2.0 * (fit.loglik_trace[-1] + ll_x) + k * math.log(data.n))
+    return _bic(fit, data.n, ll_x, data.d + data.d * (data.d + 1) // 2)

@@ -28,6 +28,7 @@ dof is taken per component.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -248,6 +249,21 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; any integer type but bool passes, numpy's too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _seed(value) -> int:
+    """``value`` as a seed: an integer in [0, 2^64)."""
+    seed = _integer("seed", value)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    return seed
 
 
 # --------------------------------------------------------------- evaluation

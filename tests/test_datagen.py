@@ -29,7 +29,7 @@ from cwmix.datagen import (
     scenario_to_dict,
     write_scenario,
 )
-from cwmix.densities import GaussianParams, StudentParams, cholesky_lower
+from cwmix.densities import GaussianParams, StudentParams, cholesky_lower, solve_spd
 from cwmix.model import Dataset
 
 SIZES = (0, 1, 2, 7, 64, 1001)
@@ -310,6 +310,34 @@ def test_scenario_spec_validation():
             ScenarioSpec((g1,), seed=seed)
     with pytest.raises(ValueError, match="unknown scenario"):
         builtin_scenario("ex7")
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BOX = ((0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("build", [
+    # datagen takes FitConfig's rule: any integer type but bool
+    pytest.param(lambda: builtin_scenario("ex1").with_seed(1.9), id="float-seed"),
+    pytest.param(lambda: builtin_scenario("ex1").with_seed(True), id="bool-seed"),
+    pytest.param(lambda: Xoshiro256(2.5), id="float-generator-seed"),
+    pytest.param(lambda: GroupSpec(2.5, _law(), np.ones(1), 0.0, 1.0), id="float-n"),
+    pytest.param(lambda: NoiseSpec(2.5, _BOX), id="float-count"),
+    # a group's line and noise, and a noise box, are finite
+    pytest.param(lambda: GroupSpec(10, _law(), [_NAN], 0.0, 1.0), id="nan-slope"),
+    pytest.param(lambda: GroupSpec(10, _law(), [1.0], _NAN, 1.0), id="nan-intercept"),
+    pytest.param(lambda: GroupSpec(10, _law(), [1.0], 0.0, _INF), id="inf-noise-sd"),
+    pytest.param(lambda: NoiseSpec(3, ((0, _INF), (0, 1))), id="inf-box-edge"),
+    # a non-finite entry above the diagonal is not replaced by its mirror
+    pytest.param(lambda: cholesky_lower([[1, _NAN], [0, 1]]), id="nan-cholesky"),
+    pytest.param(lambda: cholesky_lower([np.eye(2), [[1, _NAN], [0, 1]]]), id="nan-cholesky-stack"),
+    pytest.param(lambda: solve_spd([[2, _INF], [0.5, 1]], [1, 1]), id="inf-solve"),
+    pytest.param(lambda: solve_spd([np.eye(2), [[2, _INF], [0.5, 1]]], np.ones((2, 2))),
+                 id="inf-solve-stack"),
+])
+def test_invalid_input_raises_when_built(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_crab_perturb_edits_one_cell():

@@ -486,21 +486,22 @@ def test_estimate_dof_interior_start_still_returns_the_lower_edge(monkeypatch):
 # ------------------------------------------------------------ x-law update
 
 def test_regularize_cov_factors_each_covariance_once(monkeypatch):
-    cholesky = densities.cholesky_lower
+    cholesky = em.cholesky_lower
     calls = []
-    monkeypatch.setattr(densities, "cholesky_lower", lambda a: calls.append(a) or cholesky(a))
-    center = np.array([1.0, -2.0])
+    monkeypatch.setattr(em, "cholesky_lower", lambda a: calls.append(a) or cholesky(a))
     cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-    law, ridged = _regularize_cov(center, cov)
-    assert isinstance(law, GaussianParams) and not ridged and len(calls) == 1
-    np.testing.assert_array_equal(law.cov, cov)
+    (out, chol), ridged = _regularize_cov(cov)
+    assert not ridged and len(calls) == 1
+    np.testing.assert_array_equal(out, cov)
+    np.testing.assert_array_equal(chol, cholesky(cov))
     calls.clear()
     # rank one: the first factorization fails, the ridged one succeeds
-    law, ridged = _regularize_cov(center, np.ones((2, 2)))
+    (out, chol), ridged = _regularize_cov(np.ones((2, 2)))
     assert ridged and len(calls) == 2
-    np.testing.assert_array_equal(law.cov, np.ones((2, 2)) + 1e-8 * np.eye(2))
+    np.testing.assert_array_equal(out, np.ones((2, 2)) + 1e-8 * np.eye(2))
+    np.testing.assert_array_equal(chol, cholesky(out))
     with pytest.raises(_DegenerateStart):
-        _regularize_cov(center, np.zeros((2, 2)))
+        _regularize_cov(np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
