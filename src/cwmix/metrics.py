@@ -13,7 +13,7 @@ import numpy as np
 
 from .densities import GaussianParams, gaussian_logpdf
 from .em import FitResult
-from .model import NOISE, VARIANT_SPECS, CwmModel, Dataset, posterior
+from .model import NOISE, VARIANT_SPECS, CwmModel, Dataset, _labels, posterior
 
 
 @dataclass
@@ -49,12 +49,11 @@ class MetricsReport:
 def wilks_lambda(data: Dataset, labels) -> float:
     """det(within scatter) / det(total scatter) on z = (x, y).
 
-    NOISE-labeled rows are excluded; every group needs at least d+2 points.
-    A single group gives exactly 1 (within equals total).
+    ``labels`` are read as ``Dataset`` reads them.  NOISE-labeled rows are
+    excluded; every group needs at least d+2 points.  A single group gives
+    exactly 1 (within equals total), a singular within scatter 0.
     """
-    labels = np.asarray(labels, dtype=int).ravel()
-    if labels.shape[0] != data.n:
-        raise ValueError("labels length mismatch")
+    labels = Dataset(data.x, data.y, labels).labels
     z = np.column_stack([data.x, data.y])
     keep = labels != NOISE
     z, labels = z[keep], labels[keep]
@@ -99,15 +98,13 @@ def misclassification(true_labels, predicted_labels, G: int):
     The confusion matrix is laid out true-by-aligned-predicted, groups 1..G
     first, with a NOISE row/column appended when present in the labels.
     """
-    truth = np.asarray(true_labels, dtype=int).ravel()
-    pred = np.asarray(predicted_labels, dtype=int).ravel()
+    truth, pred = _labels(true_labels), _labels(predicted_labels)
     if truth.shape[0] != pred.shape[0]:
         raise ValueError("label vectors differ in length")
     if G > 8:
         raise ValueError("permutation alignment supports G <= 8")
-    for vec in (truth, pred):
-        if np.any((vec < NOISE) | (vec > G)):
-            raise ValueError(f"labels must lie in 1..{G} or NOISE")
+    if np.any(truth > G) or np.any(pred > G):
+        raise ValueError(f"labels must lie in 1..{G} or NOISE")
     n = truth.shape[0]
     # raw counts with the NOISE slot last
     raw = np.zeros((G + 1, G + 1), dtype=int)

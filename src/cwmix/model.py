@@ -129,25 +129,14 @@ class Component:
 
 
 @dataclass(frozen=True, eq=False)
-class Gating:
-    """Multinomial-logistic gating parameters for one component."""
-
-    w: np.ndarray
-    w0: float
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.w, dtype=float))
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "w0", float(self.w0))
-        if not (np.isfinite(w).all() and math.isfinite(self.w0)):
-            raise ValueError("non-finite gating parameters")
-
-
-@dataclass(frozen=True, eq=False)
 class CwmModel:
+    """A model of one variant.  A gated variant's ``gating`` has one
+    ``LinearMap`` x -> w'x + w0 per component, its multinomial-logit
+    predictor; the first is the baseline and must be zero."""
+
     variant: str
     components: tuple[Component, ...]
-    gating: tuple[Gating, ...] | None = None
+    gating: tuple[LinearMap, ...] | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -171,12 +160,11 @@ class CwmModel:
             if len(gating) != len(comps):
                 raise ValueError("one gating entry per component required")
             first = gating[0]
-            if np.max(np.abs(first.w)) > 1e-12 or abs(first.w0) > 1e-12:
+            if np.max(np.abs(first.slope)) > 1e-12 or abs(first.intercept) > 1e-12:
                 raise ValueError("first component is the gating baseline; "
                                  "its parameters must be zero")
-            for g in gating:
-                if g.w.shape[0] != d:
-                    raise ValueError("gating dimension mismatch")
+            if any(g.slope.shape[0] != d for g in gating):
+                raise ValueError("gating dimension mismatch")
             object.__setattr__(self, "gating", gating)
         elif self.gating is not None:
             raise ValueError(f"{self.variant} takes no gating parameters")
@@ -217,7 +205,7 @@ class CwmModel:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Observations (x, y) with optional integer group labels (NOISE allowed)."""
+    """Observations (x, y) with optional group labels, read by ``_labels``."""
 
     x: np.ndarray
     y: np.ndarray
@@ -235,11 +223,9 @@ class Dataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=int).ravel()
+            labels = _labels(self.labels)
             if labels.shape[0] != y.shape[0]:
                 raise ValueError("labels length mismatch")
-            if np.any(labels < NOISE):
-                raise ValueError("labels must be group indices or NOISE")
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -258,6 +244,20 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _labels(values) -> np.ndarray:
+    """``values`` as an int vector of group labels, each a group index
+    (1, 2, ...) or NOISE; integral floats pass, 1.5 or NaN do not."""
+    labels = np.asarray(values)
+    if labels.ndim != 1 or labels.dtype.kind not in "iuf":
+        raise ValueError("labels must be a vector of integers")
+    if labels.dtype.kind == "f" and not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
+        raise ValueError("labels must be integers")
+    labels = labels.astype(int, copy=False)
+    if np.any(labels < NOISE):
+        raise ValueError("labels must be group indices or NOISE")
+    return labels
+
+
 def _seed(value) -> int:
     """``value`` as a seed: an integer in [0, 2^64)."""
     seed = _integer("seed", value)
@@ -269,16 +269,14 @@ def _seed(value) -> int:
 # --------------------------------------------------------------- evaluation
 
 def _as_batch(model: CwmModel, x, y):
-    """Normalize (x, y) to matching batch arrays; flag scalar input."""
+    """(x, y) as a ``Dataset`` reads them, with a vector x read as one point
+    (and flagged): batch arrays of finite values, at least one row."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
-    xb = x[None, :] if scalar else x
-    if xb.ndim != 2 or xb.shape[1] != model.d:
+    batch = Dataset(x[None, :] if scalar else x, y)
+    if batch.d != model.d:
         raise ValueError(f"x must have {model.d} columns")
-    yb = np.asarray(y, dtype=float).ravel()
-    if yb.shape[0] != xb.shape[0]:
-        raise ValueError("x and y lengths disagree")
-    return xb, yb, scalar
+    return batch.x, batch.y, scalar
 
 
 #: What the E-step reads of each observation at the current parameters, all
@@ -317,7 +315,7 @@ def _stack(model: CwmModel) -> _Stack:
     if spec.y_law != "gaussian":
         zeta = np.array([c.dof for c in conds])
     if spec.gated:
-        rows = [np.append(g.w, g.w0) for g in model.gating[1:]]
+        rows = [np.append(g.slope, g.intercept) for g in model.gating[1:]]
         theta = np.array(rows).reshape(len(rows), model.d + 1)
     return _Stack(model.variant, np.array([c.weight for c in comps]),
                   np.array([c.map.slope for c in conds]), np.array([c.map.intercept for c in conds]),
@@ -339,7 +337,8 @@ def _unstack(stack: _Stack) -> CwmModel:
         comps.append(Component(stack.weight[g], marg, cond))
     gating = None
     if spec.gated:
-        gating = (Gating(np.zeros(d), 0.0),) + tuple(Gating(row[:-1], row[-1]) for row in stack.theta)
+        gating = (LinearMap(np.zeros(d), 0.0),) + tuple(
+            LinearMap(row[:-1], row[-1]) for row in stack.theta)
     return CwmModel(stack.variant, tuple(comps), gating)
 
 
@@ -490,8 +489,8 @@ def check_fmr_reduction(model: CwmModel) -> bool:
                 or np.max(np.abs(stack.scatter - stack.scatter[0])) > 1e-10)
 
 
-def cwm_to_fmrc_gating(model: CwmModel) -> list[Gating]:
-    """Gating parameters reproducing the x-posterior of a common-covariance,
+def cwm_to_fmrc_gating(model: CwmModel) -> list[LinearMap]:
+    """fmrc gates (``LinearMap``s) reproducing the x-posterior of a common-covariance,
     equal-weight Gaussian CWM: w_g = Sigma^-1 (mu_g - mu_1) against baseline 1,
     w_g0 = -(mu_g + mu_1)' Sigma^-1 (mu_g - mu_1) / 2."""
     if model.variant != "gaussian_cwm":
@@ -502,10 +501,10 @@ def cwm_to_fmrc_gating(model: CwmModel) -> list[Gating]:
         raise ValueError("gating extraction requires a common covariance")
     if stack.weight.max() - stack.weight.min() > 1e-12:
         raise ValueError("gating extraction requires equal mixing weights")
-    gating = [Gating(np.zeros(model.d), 0.0)]
+    gating = [LinearMap(np.zeros(model.d), 0.0)]
     for mu in stack.center[1:]:
         w = solve_spd(sigma, mu - mu1)
-        gating.append(Gating(w, -0.5 * float((mu + mu1) @ w)))
+        gating.append(LinearMap(w, -0.5 * float((mu + mu1) @ w)))
     return gating
 
 
@@ -544,7 +543,7 @@ def model_to_dict(model: CwmModel) -> dict:
         "components": components,
     }
     if model.gating is not None:
-        out["gating"] = [{"w": g.w.tolist(), "w0": g.w0} for g in model.gating]
+        out["gating"] = [{"w": g.slope.tolist(), "w0": g.intercept} for g in model.gating]
     return out
 
 
@@ -555,12 +554,12 @@ def model_from_dict(doc: dict) -> CwmModel:
         marg = None if entry["x_marginal"] is None else law_from_dict(entry["x_marginal"])
         yc = entry["y_conditional"]
         cond = Conditional(
-            LinearMap(np.asarray(yc["slope"], dtype=float), float(yc["intercept"])),
+            LinearMap(yc["slope"], yc["intercept"]),
             math.sqrt(float(yc["noise_var"])),
             dof=float(yc["dof"]) if "dof" in yc else None,
         )
         components.append(Component(float(entry["weight"]), marg, cond))
     gating = None
     if "gating" in doc:
-        gating = tuple(Gating(np.asarray(g["w"], dtype=float), float(g["w0"])) for g in doc["gating"])
+        gating = tuple(LinearMap(g["w"], g["w0"]) for g in doc["gating"])
     return CwmModel(doc["variant"], tuple(components), gating)

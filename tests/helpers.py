@@ -3,7 +3,7 @@
 import numpy as np
 
 from cwmix.densities import GaussianParams, StudentParams
-from cwmix.model import Component, Conditional, CwmModel, Dataset, Gating, LinearMap
+from cwmix.model import Component, Conditional, CwmModel, Dataset, LinearMap
 
 
 def random_spd(rng, q, scale=1.0):
@@ -51,8 +51,8 @@ def random_model(rng, variant="gaussian_cwm", G=2, d=1, equal_weights=False):
         comps.append(Component(float(w[g]), c.x_marginal, c.y_conditional))
     gating = None
     if variant == "fmrc":
-        gating = [Gating(np.zeros(d), 0.0)]
-        gating += [Gating(rng.normal(size=d), float(rng.normal())) for _ in range(G - 1)]
+        gating = [LinearMap(np.zeros(d), 0.0)]
+        gating += [LinearMap(rng.normal(size=d), float(rng.normal())) for _ in range(G - 1)]
     return CwmModel(variant, tuple(comps), tuple(gating) if gating else None)
 
 

@@ -178,6 +178,16 @@ def test_bounded_int_rejects_nonpositive():
         Xoshiro256(0).bounded_int(0)
 
 
+@pytest.mark.parametrize("draw, message", [
+    pytest.param(lambda rng: rng.gamma(0.0), "shape must be positive", id="gamma-zero"),
+    pytest.param(lambda rng: rng.gamma(-1.0), "shape must be positive", id="gamma-negative"),
+    pytest.param(lambda rng: rng.chi_square(0.0), "shape must be positive", id="chi-square-zero"),
+])
+def test_draw_arguments_are_checked(draw, message):
+    with pytest.raises(ValueError, match=message):
+        draw(Xoshiro256(0))
+
+
 def test_seed_range():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,23 @@ def test_trigamma_domain_error():
     for x in (0.0, -1.0, -0.5):
         with pytest.raises(ValueError):
             trigamma(x)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: GaussianParams(np.zeros((1, 2)), np.eye(2)), "mean must be a vector",
+                 id="gaussian-matrix-mean"),
+    pytest.param(lambda: StudentParams(np.zeros((2, 1)), np.eye(2), 3.0), "location must be a vector",
+                 id="student-matrix-location"),
+    pytest.param(lambda: GaussianParams([0.0, 0.0], [[1.0]]),
+                 "cov shape (1, 1) does not match mean dimension 2", id="gaussian-cov-shape"),
+    pytest.param(lambda: StudentParams([0.0], np.eye(2), 3.0),
+                 "scale shape (2, 2) does not match location dimension 1", id="student-scale-shape"),
+    pytest.param(lambda: digamma(0.0), "digamma requires x > 0", id="digamma-zero"),
+    pytest.param(lambda: digamma(-2.0), "digamma requires x > 0", id="digamma-negative"),
+])
+def test_invalid_law_or_argument_is_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 # ----------------------------------------------------------------- utilities

@@ -37,7 +37,7 @@ from cwmix.model import (
     Conditional,
     CwmModel,
     Dataset,
-    Gating,
+    LinearMap,
     _component_distances,
     _gate_logits,
     _stack,
@@ -676,6 +676,30 @@ def test_fit_exact_line_is_degenerate(variant):
         fit(Dataset(x, 2.0 * x + 1.0), FitConfig(G=1, variant=variant, n_starts=1))
 
 
+def _near_constant_x2():
+    # x2 varies by 1e-8 about 1e-3: the x covariance does not factor without
+    # a ridge at any M-step, while the design [x, 1] still does
+    r = np.random.default_rng(0)
+    x1 = r.normal(size=40)
+    x = np.column_stack([x1, 1e-3 + 1e-8 * r.normal(size=40)])
+    return Dataset(x, 3.0 * x1 + r.normal(size=40))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # ten groups from eleven uniform labels come up in ~0.2 % of draws
+    pytest.param(lambda: initialize(Dataset(np.arange(11.0), np.arange(11.0)),
+                                    FitConfig(G=10, init="random_partition"), np.random.default_rng(0)),
+                 ValueError, "random partition left a cluster empty in every attempt",
+                 id="random-partition-exhausted"),
+    pytest.param(lambda: fit(_near_constant_x2(), FitConfig(G=2)),
+                 DegenerateFitError, "covariance required repeated regularization",
+                 id="repeated-regularization"),
+])
+def test_degenerate_start_is_reported(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 #: One k-means start (seed 1), at most 100 ECME iterations on builtin designs
 #: drawn with seed 1: final loglik, iteration count, and (x dof, y dof) per
 #: component.  Recorded with the ECME dof step and the digamma that recurs
@@ -975,7 +999,7 @@ def gating_problem(seed, n=300, d=2, G=3):
 
 
 def gating_theta(gating):
-    return np.array([np.append(g.w, g.w0) for g in gating[1:]])
+    return np.array([np.append(g.slope, g.intercept) for g in gating[1:]])
 
 
 def gating_step(x, resp, theta):
@@ -999,8 +1023,8 @@ def test_fit_gating_step_never_decreases_objective(seed):
     x, resp = gating_problem(seed)
     r = np.random.default_rng(100 + seed)
     for spread in (0.1, 1.0, 10.0):
-        warm = [Gating(np.zeros(2), 0.0)] + [
-            Gating(r.normal(size=2, scale=spread), float(r.normal(scale=spread))) for _ in range(2)
+        warm = [LinearMap(np.zeros(2), 0.0)] + [
+            LinearMap(r.normal(size=2, scale=spread), float(r.normal(scale=spread))) for _ in range(2)
         ]
         before, _ = gating_objective_and_grad(x, resp, gating_theta(warm))
         after, _ = gating_objective_and_grad(x, resp, gating_step(x, resp, gating_theta(warm)))
@@ -1034,7 +1058,7 @@ def test_fit_gating_repeated_steps_reach_full_m_step_optimum(seed):
 def test_fit_gating_reuses_the_e_step_log_gate(monkeypatch, seed):
     x, resp = gating_problem(seed)
     r = np.random.default_rng(200 + seed)
-    warm = [Gating(np.zeros(2), 0.0)] + [Gating(r.normal(size=2), float(r.normal())) for _ in range(2)]
+    warm = [LinearMap(np.zeros(2), 0.0)] + [LinearMap(r.normal(size=2), float(r.normal())) for _ in range(2)]
     theta = gating_theta(warm)
     logits = _gate_logits(x, theta)
     log_gate = logits - densities.log_sum_exp(logits, axis=0)

@@ -7,6 +7,7 @@ plus the published three-group-plus-noise confusion table.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,15 @@ def test_wilks_rejects_singular_total_scatter():
     data = Dataset(x, 2.0 * x[:, 0])  # z lies on one line
     with pytest.raises(ValueError):
         wilks_lambda(data, np.array([1] * 6 + [2] * 6))
+
+
+def test_wilks_is_zero_for_groups_on_parallel_lines():
+    # each group lies exactly on y = 2x + c_g, so the within-group scatter
+    # is singular while the total scatter is not
+    x = np.tile(np.arange(5.0), 2)
+    labels = np.repeat([1, 2], 5)
+    y = 2.0 * x + np.where(labels == 1, 0.0, 10.0)
+    assert wilks_lambda(Dataset(x, y), labels) == 0.0
 
 
 # --------------------------------------------------------------------- iwf
@@ -283,6 +293,40 @@ def test_misclassification_errors():
         misclassification(np.ones(3, dtype=int), np.ones(3, dtype=int), 9)
     with pytest.raises(ValueError):
         misclassification(np.array([1, 2, 5]), np.array([1, 2, 2]), 2)
+
+
+_twelve = Dataset(np.random.default_rng(4).normal(size=(12, 1)), np.random.default_rng(5).normal(size=12))
+_noise_only = Dataset(np.zeros((3, 1)), np.zeros(3), [NOISE] * 3)
+_one_line = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0, 1.0),))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: MetricsReport(0.5, 1.0, 1.5, 0.0, np.eye(2, dtype=int), {1: 1, 2: 2}),
+                 "misclassification_rate must lie in [0, 1]", id="report-rate-above-one"),
+    pytest.param(lambda: MetricsReport(0.5, 1.0, -0.25, 0.0, np.eye(2, dtype=int), {1: 1, 2: 2}),
+                 "misclassification_rate must lie in [0, 1]", id="report-rate-negative"),
+    pytest.param(lambda: wilks_lambda(_twelve, [NOISE] * 12), "no grouped observations",
+                 id="wilks-all-noise"),
+    pytest.param(lambda: wilks_lambda(_twelve, [1] * 11), "labels length mismatch", id="wilks-length"),
+    # -1 is no group and not NOISE; it used to be counted as a third group
+    pytest.param(lambda: wilks_lambda(_twelve, [1] * 4 + [2] * 4 + [-1] * 4), "group indices or NOISE",
+                 id="wilks-negative-label"),
+    pytest.param(lambda: wilks_lambda(_twelve, [1.5] * 6 + [2.0] * 6), "labels must be integers",
+                 id="wilks-fractional-label"),
+    # truncating would read 0.4 as NOISE and score 1.5 and 2.2 as right
+    pytest.param(lambda: misclassification([1.5, 2.2, 0.4, 1.0], [1, 2, 1, 1], 2), "labels must be integers",
+                 id="misclassification-fractional-truth"),
+    pytest.param(lambda: misclassification([1, 2, 1], [1.0, np.nan, 2.0], 2), "labels must be integers",
+                 id="misclassification-nan-prediction"),
+    pytest.param(lambda: misclassification([1, 2, -1], [1, 2, 1], 2), "group indices or NOISE",
+                 id="misclassification-negative-label"),
+    # with the NOISE rows left out nothing is left to score
+    pytest.param(lambda: iwf(_noise_only, _one_line, include_noise=False), "one y per row",
+                 id="iwf-nothing-but-noise"),
+])
+def test_invalid_metric_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 # --------------------------------------------------------------------- bic

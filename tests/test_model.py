@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from cwmix.model import (
     Conditional,
     CwmModel,
     Dataset,
-    Gating,
     LinearMap,
     _log_component_terms,
     _stack,
@@ -139,7 +139,7 @@ def component_log_terms(model, x, y):
     E-step."""
     spec = model.spec
     if spec.gated:
-        logits = np.column_stack([x @ g.w + g.w0 for g in model.gating])
+        logits = np.column_stack([x @ g.slope + g.intercept for g in model.gating])
         top = logits.max(axis=1, keepdims=True)
         log_weight = logits - top - np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
     else:
@@ -461,9 +461,9 @@ def test_cwm_to_fmrc_gating_symmetric_means():
         Component(0.5, GaussianParams(mu2, sigma), Conditional(LinearMap(np.array([2.0]), 0.0), 1.0)),
     )
     gating = cwm_to_fmrc_gating(CwmModel("gaussian_cwm", comps))
-    assert gating[0].w == pytest.approx([0.0]) and gating[0].w0 == 0.0
-    assert gating[1].w == pytest.approx(2 * mu2, abs=1e-12)
-    assert gating[1].w0 == pytest.approx(0.0, abs=1e-12)
+    assert gating[0].slope == pytest.approx([0.0]) and gating[0].intercept == 0.0
+    assert gating[1].slope == pytest.approx(2 * mu2, abs=1e-12)
+    assert gating[1].intercept == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cwm_to_fmrc_gating_identical_marginals():
@@ -473,8 +473,8 @@ def test_cwm_to_fmrc_gating_identical_marginals():
     )
     gating = cwm_to_fmrc_gating(CwmModel("gaussian_cwm", comps))
     for g in gating:
-        assert g.w == pytest.approx([0.0], abs=1e-14)
-        assert g.w0 == pytest.approx(0.0, abs=1e-14)
+        assert g.slope == pytest.approx([0.0], abs=1e-14)
+        assert g.intercept == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cwm_to_fmrc_gating_reproduces_marginal_posterior():
@@ -493,7 +493,7 @@ def test_cwm_to_fmrc_gating_reproduces_marginal_posterior():
     gating = cwm_to_fmrc_gating(m)
     for _ in range(100):
         x = r.normal(size=2, scale=4)
-        logits = np.array([g.w @ x + g.w0 for g in gating])
+        logits = np.array([g.slope @ x + g.intercept for g in gating])
         gate_probs = np.exp(logits - logits.max())
         gate_probs /= gate_probs.sum()
         # posterior of the group given x alone
@@ -623,8 +623,6 @@ _marg = ("components", 1, "x_marginal")
     pytest.param(lambda: Conditional(_line, np.inf), id="conditional-inf-scale"),
     pytest.param(lambda: Conditional(_line, 1.0, dof=np.nan), id="conditional-nan-dof"),
     pytest.param(lambda: Conditional(_line, 1.0, dof=np.inf), id="conditional-inf-dof"),
-    pytest.param(lambda: Gating([np.nan], 0.0), id="gating-nan-w"),
-    pytest.param(lambda: Gating([0.0], np.inf), id="gating-inf-w0"),
     pytest.param(lambda: _edited_model("t_cwm", _marg, mean=[np.nan]), id="dict-nan-mean"),
     pytest.param(lambda: _edited_model("t_cwm", _marg, dof=np.inf), id="dict-inf-dof"),
     pytest.param(lambda: _edited_model("fmr", ("components", 0, "y_conditional"), noise_var=np.inf),
@@ -636,6 +634,80 @@ def test_non_finite_parameters_are_rejected_when_built(build):
     # when scored
     with pytest.raises(ValueError):
         build()
+
+
+_cond = Conditional(_line, 1.0)
+_zero_gate = LinearMap([0.0], 0.0)
+_pair = (Component(0.5, None, _cond), Component(0.5, None, _cond))
+_unit = GaussianParams([0.0], [[1.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Component(0.0, None, _cond), "weight must lie in (0, 1]", id="component-weight"),
+    pytest.param(lambda: CwmModel("fmr", ()), "at least one component", id="no-components"),
+    pytest.param(lambda: CwmModel("fmr", (Component(0.5, None, _cond), Component(
+                     0.5, None, Conditional(LinearMap([1.0, 2.0], 0.0), 1.0)))),
+                 "disagree on x dimension", id="x-dimensions"),
+    pytest.param(lambda: CwmModel("fmrc", _pair, (_zero_gate,)), "one gating entry per component",
+                 id="gating-count"),
+    pytest.param(lambda: CwmModel("fmrc", _pair, (LinearMap([1.0], 0.0), _zero_gate)),
+                 "gating baseline", id="gating-baseline"),
+    pytest.param(lambda: CwmModel("fmrc", _pair, (_zero_gate, LinearMap([1.0, 2.0], 0.0))),
+                 "gating dimension mismatch", id="gating-dimension"),
+    # a (1, 1) gate slope used to pass the dimension check and be flattened
+    pytest.param(lambda: _edited_model("fmrc", ("gating", 1), w=[[0.5]]), "slope must be a vector",
+                 id="gating-matrix"),
+    pytest.param(lambda: CwmModel("fmr", _pair, (_zero_gate, _zero_gate)), "takes no gating",
+                 id="gating-not-gated"),
+    pytest.param(lambda: CwmModel("fmr", (Component(1.0, _unit, _cond),)), "carry no x-marginal",
+                 id="marginal-not-allowed"),
+    pytest.param(lambda: CwmModel("gaussian_cwm", (Component(1.0, None, _cond),)), "require an x-marginal",
+                 id="marginal-required"),
+    pytest.param(lambda: CwmModel("gaussian_cwm",
+                                  (Component(1.0, GaussianParams([0.0, 0.0], np.eye(2)), _cond),)),
+                 "x-marginal dimension mismatch", id="marginal-dimension"),
+    pytest.param(lambda: CwmModel("t_cwm", (Component(1.0, _unit, Conditional(_line, 1.0, dof=5.0)),)),
+                 "requires a t x-marginal", id="marginal-law"),
+    pytest.param(lambda: CwmModel("t_cwm", (Component(1.0, StudentParams([0.0], [[1.0]], 5.0), _cond),)),
+                 "requires a t conditional", id="conditional-kind"),
+    pytest.param(lambda: Dataset(np.ones((3, 1)), np.ones(3), [1, 2]), "labels length mismatch",
+                 id="labels-length"),
+    pytest.param(lambda: Dataset(np.ones((3, 1)), np.ones(3), [1, -1, 2]), "group indices or NOISE",
+                 id="labels-negative"),
+    # truncating would read 0.2 as NOISE
+    pytest.param(lambda: Dataset(np.ones((3, 1)), np.ones(3), [1.5, 2.7, 0.2]), "labels must be integers",
+                 id="labels-fractional"),
+    pytest.param(lambda: Dataset(np.ones((3, 1)), np.ones(3), [1.0, np.nan, 2.0]), "labels must be integers",
+                 id="labels-nan"),
+    pytest.param(lambda: Dataset(np.ones((3, 1)), np.ones(3), [[1], [2], [1]]), "labels must be a vector",
+                 id="labels-column"),
+    pytest.param(lambda: cwm_to_fmrc_gating(random_model(np.random.default_rng(0), "fmr", 2, 1)),
+                 "applies to gaussian_cwm", id="gating-extraction-variant"),
+])
+def test_invalid_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_integral_labels_pass_as_ints():
+    for given in ([1, NOISE, 2], np.array([1, NOISE, 2], dtype=np.uint8), [1.0, 0.0, 2.0]):
+        labels = Dataset(np.ones((3, 1)), np.ones(3), given).labels
+        assert labels.dtype == int and labels.tolist() == [1, NOISE, 2]
+
+
+@pytest.mark.parametrize("x, y, message", [
+    pytest.param([[np.nan]], [0.0], "non-finite values", id="nan-x"),
+    pytest.param([[1.0]], [np.inf], "non-finite values", id="inf-y"),
+    pytest.param([np.nan], 0.0, "non-finite values", id="nan-x-single"),
+    pytest.param([1.0], -np.inf, "non-finite values", id="inf-y-single"),
+    pytest.param(np.empty((0, 1)), [], "one y per row", id="empty"),
+    pytest.param([1.0, 2.0], 0.0, "x must have 1 columns", id="single-point-columns"),
+    pytest.param(np.ones((2, 1)), [0.0], "one y per row", id="lengths"),
+])
+@pytest.mark.parametrize("score", [joint_logpdf, posterior])
+def test_scoring_reads_input_as_dataset_does(score, x, y, message):
+    with pytest.raises(ValueError, match=message):
+        score(example1_model(), x, y)
 
 
 @pytest.mark.parametrize("G, n", [(1, 4), (3, 3)])
