@@ -21,10 +21,10 @@ same values as the one-at-a-time calls: every word, bulk or not, is the
 next one of a single xoshiro256++ stream.  The affine maps are written out
 elementwise: x = center + sum_j z_j * L[:, j] and y = sum_j x_j * slope_j +
 intercept + eps, each sum taken left to right, so no BLAS kernel (which may
-fuse a multiply and an add) touches a drawn value.  What is left of platform
-dependence is libm's ``log``, ``sin`` and ``cos``, taken from ``math``, and,
-for d >= 3 only, the factor L: ``cholesky_lower`` sums its inner products
-through matmul.
+fuse a multiply and an add) touches a drawn value; ``cholesky_lower`` sums
+the factor L's inner products left to right as well.  What is left of
+platform dependence is libm's ``log``, ``sin`` and ``cos``, taken from
+``math``.
 
 A scenario is a list of groups, each drawing x from a Gaussian or Student-t
 law and y from the line slope'x + intercept plus Gaussian noise, optionally

@@ -10,9 +10,15 @@ Covariance-like matrices are handled through a lower-triangular Cholesky
 factorization only; no explicit inverse is ever formed.  A factorization
 whose pivot falls below 1e-12 times the largest diagonal entry is rejected
 as non-positive-definite.  ``cholesky_lower``, ``solve_lower`` and
-``solve_spd`` take one k-by-k matrix or a (G, k, k) stack: the column loop
-runs once for the whole stack, every matrix gets the same checks, and a
-matrix gets the same bits alone or stacked.
+``solve_spd`` take one k-by-k matrix or a (G, k, k) stack; every matrix gets
+the same checks, and a matrix gets the same bits alone or stacked.
+``cholesky_lower`` and ``solve_spd`` factor and solve each matrix on its own
+as Python floats: their matrices are parameter-sized (an x covariance, the
+normal equations of a regression, the fmrc gating Hessian), where numpy's
+per-call overhead would cost more than the arithmetic.  Every inner product
+is summed left to right with one rounding per product and per addition, so
+neither result depends on the BLAS kernel.  ``solve_lower`` whitens N points
+per factor, so it stays one numpy row loop for the whole stack.
 
 A Gaussian and a Student-t law share one body: a finite center, a scatter
 matrix, its Cholesky factor and log-determinant, read as ``center``,
@@ -34,61 +40,77 @@ _PIVOT_REL_FLOOR = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _factor(a: list) -> list:
+    """Lower-triangular Cholesky factor, as rows of floats, of one square
+    matrix given as rows of floats, with cholesky_lower's checks."""
+    n = len(a)
+    flat = [v for row in a for v in row]
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("matrix is not symmetric")
+    tol = 1e-8 * max(1.0, max(map(abs, flat)))
+    for i in range(1, n):
+        for j in range(i):
+            if abs(a[i][j] - a[j][i]) > tol:
+                raise ValueError("matrix is not symmetric")
+    diag_max = max(a[j][j] for j in range(n))
+    if not diag_max > 0.0:
+        raise ValueError("matrix is not positive definite (non-positive diagonal)")
+    floor = _PIVOT_REL_FLOOR * diag_max
+    L = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        row = L[j]
+        acc = 0.0
+        for t in range(j):
+            acc += row[t] * row[t]
+        pivot = a[j][j] - acc
+        # NaN fails this too; so does a zero pivot under a floor that
+        # underflowed to 0 (a subnormal diagonal), which would divide by 0
+        if not (pivot >= floor and pivot > 0.0):
+            raise ValueError(
+                f"matrix is not positive definite (pivot {pivot:.3g} below {floor:.3g})"
+            )
+        root = math.sqrt(pivot)
+        row[j] = root
+        for i in range(j + 1, n):
+            below = L[i]
+            acc = 0.0
+            for t in range(j):
+                acc += below[t] * row[t]
+            below[j] = (a[i][j] - acc) / root
+    return L
+
+
+def _factors(a) -> tuple[tuple, list]:
+    """a's shape and the factor of each of its matrices, as rows of floats."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
+    return a.shape, [_factor(m) for m in a.reshape(-1, n, n).tolist()]
+
+
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix,
     or of every matrix in a (G, k, k) stack.
 
     Raises ValueError if any matrix is not finite and symmetric, or a pivot
-    falls below 1e-12 x its largest diagonal entry.  The column loop runs
-    once for the whole stack; a matrix gets the same factor alone or stacked.
+    falls below 1e-12 x its largest diagonal entry.  Each matrix is factored
+    on its own as Python floats, every inner product summed left to right,
+    so a matrix gets the same factor alone or stacked, under any BLAS kernel.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    n = a.shape[-1]
-    stack = a.reshape(-1, n, n)
-    flat = stack.reshape(-1, n * n)
-    scale = np.abs(flat).max(axis=1)
-    asym = np.abs(flat - stack.transpose(0, 2, 1).reshape(-1, n * n)).max(axis=1)
-    if not ((scale < np.inf) & (asym <= 1e-8 * np.maximum(1.0, scale))).all():
-        raise ValueError("matrix is not symmetric")
-    diag_max = flat[:, :: n + 1].max(axis=1)
-    if not (diag_max > 0.0).all():
-        raise ValueError("matrix is not positive definite (non-positive diagonal)")
-    floor = _PIVOT_REL_FLOOR * diag_max
-    L = np.zeros_like(stack)
-    for j in range(n):
-        pivot = stack[:, j, j]
-        col = stack[:, j + 1 :, j]
-        if j:  # column 0 has nothing to subtract
-            row = L[:, j : j + 1, :j]
-            pivot = pivot - (row @ row.transpose(0, 2, 1))[:, 0, 0]
-            col = col - (L[:, j + 1 :, :j] @ row.transpose(0, 2, 1))[..., 0]
-        # NaN fails this too; a pivot cannot exceed the finite diagonal
-        if not (pivot >= floor).all():
-            g = int(np.argmin(pivot >= floor))
-            raise ValueError(
-                f"matrix is not positive definite (pivot {pivot[g]:.3g} below {floor[g]:.3g})"
-            )
-        L[:, j, j] = np.sqrt(pivot)
-        L[:, j + 1 :, j] = col / L[:, j, j, None]
-    return L.reshape(a.shape)
-
-
-def _stacked_system(L, b):
-    """(G, k, k) factors and (G, k, m) right-hand sides from one factor with b
-    of shape (k,) or (k, m), or from a stack with b of shape (G, k) or
-    (G, k, m); also b's shape, which the solution takes."""
-    L = np.asarray(L, dtype=float)
-    b = np.asarray(b, dtype=float)
-    stack = L.reshape((-1,) + L.shape[-2:])
-    return stack, b.reshape(stack.shape[:2] + (-1,)), b.shape
+    shape, factors = _factors(a)
+    return np.array(factors, dtype=float).reshape(shape)
 
 
 def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L w = b by forward substitution, for one lower-triangular L or a
-    (G, k, k) stack of them; b is a vector or a matrix per factor."""
-    L, b, shape = _stacked_system(L, b)
+    (G, k, k) stack of them; b is a vector or a matrix per factor, of shape
+    (k,) or (k, m) for one factor and (G, k) or (G, k, m) for a stack."""
+    L = np.asarray(L, dtype=float)
+    L = L.reshape((-1,) + L.shape[-2:])
+    b = np.asarray(b, dtype=float)
+    shape = b.shape
+    b = b.reshape(L.shape[:2] + (-1,))
     w = np.zeros_like(b)
     for i in range(L.shape[-1]):
         rhs = b[:, i]
@@ -98,20 +120,39 @@ def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w.reshape(shape)
 
 
+def _substitute(L: list, b: list) -> list:
+    """Solve L L' w = b, for one factor L and right-hand-side rows b, all as
+    rows of floats, overwriting b with w: forward, then back substitution,
+    each inner product summed left to right."""
+    n = len(L)
+    w = b
+    for i in range(n):
+        row, out = L[i], w[i]
+        for c in range(len(out)):
+            acc = 0.0
+            for t in range(i):
+                acc += row[t] * w[t][c]
+            out[c] = (out[c] - acc) / row[i]
+    for i in range(n - 1, -1, -1):
+        out = w[i]
+        for c in range(len(out)):
+            acc = 0.0
+            for t in range(i + 1, n):
+                acc += L[t][i] * w[t][c]
+            out[c] = (out[c] - acc) / L[i][i]
+    return w
+
+
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a w = b for symmetric positive-definite a, or for each matrix of a
-    (G, k, k) stack, via its Cholesky factor; b as for solve_lower."""
-    L, w, shape = _stacked_system(cholesky_lower(a), b)
-    w = solve_lower(L, w)
-    # back substitution with L^T
-    n = L.shape[-1]
-    out = np.zeros_like(w)
-    for i in range(n - 1, -1, -1):
-        rhs = w[:, i]
-        if i + 1 < n:
-            rhs = rhs - (L[:, None, i + 1 :, i] @ out[:, i + 1 :])[:, 0]
-        out[:, i] = rhs / L[:, i, i, None]
-    return out.reshape(shape)
+    (G, k, k) stack, via its Cholesky factor; b as for solve_lower.  Each
+    system is factored and solved on its own as Python floats, with
+    cholesky_lower's checks and arithmetic."""
+    shape, factors = _factors(a)
+    b = np.asarray(b, dtype=float)
+    rhs = b.reshape((len(factors), shape[-1], -1)).tolist()
+    w = [_substitute(L, r) for L, r in zip(factors, rhs)]
+    return np.array(w, dtype=float).reshape(b.shape)
 
 
 class _EllipticalLaw:

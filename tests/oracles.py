@@ -3,7 +3,8 @@
 Everything here is computed by a different route than the library under test:
 direct formulas in mpmath extended precision, scipy special functions,
 brute-force enumeration, or an earlier algorithm that the current one must
-match bit for bit.  Nothing imports from cwmix.
+match, bit for bit or within a bound fixed beforehand.  Nothing imports from
+cwmix.
 """
 
 import math
@@ -94,6 +95,69 @@ def logsumexp(vals):
 def posterior_from_terms(terms):
     tot = logsumexp(terms)
     return [float(mp.e ** (mp.mpf(t) - tot)) for t in terms]
+
+
+# --- stacked column-loop factorization ---------------------------------------
+
+def cholesky_columns(a):
+    """Lower Cholesky factor of one matrix or of each of a (G, k, k) stack,
+    as cwmix computed it with one numpy column loop for the whole stack: each
+    column's inner products by matmul, the same checks and messages."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    flat = stack.reshape(-1, n * n)
+    scale = np.abs(flat).max(axis=1)
+    asym = np.abs(flat - stack.transpose(0, 2, 1).reshape(-1, n * n)).max(axis=1)
+    if not ((scale < np.inf) & (asym <= 1e-8 * np.maximum(1.0, scale))).all():
+        raise ValueError("matrix is not symmetric")
+    diag_max = flat[:, :: n + 1].max(axis=1)
+    if not (diag_max > 0.0).all():
+        raise ValueError("matrix is not positive definite (non-positive diagonal)")
+    floor = 1e-12 * diag_max
+    L = np.zeros_like(stack)
+    for j in range(n):
+        pivot = stack[:, j, j]
+        col = stack[:, j + 1 :, j]
+        if j:
+            row = L[:, j : j + 1, :j]
+            pivot = pivot - (row @ row.transpose(0, 2, 1))[:, 0, 0]
+            col = col - (L[:, j + 1 :, :j] @ row.transpose(0, 2, 1))[..., 0]
+        if not (pivot >= floor).all():
+            g = int(np.argmin(pivot >= floor))
+            raise ValueError(
+                f"matrix is not positive definite (pivot {pivot[g]:.3g} below {floor[g]:.3g})"
+            )
+        L[:, j, j] = np.sqrt(pivot)
+        L[:, j + 1 :, j] = col / L[:, j, j, None]
+    return L.reshape(a.shape)
+
+
+def solve_spd_columns(a, b):
+    """Solve a w = b through cholesky_columns: forward then back substitution,
+    one numpy row loop for the whole stack, each row's inner products by
+    matmul; b is (k,) or (k, m) per matrix, stacked like a."""
+    L = cholesky_columns(a)
+    L = L.reshape((-1,) + L.shape[-2:])
+    b = np.asarray(b, dtype=float)
+    shape = b.shape
+    w = b.reshape(L.shape[:2] + (-1,))
+    n = L.shape[-1]
+    fwd = np.zeros_like(w)
+    for i in range(n):
+        rhs = w[:, i]
+        if i:
+            rhs = rhs - (L[:, i : i + 1, :i] @ fwd[:, :i])[:, 0]
+        fwd[:, i] = rhs / L[:, i, i, None]
+    out = np.zeros_like(fwd)
+    for i in range(n - 1, -1, -1):
+        rhs = fwd[:, i]
+        if i + 1 < n:
+            rhs = rhs - (L[:, None, i + 1 :, i] @ out[:, i + 1 :])[:, 0]
+        out[:, i] = rhs / L[:, i, i, None]
+    return out.reshape(shape)
 
 
 # --- eager dof solve ---------------------------------------------------------

@@ -221,14 +221,28 @@ def test_generate_student_matches_scalar_oracle(d, dof):
         assert np.array_equal(data.labels, labels)
 
 
+def _full_d3_spec():
+    """A d = 3 Gaussian group and a d = 3 t group whose covariances have no
+    zero entry, so every draw reads inner products of their factors."""
+    cov = np.array([[4.0, 0.9, -0.7], [0.9, 3.0, 0.9], [-0.7, 0.9, 2.5]])
+    groups = (
+        GroupSpec(60, GaussianParams([0.0, 1.0, -1.0], cov), [1.0, -0.5, 2.0], 0.5, 1.0),
+        GroupSpec(40, StudentParams([3.0, -2.0, 0.5], 0.7 * cov[::-1, ::-1], 4.0),
+                  [-1.5, 0.3, 0.8], -1.0, 2.0),
+    )
+    return ScenarioSpec(groups)
+
+
 @pytest.mark.parametrize("name, digest", [
     ("ex4_s2", "89fa9347a409951eddb1e4990f93a581fb823598d48bc5aad35f4f1382d21114"),
     ("ex6_s2", "cba7ebe44b137753d792e1157f7ecd7aecf01a98da5aac82985c3312229ee6b6"),
+    ("full_d3", "20db327c87231aa360bddc006d4a0538040a14793ade7af4c42a10dd9e265586"),
 ])
 def test_generate_digest(name, digest):
-    """Fixed bytes for a fixed seed; the d = 2 design holds under every BLAS
-    kernel only while no BLAS call reaches a drawn value."""
-    assert _digest(generate(builtin_scenario(name).with_seed(1))) == digest
+    """Fixed bytes for a fixed seed, under every BLAS kernel: no BLAS call
+    reaches a drawn value, and the d = 3 factors sum left to right."""
+    spec = _full_d3_spec() if name == "full_d3" else builtin_scenario(name)
+    assert _digest(generate(spec.with_seed(1))) == digest
 
 
 def test_generate_layout():

@@ -1,9 +1,10 @@
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -80,7 +81,7 @@ def test_cholesky_pivot_threshold():
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_stacked_kernels_match_each_matrix(k):
-    # one column loop for the stack gives every matrix its own bits
+    # a matrix gets the same bits alone or stacked
     stack = np.array([random_spd(k, scale) for scale in (1e-3, 1.0, 1e4)])
     vec = rng.normal(size=(3, k))
     mat = rng.normal(size=(3, k, 5))
@@ -101,6 +102,8 @@ def test_stacked_kernels_match_each_matrix(k):
     np.array([[1.0, 1.0], [1.0, 1.0]]),    # last pivot under the 1e-12 floor
     np.array([[1.0, 0.0], [0.0, 1e-14]]),  # ditto, diagonal
     np.array([[1.0, 0.0], [0.0, np.nan]]),
+    # a subnormal diagonal: the floor underflows to 0, and a pivot of 0 fails
+    np.array([[1e-320, 0.0], [0.0, 0.0]]),
 ])
 @pytest.mark.parametrize("position", (0, 1, 2))
 def test_stack_rejected_when_any_member_fails(bad, position):
@@ -126,6 +129,105 @@ def test_cholesky_rejects_bad_shapes():
     for shape in ((3,), (2, 3), (2, 2, 3), (1, 2, 2, 2)):
         with pytest.raises(ValueError):
             cholesky_lower(np.ones(shape))
+
+
+# ------------------------------------------------- the column-loop oracle
+
+def _away_from_zero(r, shape):
+    return r.uniform(0.5, 1.0, shape) * r.choice([-1.0, 1.0], shape)
+
+
+def _bounded_factor_stack(r, G, k):
+    """G symmetric positive-definite matrices D L0 L0' D: L0 lower triangular
+    with diagonal in [1, 2] and off-diagonal magnitudes in [0.5, 1], D a
+    diagonal of 10^[-1, 1] times a per-matrix 10^[-1.5, 1.5].  No entry of a
+    factor sits near 0, so a componentwise relative bound is meaningful."""
+    diagonal = np.eye(k) * r.uniform(1.0, 2.0, (G, 1, k))
+    L0 = np.tril(_away_from_zero(r, (G, k, k)), -1) + diagonal
+    L0 = L0 * 10.0 ** (r.uniform(-1.0, 1.0, (G, k, 1)) + r.uniform(-1.5, 1.5, (G, 1, 1)))
+    a = L0 @ L0.transpose(0, 2, 1)
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.sampled_from([None, 1, 3]),
+       st.integers(0, 2**32 - 1))
+def test_kernels_match_column_loop_oracle(G, k, m, seed):
+    # a k <= 2 matrix has one-term inner products, so summing them left to
+    # right changes no bit; from k = 3 on a BLAS kernel may fuse a multiply
+    # and an add, so the oracle agrees to rounding (bound fixed beforehand)
+    r = np.random.default_rng(seed)
+    a = _bounded_factor_stack(r, G, k)
+    assume(np.linalg.cond(a).max() < 1e4)
+    w = _away_from_zero(r, (G, k) if m is None else (G, k, m))
+    b = np.einsum("gij,gj...->gi...", a, w)
+    pairs = [(cholesky_lower(a), oracles.cholesky_columns(a)),
+             (solve_spd(a, b), oracles.solve_spd_columns(a, b))]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        if k <= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _rejection(solve, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        solve(*args)
+    return str(info.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 4),
+       st.sampled_from(["nan", "inf", "asymmetric", "indefinite", "singular", "negative-diagonal"]),
+       st.integers(0, 2**32 - 1))
+def test_bad_member_rejected_like_column_loop_oracle(G, k, position, kind, seed):
+    assume(k > 1 or kind != "asymmetric")
+    r = np.random.default_rng(seed)
+    a = _bounded_factor_stack(r, G, k)
+    g = position % G
+    i = r.integers(0, k)
+    if kind in ("nan", "inf"):
+        a[g, i, r.integers(0, k)] = np.nan if kind == "nan" else r.choice([-1.0, 1.0]) * np.inf
+    elif kind == "asymmetric":  # one entry below the diagonal, far past the 1e-8 tolerance
+        col = r.integers(0, k - 1)
+        shift = max(1.0, np.abs(a[g]).max()) * 10.0 ** r.uniform(-6.0, 0.0)
+        a[g, r.integers(col + 1, k), col] += shift
+    elif kind == "negative-diagonal":
+        a[g, i, i] = -a[g, i, i]
+    elif kind == "singular":  # a zero row and column: that pivot is exactly 0
+        a[g, i, :] = a[g, :, i] = 0.0
+    else:  # one eigenvalue clearly below 0, so one pivot is
+        q, _ = np.linalg.qr(r.normal(size=(k, k)))
+        ev = 10.0 ** r.uniform(-1.0, 2.0, k)
+        ev[i] = -ev[i] * r.uniform(0.01, 1.0)
+        a[g] = (q * ev) @ q.T
+        a[g] = 0.5 * (a[g] + a[g].T)
+    b = np.ones((G, k))
+    for mine, oracle, args in [(cholesky_lower, oracles.cholesky_columns, (a,)),
+                               (solve_spd, oracles.solve_spd_columns, (a, b))]:
+        got = _rejection(mine, *args)
+        with np.errstate(all="ignore"):  # the column loop warns on inf - inf
+            want = _rejection(oracle, *args)
+        if k >= 3:  # the failing pivot may differ at rounding level
+            got, want = (re.sub(r"\(pivot .*\)", "(pivot)", msg) for msg in (got, want))
+        assert got == want
+
+
+def test_kernels_digest_is_kernel_independent():
+    """Fixed bytes for seeded k = 3..6 stacks whose integer entries every BLAS
+    kernel forms exactly: every inner product is summed left to right, so the
+    factors and solutions hold under every kernel, FMA or not."""
+    h = hashlib.sha256()
+    for k in range(3, 7):
+        r = np.random.default_rng(k)
+        root = r.integers(-4, 5, size=(4, k, k)).astype(float)
+        a = root @ root.transpose(0, 2, 1) + k * np.eye(k)
+        b = r.integers(-9, 10, size=(4, k, 2)).astype(float)
+        h.update(cholesky_lower(a).tobytes())
+        h.update(solve_spd(a, b).tobytes())
+        h.update(solve_spd(a[0], b[0, :, 0]).tobytes())
+    assert h.hexdigest() == "c17f12a967819cd59ee9c38480b4de1d8de86e11786ae4350e80c8331388e03a"
 
 
 @settings(max_examples=50, deadline=None)
