@@ -41,7 +41,9 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .densities import GaussianParams, StudentParams, cholesky_lower, law_from_dict, law_to_dict
+# cholesky_lower is not called here (a law carries its factor as ``chol``);
+# perfbench/tracing.py still looks it up in this module.
+from .densities import GaussianParams, StudentParams, cholesky_lower, law_from_dict, law_to_dict  # noqa: F401
 from .model import NOISE, Dataset, LinearMap, _integer, _seed
 
 _MASK64 = (1 << 64) - 1
@@ -320,7 +322,7 @@ def _draw_x(rng: Xoshiro256, law: GaussianParams | StudentParams, n: int) -> np.
         for i in range(n):
             z[i] = [rng.normal() for _ in range(d)]
             scale[i] = math.sqrt(law.dof / rng.chi_square(law.dof))
-    return law.center + _rank_one_sum(z, cholesky_lower(law.scatter).T) * scale
+    return law.center + _rank_one_sum(z, law.chol.T) * scale
 
 
 def generate(spec: ScenarioSpec) -> Dataset:

@@ -7,43 +7,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import GaussianParams, gaussian_logpdf
 from .em import FitResult
 from .model import NOISE, VARIANT_SPECS, CwmModel, Dataset, _labels, posterior
-
-
-@dataclass
-class MetricsReport:
-    wilks_lambda: float
-    iwf: float
-    misclassification_rate: float
-    bic: float
-    confusion: np.ndarray
-    permutation_used: dict
-
-    def __post_init__(self):
-        if not 0.0 <= self.wilks_lambda <= 1.0:
-            raise ValueError("wilks_lambda must lie in [0, 1]")
-        if not 0.0 <= self.misclassification_rate <= 1.0:
-            raise ValueError("misclassification_rate must lie in [0, 1]")
-        confusion = np.asarray(self.confusion)
-        if confusion.size and (np.any(confusion < 0) or not np.issubdtype(confusion.dtype, np.integer)):
-            raise ValueError("confusion entries must be nonnegative integers")
-        self.confusion = confusion
-
-    def to_dict(self) -> dict:
-        return {
-            "wilks_lambda": self.wilks_lambda,
-            "iwf": self.iwf,
-            "misclassification_rate": self.misclassification_rate,
-            "bic": self.bic,
-            "confusion": self.confusion.tolist(),
-            "permutation_used": {str(k): int(v) for k, v in self.permutation_used.items()},
-        }
 
 
 def wilks_lambda(data: Dataset, labels) -> float:

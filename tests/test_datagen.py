@@ -14,6 +14,7 @@ import pytest
 
 from oracles import ScalarStream, box_muller_stream, generate_scalar, xoshiro256pp_stream
 
+from cwmix import datagen
 from cwmix.datagen import (
     SCENARIO_NAMES,
     GroupSpec,
@@ -188,6 +189,15 @@ def test_draw_arguments_are_checked(draw, message):
         draw(Xoshiro256(0))
 
 
+@pytest.mark.parametrize("shape", [0.35, 1.0, 2.5])
+def test_gamma_equals_scalar_oracle(shape):
+    # below shape 1 the draw is boosted; at shape 1 these 3,000 draws take
+    # the v <= 0 rejection 28 times
+    rng, ref = Xoshiro256(11), ScalarStream(11)
+    assert [rng.gamma(shape) for _ in range(3000)] == [ref.gamma(shape) for _ in range(3000)]
+    assert rng.next_u64() == ref.next_u64()
+
+
 def test_seed_range():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError):
@@ -219,6 +229,16 @@ def test_generate_student_matches_scalar_oracle(d, dof):
         assert np.array_equal(data.x, x)
         assert np.array_equal(data.y, y)
         assert np.array_equal(data.labels, labels)
+
+
+def test_generate_does_not_refactor_the_x_laws(monkeypatch):
+    # a law holds its Cholesky factor as ``chol``: drawing x factors nothing again
+    specs = [builtin_scenario("ex1").with_seed(1), _student_spec(2, 1.5, 1)]
+    calls = []
+    monkeypatch.setattr(datagen, "cholesky_lower", lambda a: calls.append(1) or cholesky_lower(a))
+    for spec in specs:
+        generate(spec)
+    assert calls == []
 
 
 def _full_d3_spec():

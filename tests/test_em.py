@@ -1091,6 +1091,35 @@ def test_fit_gating_hoisted_outer_takes_the_same_step(seed):
     assert em._start_constants(Dataset(x, np.zeros(len(x)))).outer is None
 
 
+def test_fit_gating_keeps_theta_when_the_ridged_hessian_does_not_factor(monkeypatch):
+    # two equal columns of scale 1e4 make the Hessian singular: the ridged
+    # Hessian's pivot (1.7e-6) falls below the relative floor (1.2e-3)
+    r = np.random.default_rng(0)
+    x1 = 1e4 * r.normal(size=60)
+    x = np.column_stack([x1, x1])
+    resp = r.dirichlet(np.ones(2), size=60)
+    theta = np.zeros((1, 3))
+    const = em._start_constants(Dataset(x, np.zeros(60)), gated=True)
+    raised = []
+    solve_spd = em.solve_spd
+
+    def recording_solve(*args):
+        try:
+            return solve_spd(*args)
+        except ValueError as err:
+            raised.append(str(err))
+            raise
+
+    monkeypatch.setattr(em, "solve_spd", recording_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        new_theta, log_gate = _fit_gating(x, resp, theta, None, const.design, const.outer)
+    assert len(raised) == 1 and "not positive definite" in raised[0]
+    assert new_theta is theta
+    logits = _gate_logits(x, theta)
+    np.testing.assert_array_equal(log_gate, logits - densities.log_sum_exp(logits, axis=0))
+
+
 @pytest.mark.parametrize("name", ("ex1", "ex6_s2"))
 def test_fit_fmrc_with_one_component_is_fmr(name):
     # one component has no gate to fit: its log gate is 0, as is fmr's log weight

@@ -5,7 +5,6 @@ Direct numpy recounts of the scatter/parameter formulas serve as oracles,
 plus the published three-group-plus-noise confusion table.
 """
 
-import json
 import math
 import re
 
@@ -16,7 +15,6 @@ import oracles
 from helpers import gaussian_component
 from cwmix.em import FitConfig, FitResult, fit
 from cwmix.metrics import (
-    MetricsReport,
     bic,
     bic_joint_nested,
     free_parameters,
@@ -301,10 +299,6 @@ _one_line = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: MetricsReport(0.5, 1.0, 1.5, 0.0, np.eye(2, dtype=int), {1: 1, 2: 2}),
-                 "misclassification_rate must lie in [0, 1]", id="report-rate-above-one"),
-    pytest.param(lambda: MetricsReport(0.5, 1.0, -0.25, 0.0, np.eye(2, dtype=int), {1: 1, 2: 2}),
-                 "misclassification_rate must lie in [0, 1]", id="report-rate-negative"),
     pytest.param(lambda: wilks_lambda(_twelve, [NOISE] * 12), "no grouped observations",
                  id="wilks-all-noise"),
     pytest.param(lambda: wilks_lambda(_twelve, [1] * 11), "labels length mismatch", id="wilks-length"),
@@ -392,30 +386,3 @@ def test_bic_joint_nested_identity_for_joint_models():
     data = two_line_data(np.random.default_rng(22), 50, 70)
     res = fit(data, FitConfig(G=2, n_starts=3, seed=2))
     assert bic_joint_nested(res, data) == bic(res, data.n)
-
-
-# ----------------------------------------------------------------- report
-
-def test_metrics_report_round_trip():
-    report = MetricsReport(
-        wilks_lambda=0.04,
-        iwf=2.0,
-        misclassification_rate=0.01,
-        bic=432.1,
-        confusion=np.array([[10, 0], [1, 9]]),
-        permutation_used={1: 1, 2: 2},
-    )
-    doc = json.loads(json.dumps(report.to_dict()))
-    assert doc["wilks_lambda"] == 0.04
-    assert doc["confusion"] == [[10, 0], [1, 9]]
-    assert doc["permutation_used"] == {"1": 1, "2": 2}
-    assert set(doc) == {
-        "wilks_lambda", "iwf", "misclassification_rate", "bic", "confusion", "permutation_used",
-    }
-
-
-def test_metrics_report_validation():
-    with pytest.raises(ValueError):
-        MetricsReport(1.5, 1.0, 0.0, 0.0, np.eye(2, dtype=int), {1: 1, 2: 2})
-    with pytest.raises(ValueError):
-        MetricsReport(0.5, 1.0, 0.0, 0.0, np.array([[1, -2], [0, 1]]), {1: 1, 2: 2})
