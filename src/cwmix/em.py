@@ -54,14 +54,15 @@ the E-step already evaluated, instead of solving the gating problem to
 convergence.  The step is halved until the gating objective does not
 decrease, so the observed-data log-likelihood stays non-decreasing.
 
-``fit`` runs the best of several starts, each a k-means partition of (x, y)
-from its own seeded generator.  The k-means works on contiguous coordinate
-rows built once per fit: it sums the N-by-G squared distances one coordinate
-at a time and takes the centroids from ``np.bincount``, so it keeps no
-N-by-G-by-D temporary; up to d = 6 its labels are bit for bit those of the
-N-by-G-by-D sum and the masked means.  k-means often returns one partition to
-several starts; a start is fitted given its partition alone, so a repeat is
-not run again.
+``fit`` keeps the best of several starts, each a k-means partition of (x, y)
+from its own seeded generator.  It draws every start's partition before it
+fits any, then fits each distinct partition once, in start order: k-means
+often returns one partition to several starts, and a start is fitted given
+its partition alone.  The k-means works on contiguous coordinate rows built
+once per fit: it sums the N-by-G squared distances one coordinate at a time
+and takes the centroids from ``np.bincount``, so it keeps no N-by-G-by-D
+temporary; up to d = 6 its labels are bit for bit those of the N-by-G-by-D
+sum and the masked means.
 """
 
 from __future__ import annotations
@@ -556,32 +557,30 @@ def _run_start(data, config, resp, start_index):
 def fit(data: Dataset, config: FitConfig) -> FitResult:
     """Best-of-n-starts EM/ECME fit; ties go to the lowest start index.
 
-    A start whose initial partition repeats an earlier start's is not run: the
-    fit is deterministic given the partition, so its result would equal the
-    earlier one's and, on the tie, lose to it."""
+    Every start's initial partition is drawn first; then each distinct one
+    is fitted once, by the first start that drew it, in start order.  The
+    fit is deterministic given the partition, so a repeat would equal the
+    earlier result and lose the tie to it."""
     # given_labels is deterministic, so extra starts would be identical
     n_starts = 1 if config.init == "given_labels" else config.n_starts
     columns = _kmeans_columns(data) if config.init == "kmeans" else None
-    best = None
-    failures = []
-    first = {}  # initial partition -> the start that ran it
-    failed = set()
+    distinct = {}  # partition -> (the first start that drew it, its responsibilities)
+    drawer = []  # each start's first drawer of its partition
     for start in range(n_starts):
-        rng = np.random.default_rng([config.seed, start])
-        resp0 = initialize(data, config, rng, columns)
-        earlier = first.setdefault(resp0.argmax(axis=1).tobytes(), start)
-        if earlier != start:
-            if earlier in failed:
-                failures.append(f"start {start}: duplicate of start {earlier}")
-            continue
+        resp0 = initialize(data, config, np.random.default_rng([config.seed, start]), columns)
+        drawer.append(distinct.setdefault(resp0.argmax(axis=1).tobytes(), (start, resp0))[0])
+    best = None
+    reasons = {}  # failed start -> why
+    for start, resp0 in distinct.values():
         try:
             result = _run_start(data, config, resp0, start)
         except _DegenerateStart as exc:
-            failures.append(f"start {start}: {exc}")
-            failed.add(start)
+            reasons[start] = str(exc)
             continue
         if best is None or result.loglik_trace[-1] > best.loglik_trace[-1]:
             best = result
     if best is None:
-        raise DegenerateFitError("; ".join(failures))
+        raise DegenerateFitError("; ".join(
+            f"start {j}: {reasons[k] if k == j else f'duplicate of start {k}'}"
+            for j, k in enumerate(drawer)))
     return best

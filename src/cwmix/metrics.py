@@ -19,8 +19,9 @@ def wilks_lambda(data: Dataset, labels) -> float:
     """det(within scatter) / det(total scatter) on z = (x, y).
 
     ``labels`` are read as ``Dataset`` reads them.  NOISE-labeled rows are
-    excluded; every group needs at least d+2 points.  A single group gives
-    exactly 1 (within equals total), a singular within scatter 0.
+    excluded.  Only the total scatter must be nonsingular; a group of any
+    size adds to the pooled within scatter.  A single group gives exactly 1
+    (within equals total), a singular within scatter 0.
     """
     labels = Dataset(data.x, data.y, labels).labels
     z = np.column_stack([data.x, data.y])
@@ -32,8 +33,6 @@ def wilks_lambda(data: Dataset, labels) -> float:
     within = np.zeros((q, q))
     for g in np.unique(labels):
         zg = z[labels == g]
-        if zg.shape[0] < data.d + 2:
-            raise ValueError(f"group {g} has fewer than d+2 points")
         centered = zg - zg.mean(axis=0)
         within += centered.T @ centered
     centered = z - z.mean(axis=0)

@@ -198,6 +198,15 @@ def test_gamma_equals_scalar_oracle(shape):
     assert rng.next_u64() == ref.next_u64()
 
 
+@pytest.mark.parametrize("shape, script, want", [
+    (0.35, [0], 0.014525840373481137),  # the boost's uniform is redrawn
+    (2.5, [2**64 - 1, 5 << 40, 0], 2.166666666666707),  # the squeeze's uniform is redrawn
+])
+def test_gamma_redraws_a_zero_uniform(shape, script, want):
+    ref = ScalarStream(words=itertools.chain(script, xoshiro256pp_stream(0)))
+    assert ScriptedWords(script).gamma(shape) == ref.gamma(shape) == want
+
+
 def test_seed_range():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError):

@@ -1194,6 +1194,16 @@ def test_fit_runs_each_distinct_start_once(monkeypatch, name, variant):
     assert model_to_dict(got.model) == model_to_dict(best.model)
 
 
+def test_fit_draws_every_partition_before_running_a_start(monkeypatch):
+    data = generate(builtin_scenario("ex4_s2").with_seed(1))
+    draw, run, events = em.initialize, em._run_start, []
+    monkeypatch.setattr(em, "initialize", lambda *a: events.append("draw") or draw(*a))
+    monkeypatch.setattr(em, "_run_start", lambda *a: events.append("run") or run(*a))
+    fit(data, FitConfig(G=3, seed=1))
+    # two of the ten k-means partitions repeat an earlier one
+    assert events == ["draw"] * 10 + ["run"] * 8
+
+
 def test_fit_names_a_degenerate_duplicate_start(monkeypatch):
     # one group: every k-means start is the same partition, fitted once
     x = np.random.default_rng(0).normal(size=60)

@@ -50,6 +50,27 @@ def test_traced_layers_resolve():
         assert callable(getattr(module, attr, None)), f"{target} is not a callable"
 
 
+def test_unread_imports_are_tracer_targets():
+    # an imported name its module never reads is there only for the tracer to
+    # wrap; one the tracer does not name either is a stale import
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = set(tracing.patch_targets())
+    stale = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in read and f"{module}.{name}" not in targets:
+                        stale.append(f"{path.relative_to(ROOT)}:{node.lineno} imports {name}")
+    assert not stale, "\n".join(stale)
+
+
 def test_package_depends_only_on_numpy():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
