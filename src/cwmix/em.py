@@ -34,10 +34,11 @@ whitened once and the gate evaluated once per iteration.  A start builds its
 validated ``CwmModel`` once, from the record its last E-step read
 (``model._unstack``).
 
-One iteration does its small-matrix work once for all G components, with no
-per-component loop on the hot path.  The M-step works on G-by-N weights:
-every weighted Gram matrix, right-hand side, x moment and noise variance
-comes from a stacked product, one stacked factorization solves every
+One iteration makes each small-matrix call once for all G components:
+``cholesky_lower`` and ``solve_spd`` take the G-stack in one call and
+factor its matrices one by one as Python floats.  The M-step works on G-by-N
+weights: every weighted Gram matrix, right-hand side, x moment and noise
+variance comes from a stacked product, one stacked factorization solves every
 least-squares fit, and one more factors every x covariance (one that does
 not factor sends each component through ``_regularize_cov``).  Only the dof
 solves stay per component.
@@ -58,8 +59,8 @@ decrease, so the observed-data log-likelihood stays non-decreasing.
 from its own seeded generator.  It draws every start's partition before it
 fits any, then fits each distinct partition once, in start order: k-means
 often returns one partition to several starts, and a start is fitted given
-its partition alone.  The k-means works on contiguous coordinate rows built
-once per fit: it sums the N-by-G squared distances one coordinate at a time
+its partition alone.  Each start's k-means builds contiguous coordinate rows
+of (x, y): it sums the N-by-G squared distances one coordinate at a time
 and takes the centroids from ``np.bincount``, so it keeps no N-by-G-by-D
 temporary; up to d = 6 its labels are bit for bit those of the N-by-G-by-D
 sum and the masked means.
@@ -183,30 +184,27 @@ def _kmeans_labels(columns: np.ndarray, G: int, rng) -> np.ndarray:
     for _ in range(50):
         centers = columns[:, rng.choice(n, size=G, replace=False)]
         assign = None
-        ok = True
         for _ in range(20):
             dist = (columns[0][:, None] - centers[0]) ** 2
             for column, center in zip(columns[1:], centers[1:]):
                 dist += (column[:, None] - center) ** 2
             new_assign = dist.argmin(axis=1)
             if assign is not None and np.array_equal(new_assign, assign):
-                break
+                return assign
             assign = new_assign
             counts = np.bincount(assign, minlength=G)
             if np.any(counts == 0):
-                ok = False
                 break
             centers = np.stack([np.bincount(assign, weights=column, minlength=G)
                                 for column in columns]) / counts
-        if ok:
+        else:
             return assign
     raise ValueError("k-means produced an empty cluster in every attempt")
 
 
-def initialize(data: Dataset, config: FitConfig, rng,
-               columns: np.ndarray | None = None) -> np.ndarray:
-    """Hard-partition initial responsibilities (N-by-G of zeros and ones).
-    ``columns`` is ``_kmeans_columns(data)`` when the caller has it."""
+def initialize(data: Dataset, config: FitConfig, rng) -> np.ndarray:
+    """Hard-partition initial responsibilities (N-by-G of zeros and ones);
+    k-means clusters the coordinate rows ``_kmeans_columns(data)``."""
     if data.n <= config.G:
         raise ValueError("need more observations than groups")
     G = config.G
@@ -225,9 +223,7 @@ def initialize(data: Dataset, config: FitConfig, rng,
         else:
             raise ValueError("random partition left a cluster empty in every attempt")
     else:
-        if columns is None:
-            columns = _kmeans_columns(data)
-        assign = _kmeans_labels(columns, G, rng)
+        assign = _kmeans_labels(_kmeans_columns(data), G, rng)
     resp = np.zeros((data.n, G))
     resp[np.arange(data.n), assign] = 1.0
     return resp
@@ -557,17 +553,17 @@ def _run_start(data, config, resp, start_index):
 def fit(data: Dataset, config: FitConfig) -> FitResult:
     """Best-of-n-starts EM/ECME fit; ties go to the lowest start index.
 
-    Every start's initial partition is drawn first; then each distinct one
-    is fitted once, by the first start that drew it, in start order.  The
+    Every start's initial partition is drawn first, by ``initialize`` from
+    the data and the start's own generator; then each distinct one is
+    fitted once, by the first start that drew it, in start order.  The
     fit is deterministic given the partition, so a repeat would equal the
     earlier result and lose the tie to it."""
     # given_labels is deterministic, so extra starts would be identical
     n_starts = 1 if config.init == "given_labels" else config.n_starts
-    columns = _kmeans_columns(data) if config.init == "kmeans" else None
     distinct = {}  # partition -> (the first start that drew it, its responsibilities)
     drawer = []  # each start's first drawer of its partition
     for start in range(n_starts):
-        resp0 = initialize(data, config, np.random.default_rng([config.seed, start]), columns)
+        resp0 = initialize(data, config, np.random.default_rng([config.seed, start]))
         drawer.append(distinct.setdefault(resp0.argmax(axis=1).tobytes(), (start, resp0))[0])
     best = None
     reasons = {}  # failed start -> why

@@ -74,25 +74,20 @@ def misclassification(true_labels, predicted_labels, G: int):
     if np.any(truth > G) or np.any(pred > G):
         raise ValueError(f"labels must lie in 1..{G} or NOISE")
     n = truth.shape[0]
-    # raw counts with the NOISE slot last
+    if n == 0:
+        raise ValueError("no labels")
+    # raw counts; label - 1 modulo G + 1 puts NOISE (0) in the last slot
     raw = np.zeros((G + 1, G + 1), dtype=int)
-    ti = np.where(truth == NOISE, G, truth - 1)
-    pi = np.where(pred == NOISE, G, pred - 1)
-    np.add.at(raw, (ti, pi), 1)
-    best_perm = None
-    best_correct = -1
-    for perm in itertools.permutations(range(G)):
-        correct = raw[G, G] + sum(raw[perm[j], j] for j in range(G))
-        if correct > best_correct:
-            best_correct = correct
-            best_perm = perm
-    eta = 1.0 - best_correct / n
-    mapping = {j + 1: best_perm[j] + 1 for j in range(G)}
-    # reorder predicted columns so column j collects predictions aligned to j
-    order = [0] * G
-    for j in range(G):
-        order[best_perm[j]] = j
-    aligned = raw[:, order + [G]]
+    np.add.at(raw, ((truth - 1) % (G + 1), (pred - 1) % (G + 1)), 1)
+
+    def matched(perm):  # predicted group j aligned to true group perm[j]
+        return sum(raw[t, j] for j, t in enumerate(perm))
+
+    best = max(itertools.permutations(range(G)), key=matched)  # the first best, on ties
+    eta = 1.0 - (raw[G, G] + matched(best)) / n
+    mapping = {j + 1: best[j] + 1 for j in range(G)}
+    # column j of the aligned counts collects the predictions aligned to true group j
+    aligned = raw[:, list(np.argsort(best)) + [G]]
     rows = list(range(G)) + ([G] if raw[G].sum() else [])
     cols = list(range(G)) + ([G] if raw[:, G].sum() else [])
     confusion = aligned[np.ix_(rows, cols)]

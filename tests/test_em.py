@@ -250,14 +250,10 @@ def test_kmeans_labels_restart_on_an_empty_cluster_like_the_reference():
         oracles.kmeans_labels(z, 4, np.random.default_rng(0))
 
 
-def test_initialize_reads_the_columns_it_is_given():
+def test_kmeans_columns_are_contiguous_rows():
     data = generate(builtin_scenario("ex6_s2").with_seed(1))
-    config = FitConfig(G=2)
     columns = em._kmeans_columns(data)
     assert columns.shape == (3, data.n) and columns.flags.c_contiguous
-    np.testing.assert_array_equal(
-        initialize(data, config, np.random.default_rng(4), columns),
-        initialize(data, config, np.random.default_rng(4)))
 
 
 # --------------------------------------------------------------- estimate_dof
@@ -1143,6 +1139,38 @@ def test_fit_all_starts_degenerate_raises():
     data = Dataset(r.normal(size=(5, 1)), r.normal(size=5))
     with pytest.raises(DegenerateFitError):
         fit(data, FitConfig(G=4, n_starts=3, init="random_partition", seed=1))
+
+
+def test_fit_abandons_a_start_at_a_non_finite_log_likelihood(monkeypatch):
+    terms, calls = em._log_component_terms, []
+
+    def nan_on_third_call(*args):
+        out = terms(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(em, "_log_component_terms", nan_on_third_call)
+    data = generate(builtin_scenario("ex4_s2").with_seed(1))
+    with pytest.raises(DegenerateFitError) as err:
+        fit(data, FitConfig(G=3, n_starts=1, seed=1))
+    assert str(err.value) == "start 0: non-finite log-likelihood"
+    assert len(calls) == 3
+
+
+@pytest.mark.xfail(raises=DegenerateFitError, strict=True, reason=(
+    "_weighted_ls factors the weighted Gram matrix of the uncentred design [x, 1]: its intercept "
+    "pivot is about S1 var(x) / E[x^2], below the 1e-12 S1 E[x^2] floor at x + 1e4, so every start "
+    "is a singular weighted design.  fmrc is left out: its gating Newton step works on the same "
+    "uncentred design, so centring the least squares alone does not make its fit shift-invariant."))
+def test_fit_is_invariant_to_shifting_x():
+    data = generate(builtin_scenario("ex4_s2").with_seed(1))
+    shifted = Dataset(data.x + 1e4, data.y, data.labels)
+    for variant in ("gaussian_cwm", "t_cwm", "fmg", "fmt", "fmr"):
+        config = FitConfig(G=3, variant=variant, seed=1)
+        moved = fit(shifted, config).loglik_trace[-1]
+        assert moved == pytest.approx(fit(data, config).loglik_trace[-1], rel=1e-9)
 
 
 def _partitions(data, config):

@@ -5,6 +5,7 @@ Direct numpy recounts of the scatter/parameter formulas serve as oracles,
 plus the published three-group-plus-noise confusion table.
 """
 
+import itertools
 import math
 import re
 
@@ -279,6 +280,43 @@ def test_misclassification_exact_diag_identity():
     assert np.array_equal(conf.sum(axis=1), np.bincount(truth, minlength=4)[1:])
 
 
+def _assert_matches_recount(truth, pred, G):
+    """Compare with a direct recount: relabel the predictions by each
+    permutation in ``itertools`` order, count the mismatches and keep the
+    first fewest; NOISE stays NOISE."""
+    best = None
+    for perm in itertools.permutations(range(1, G + 1)):
+        relabeled = np.array((NOISE,) + perm)[pred]
+        wrong = int(np.count_nonzero(relabeled != truth))
+        if best is None or wrong < best[0]:
+            best = wrong, perm, relabeled
+    wrong, perm, relabeled = best
+    rows = list(range(1, G + 1)) + ([NOISE] if np.any(truth == NOISE) else [])
+    cols = list(range(1, G + 1)) + ([NOISE] if np.any(pred == NOISE) else [])
+    eta, mapping, conf = misclassification(truth, pred, G)
+    assert eta == pytest.approx(wrong / len(truth), abs=1e-15)
+    assert mapping == dict(zip(range(1, G + 1), perm))
+    np.testing.assert_array_equal(conf, [[np.count_nonzero((truth == t) & (relabeled == p)) for p in cols]
+                                         for t in rows])
+
+
+@pytest.mark.parametrize("G", range(1, 7))
+def test_misclassification_matches_direct_recount(G):
+    # short vectors over NOISE and 1..G: many tie between relabelings
+    r = np.random.default_rng(100 + G)
+    for _ in range(20):
+        truth, pred = r.integers(NOISE, G + 1, size=(2, int(r.integers(1, 40))))
+        _assert_matches_recount(truth, pred, G)
+
+
+def test_misclassification_tie_keeps_the_first_permutation():
+    truth, pred = np.array([1, 2]), np.array([1, 1])
+    eta, perm, conf = misclassification(truth, pred, 2)
+    assert (eta, perm) == (0.5, {1: 1, 2: 2})
+    assert np.array_equal(conf, np.array([[1, 0], [1, 0]]))
+    _assert_matches_recount(truth, pred, 2)
+
+
 def test_misclassification_errors():
     with pytest.raises(ValueError):
         misclassification(np.ones(3, dtype=int), np.ones(4, dtype=int), 2)
@@ -309,6 +347,8 @@ _one_line = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0
                  id="misclassification-nan-prediction"),
     pytest.param(lambda: misclassification([1, 2, -1], [1, 2, 1], 2), "group indices or NOISE",
                  id="misclassification-negative-label"),
+    # an error rate over no labels is 0 / 0
+    pytest.param(lambda: misclassification([], [], 2), "no labels", id="misclassification-empty"),
     # with the NOISE rows left out nothing is left to score
     pytest.param(lambda: iwf(_noise_only, _one_line, include_noise=False), "one y per row",
                  id="iwf-nothing-but-noise"),
