@@ -180,14 +180,15 @@ class Xoshiro256:
 
     def bounded_int(self, n: int) -> int:
         """Unbiased integer in [0, n) via Lemire's multiply-shift."""
-        if n <= 0:
+        n = _integer("n", n)
+        if n < 1:
             raise ValueError("n must be positive")
         return _lemire(n, self.next_u64)
 
     def gamma(self, shape: float) -> float:
         """Gamma(shape, scale=1) via the Marsaglia-Tsang squeeze."""
-        if shape <= 0:
-            raise ValueError("shape must be positive")
+        if not 0.0 < shape < math.inf:  # a NaN or infinite shape never passes the squeeze
+            raise ValueError("shape must be positive and finite")
         if shape < 1.0:
             # boost: Gamma(a) = Gamma(a + 1) * U^(1/a)
             u = self.random()
@@ -215,6 +216,9 @@ class Xoshiro256:
         """Backward Fisher-Yates permutation of range(n).  The n - 1 words
         are drawn at once; a rare Lemire rejection (probability below
         n / 2^64) reads on into the stream, as ``bounded_int`` would."""
+        n = _integer("n", n)
+        if n < 0:
+            raise ValueError("n must be non-negative")
         draw = chain(self.words(max(n - 1, 0)).tolist(), iter(self.next_u64, None)).__next__
         perm = list(range(n))
         for i in range(n - 1, 0, -1):

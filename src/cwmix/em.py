@@ -110,9 +110,6 @@ _NOISE_VAR_FLOOR = 1e-10
 
 _INITS = ("kmeans", "random_partition", "given_labels")
 
-_Weights = namedtuple("_Weights", ["x", "y"])
-
-
 class DegenerateFitError(RuntimeError):
     """Every start collapsed (empty cluster, singular design, zero variance)."""
 
@@ -134,25 +131,18 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("G", "max_iter", "n_starts"):
-            _integer(name, getattr(self, name))
+            if _integer(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1")
         _seed(self.seed)
-        if self.G < 1:
-            raise ValueError("G must be at least 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError("rel_tol must be finite and positive")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
         if self.init not in _INITS:
             raise ValueError(f"init must be one of {_INITS}")
-        dof = self.dof_mode
-        if not (isinstance(dof, str) and dof == "estimate"):
-            if (isinstance(dof, bool) or not isinstance(dof, numbers.Real)
-                    or not (math.isfinite(dof) and dof > 0)):
-                raise ValueError("dof_mode must be 'estimate' or a finite positive number")
+        estimate = isinstance(self.dof_mode, str) and self.dof_mode == "estimate"
+        for name in ("rel_tol",) if estimate else ("rel_tol", "dof_mode"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass
@@ -366,21 +356,22 @@ def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.n
     return beta[:, :-1], beta[:, -1]
 
 
-def _latent_weights(stack: _Stack | None, dist: Distances | None) -> _Weights:
-    """Per-point t precision weights at ``stack``, from the E-step's distances
-    ``dist`` to it; a joint t (fmt) gives x and y the one weight of its
-    (d+1)-variate law.  (None, None) when no t law weights the points."""
+def _latent_weights(stack: _Stack | None, dist: Distances | None) -> tuple:
+    """(x weights, y weights): the per-point t precision weights at ``stack``,
+    from the E-step's distances ``dist`` to it; a joint t (fmt) gives x and y
+    the one weight of its (d+1)-variate law.  (None, None) when no t law
+    weights the points."""
     if stack is None or stack.nu is None:
-        return _Weights(None, None)
+        return None, None
     d = stack.slope.shape[1]
     nu = stack.nu[:, None]
     delta_y = dist.resid**2 / stack.noise_scale[:, None] ** 2
     # distances are G-by-N; the weights are N-by-G like the responsibilities
     if VARIANT_SPECS[stack.variant].y_law == "joint_t":
         u = ((nu + d + 1.0) / (nu + dist.x + delta_y)).T
-        return _Weights(u, u)
+        return u, u
     zeta = stack.zeta[:, None]
-    return _Weights(((nu + d) / (nu + dist.x)).T, ((zeta + 1.0) / (zeta + delta_y)).T)
+    return ((nu + d) / (nu + dist.x)).T, ((zeta + 1.0) / (zeta + delta_y)).T
 
 
 def _fit_gating(x: np.ndarray, resp: np.ndarray, theta: np.ndarray, log_gate, design: np.ndarray,
@@ -433,25 +424,6 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, theta: np.ndarray, log_gate, de
     return theta, log_gate
 
 
-def _next_dofs(config, spec, old, d, resp, delta_x, delta_y):
-    """The G (x dofs, y dofs) of the t laws; a joint t ties y's to nu + d.
-    ``old`` is the previous record (None at the first M-step), and
-    ``delta_x`` and ``delta_y`` are the G-by-N squared distances of x and of
-    the y residuals to the laws this M-step set."""
-    joint = spec.y_law == "joint_t"
-    G = resp.shape[1]
-    if config.dof_mode != "estimate":
-        nu = zeta = np.full(G, float(config.dof_mode))
-    elif old is None:
-        nu = zeta = np.full(G, _INIT_DOF)
-    elif joint:
-        nu = _solve_dof(old.nu, d + 1, delta_x + delta_y, resp)
-    else:
-        nu = _solve_dof(old.nu, d, delta_x, resp)
-        zeta = _solve_dof(old.zeta, 1, delta_y, resp)
-    return nu, nu + d if joint else zeta
-
-
 #: What every M-step of one start reads unchanged: the N-by-(d+1) design
 #: [x, 1], the floor under the noise variances, for a gated variant the
 #: N-by-(d+1)^2 products of each design row with itself (the gating Hessian's
@@ -477,7 +449,7 @@ def _m_step(data, config, resp, old, old_dist, const):
     taken from what these computed; ``ridged`` tells whether an x covariance
     was ridged."""
     x, y = data.x, data.y
-    u = _latent_weights(old, old_dist)
+    ux, uy = _latent_weights(old, old_dist)
     d, G = data.d, config.G
     spec = VARIANT_SPECS[config.variant]
     mass = resp.sum(axis=0)
@@ -486,16 +458,16 @@ def _m_step(data, config, resp, old, old_dist, const):
     used_ridge = False
     mu = covs = chols = log_det = dist_x = None
     if spec.x_law is not None:
-        wx = (resp if u.x is None else resp * u.x).T
+        wx = (resp if ux is None else resp * ux).T
         # without t weights the weight sums are the masses, bit for bit
-        mu = (wx @ x) / (mass if u.x is None else wx.sum(axis=1))[:, None]
+        mu = (wx @ x) / (mass if ux is None else wx.sum(axis=1))[:, None]
         centered = const.x_t - mu[:, :, None]
         weighted = np.ascontiguousarray(wx)[:, None, :] * centered
         covs = weighted @ centered.transpose(0, 2, 1) / mass[:, None, None]
         covs, chols, used_ridge = _x_factors(covs)
         log_det = _log_det(chols)
         dist_x = _whitened_sq(chols, centered)
-    wy = resp if u.y is None else resp * u.y
+    wy = resp if uy is None else resp * uy
     slopes, intercepts = _weighted_ls(const.design, y, wy)
     resid = y - (slopes @ const.x_t + intercepts[:, None])
     noise_var = (wy.T * resid**2).sum(axis=1) / mass
@@ -503,7 +475,20 @@ def _m_step(data, config, resp, old, old_dist, const):
         raise _DegenerateStart("collapsed noise variance")
     nus = zetas = None
     if spec.x_law == "t":
-        nus, zetas = _next_dofs(config, spec, old, d, resp, dist_x, resid**2 / noise_var[:, None])
+        # the ECME dof step, on the distances to the laws just set
+        delta_y = resid**2 / noise_var[:, None]
+        joint = spec.y_law == "joint_t"
+        if config.dof_mode != "estimate":
+            nus = zetas = np.full(G, float(config.dof_mode))
+        elif old is None:
+            nus = zetas = np.full(G, _INIT_DOF)
+        elif joint:
+            nus = _solve_dof(old.nu, d + 1, dist_x + delta_y, resp)
+        else:
+            nus = _solve_dof(old.nu, d, dist_x, resp)
+            zetas = _solve_dof(old.zeta, 1, delta_y, resp)
+        if joint:  # the conditional dof of a joint t law
+            zetas = nus + d
     theta = log_gate = None
     if spec.gated:
         old_theta = old.theta if old is not None else np.zeros((G - 1, d + 1))
@@ -517,29 +502,29 @@ def _m_step(data, config, resp, old, old_dist, const):
 # -------------------------------------------------------------------- driver
 
 def _run_start(data, config, resp, start_index):
-    x, y = data.x, data.y
+    """EM from the responsibilities ``resp``: each iteration is one M-step
+    from the current responsibilities, then one E-step of the record it set,
+    until the log-likelihood's relative change is below ``rel_tol`` or
+    ``max_iter`` iterations have run."""
     const = _start_constants(data, VARIANT_SPECS[config.variant].gated)
-    stack, dist, ridged = _m_step(data, config, resp, None, None, const)
-    streak = 1 if ridged else 0
+    stack = dist = None
+    streak = 0
     trace = []
-    converged = False
-    for it in range(config.max_iter):
-        terms = _log_component_terms(stack, x, y, dist)
+    for _ in range(config.max_iter):
+        stack, dist, ridged = _m_step(data, config, resp, stack, dist, const)
+        streak = streak + 1 if ridged else 0
+        if streak >= 3:
+            raise _DegenerateStart("covariance required repeated regularization")
+        terms = _log_component_terms(stack, data.x, data.y, dist)
         row_lse = log_sum_exp(terms, axis=1)
         loglik = float(row_lse.sum())
         if not math.isfinite(loglik):
             raise _DegenerateStart("non-finite log-likelihood")
         trace.append(loglik)
         resp = np.exp(terms - row_lse[:, None])
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < config.rel_tol:
-            converged = True
+        converged = len(trace) > 1 and abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < config.rel_tol
+        if converged:
             break
-        if it == config.max_iter - 1:
-            break
-        stack, dist, ridged = _m_step(data, config, resp, stack, dist, const)
-        streak = streak + 1 if ridged else 0
-        if streak >= 3:
-            raise _DegenerateStart("covariance required repeated regularization")
     return FitResult(
         model=_unstack(stack),
         loglik_trace=np.asarray(trace),

@@ -12,7 +12,7 @@ import numpy as np
 
 from .densities import GaussianParams, gaussian_logpdf
 from .em import FitResult
-from .model import NOISE, VARIANT_SPECS, CwmModel, Dataset, _labels, posterior
+from .model import NOISE, VARIANT_SPECS, CwmModel, Dataset, _integer, _labels, posterior
 
 
 def wilks_lambda(data: Dataset, labels) -> float:
@@ -69,6 +69,8 @@ def misclassification(true_labels, predicted_labels, G: int):
     truth, pred = _labels(true_labels), _labels(predicted_labels)
     if truth.shape[0] != pred.shape[0]:
         raise ValueError("label vectors differ in length")
+    if _integer("G", G) < 1:
+        raise ValueError("G must be at least 1")
     if G > 8:
         raise ValueError("permutation alignment supports G <= 8")
     if np.any(truth > G) or np.any(pred > G):
@@ -99,6 +101,9 @@ def free_parameters(variant: str, G: int, d: int) -> int:
     spec = VARIANT_SPECS.get(variant)
     if spec is None:
         raise ValueError(f"unknown variant {variant!r}")
+    for name, value in (("G", G), ("d", d)):
+        if _integer(name, value) < 1:
+            raise ValueError(f"{name} must be at least 1")
     per_component = d + 2  # slope, intercept, noise variance
     if spec.x_law is not None:
         per_component += d + d * (d + 1) // 2

@@ -183,6 +183,15 @@ def test_bounded_int_rejects_nonpositive():
     pytest.param(lambda rng: rng.gamma(0.0), "shape must be positive", id="gamma-zero"),
     pytest.param(lambda rng: rng.gamma(-1.0), "shape must be positive", id="gamma-negative"),
     pytest.param(lambda rng: rng.chi_square(0.0), "shape must be positive", id="chi-square-zero"),
+    # the Marsaglia-Tsang squeeze never accepts a NaN or infinite shape
+    pytest.param(lambda rng: rng.gamma(float("nan")), "shape must be positive and finite", id="gamma-nan"),
+    pytest.param(lambda rng: rng.gamma(float("inf")), "shape must be positive and finite", id="gamma-inf"),
+    pytest.param(lambda rng: rng.chi_square(float("inf")), "shape must be positive and finite",
+                 id="chi-square-inf"),
+    pytest.param(lambda rng: rng.bounded_int(True), "n must be an integer", id="bounded-int-bool"),
+    pytest.param(lambda rng: rng.bounded_int(2.5), "n must be an integer", id="bounded-int-float"),
+    pytest.param(lambda rng: rng.permutation(-3), "n must be non-negative", id="permutation-negative"),
+    pytest.param(lambda rng: rng.permutation(True), "n must be an integer", id="permutation-bool"),
 ])
 def test_draw_arguments_are_checked(draw, message):
     with pytest.raises(ValueError, match=message):

@@ -100,6 +100,8 @@ def test_fit_config_defaults():
         dict(G=2, max_iter=2.5),
         dict(G=2, seed=1.7),
         dict(G=2, rel_tol=float("inf")),
+        dict(G=2, rel_tol=True),
+        dict(G=2, rel_tol="1e-8"),
     ],
 )
 def test_fit_config_validation(kwargs):
@@ -536,7 +538,7 @@ def test_m_step_ridges_only_the_singular_component(monkeypatch):
     # is well posed
     ux = np.ones((n, 2))
     ux[10:30, 0] = 0.0
-    monkeypatch.setattr(em, "_latent_weights", lambda *a: em._Weights(ux, np.ones((n, 2))))
+    monkeypatch.setattr(em, "_latent_weights", lambda *a: (ux, np.ones((n, 2))))
     regularize = em._regularize_cov
     flags = []
     monkeypatch.setattr(em, "_regularize_cov",
@@ -764,7 +766,7 @@ def test_fmt_latent_weight_is_joint_t_weight(d):
     x, y = random_points(r, 40, d)
     z = np.column_stack([x, y])
     stack = _stack(model)
-    u = _latent_weights(stack, _component_distances(stack, x, y))
+    ux, uy = _latent_weights(stack, _component_distances(stack, x, y))
     for g, comp in enumerate(model.components):
         marg, cond = comp.x_marginal, comp.y_conditional
         # the (d+1)-variate t whose x-marginal and y|x conditional these are
@@ -776,8 +778,8 @@ def test_fmt_latent_weight_is_joint_t_weight(d):
         ])
         joint = StudentParams(np.append(marg.location, cond.map(marg.location)), scale, marg.dof)
         want = (marg.dof + d + 1.0) / (marg.dof + mahalanobis_sq(z, joint))
-        np.testing.assert_allclose(u.x[:, g], want, rtol=1e-10)
-        np.testing.assert_array_equal(u.y[:, g], u.x[:, g])
+        np.testing.assert_allclose(ux[:, g], want, rtol=1e-10)
+        np.testing.assert_array_equal(uy[:, g], ux[:, g])
 
 
 @pytest.mark.parametrize("name", ("ex1", "ex4_s2", "ex6_s2"))
@@ -797,22 +799,8 @@ def test_fit_t_variants_converge_before_the_cap(name, variant):
 def test_m_step_hands_the_e_step_its_distances(variant):
     # the distances the M-step returns are those of the model it returns:
     # bit for bit a fresh whitening, residual and log gate of the new model
-    spec = builtin_scenario("ex4_s2").with_seed(1)
-    data = generate(spec)
-    config = FitConfig(G=3, variant=variant, n_starts=1)
-    const = em._start_constants(data, VARIANT_SPECS[variant].gated)
-    resp = initialize(data, config, np.random.default_rng([0, 0]))
-    model, dist, _ = em._m_step(data, config, resp, None, None, const)
-    for _ in range(3):
-        fresh = _component_distances(model, data.x, data.y)
-        for got, want in zip(dist, fresh):
-            if want is None:
-                assert got is None
-            else:
-                np.testing.assert_array_equal(got, want)
-        terms = em._log_component_terms(model, data.x, data.y, dist)
-        resp = np.exp(terms - densities.log_sum_exp(terms, axis=1)[:, None])
-        model, dist, _ = em._m_step(data, config, resp, model, dist, const)
+    data = generate(builtin_scenario("ex4_s2").with_seed(1))
+    assert_m_step_hands_off_its_distances(data, FitConfig(G=3, variant=variant, n_starts=1))
 
 
 def assert_m_step_hands_off_its_distances(data, config):
@@ -874,6 +862,32 @@ def test_fit_builds_one_model_per_distinct_start(monkeypatch, variant):
     fit(generate(spec), FitConfig(G=3, variant=variant, n_starts=3, max_iter=20))
     assert len(ran) >= 2 and min(ran) > 2
     assert len(built) == len(ran)
+
+
+@pytest.mark.parametrize(
+    "name, G, variant, max_iter, n_iter",
+    [("ex4_s2", 3, variant, max_iter, max_iter) for variant in VARIANTS for max_iter in (1, 2, 3)]
+    + [("ex1", 2, "gaussian_cwm", 500, 9)],
+)
+def test_run_start_runs_one_m_step_per_e_step(monkeypatch, name, G, variant, max_iter, n_iter):
+    # each iteration is one M-step and then one E-step: a start capped at
+    # max_iter runs max_iter of each, and one that converges runs one of each
+    # per log-likelihood it records
+    calls = {"_m_step": 0, "_log_component_terms": 0}
+
+    def counting(target, inner):
+        def counted(*args):
+            calls[target] += 1
+            return inner(*args)
+        return counted
+
+    for target in calls:
+        monkeypatch.setattr(em, target, counting(target, getattr(em, target)))
+    data = generate(builtin_scenario(name).with_seed(1))
+    res = fit(data, FitConfig(G=G, variant=variant, n_starts=1, max_iter=max_iter))
+    assert res.n_iter == len(res.loglik_trace) == n_iter
+    assert calls == {"_m_step": n_iter, "_log_component_terms": n_iter}
+    assert res.converged == (n_iter < max_iter)
 
 
 @pytest.mark.parametrize("name", ("ex4_s2", "ex6_s2"))

@@ -349,6 +349,17 @@ _one_line = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0
                  id="misclassification-negative-label"),
     # an error rate over no labels is 0 / 0
     pytest.param(lambda: misclassification([], [], 2), "no labels", id="misclassification-empty"),
+    # G is a count of groups: no fraction, no bool and at least one
+    pytest.param(lambda: free_parameters("fmr", 2.5, 1), "G must be an integer",
+                 id="free-parameters-fractional-G"),
+    pytest.param(lambda: free_parameters("fmr", 0, 1), "G must be at least 1", id="free-parameters-zero-G"),
+    pytest.param(lambda: free_parameters("fmr", 2, 0), "d must be at least 1", id="free-parameters-zero-d"),
+    pytest.param(lambda: misclassification([0, 0], [0, 0], 0), "G must be at least 1",
+                 id="misclassification-zero-G"),
+    pytest.param(lambda: misclassification([1, 1], [1, 1], True), "G must be an integer",
+                 id="misclassification-bool-G"),
+    pytest.param(lambda: misclassification([1, 2], [2, 1], 2.0), "G must be an integer",
+                 id="misclassification-float-G"),
     # with the NOISE rows left out nothing is left to score
     pytest.param(lambda: iwf(_noise_only, _one_line, include_noise=False), "one y per row",
                  id="iwf-nothing-but-noise"),
