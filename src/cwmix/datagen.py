@@ -100,6 +100,14 @@ def _lemire(n: int, draw) -> int:
     return m >> 64
 
 
+def _count(n) -> int:
+    """A draw count n: an integer, not a bool, and at least 0."""
+    n = _integer("n", n)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return n
+
+
 class Xoshiro256:
     """xoshiro256++ seeded through splitmix64, with the derived draws
     (uniforms, normals, bounded ints, gamma) documented in the module
@@ -127,6 +135,7 @@ class Xoshiro256:
 
     def words(self, n: int) -> np.ndarray:
         """The next n words as a uint64 array."""
+        n = _count(n)
         return np.fromiter(islice(self._stream, n), np.uint64, n)
 
     def random(self) -> float:
@@ -155,6 +164,7 @@ class Xoshiro256:
         over word pairs; an odd count keeps the last sine as the new spare.
         log, cos and sin come from ``math`` so that a value does not depend
         on how the draws are batched (numpy's log rounds differently)."""
+        n = _count(n)
         out = np.empty(n)
         k = 0
         if n and self._spare_normal is not None:
@@ -216,9 +226,7 @@ class Xoshiro256:
         """Backward Fisher-Yates permutation of range(n).  The n - 1 words
         are drawn at once; a rare Lemire rejection (probability below
         n / 2^64) reads on into the stream, as ``bounded_int`` would."""
-        n = _integer("n", n)
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = _count(n)
         draw = chain(self.words(max(n - 1, 0)).tolist(), iter(self.next_u64, None)).__next__
         perm = list(range(n))
         for i in range(n - 1, 0, -1):
@@ -325,7 +333,10 @@ def _draw_x(rng: Xoshiro256, law: GaussianParams | StudentParams, n: int) -> np.
         scale = np.empty((n, 1))
         for i in range(n):
             z[i] = [rng.normal() for _ in range(d)]
-            scale[i] = math.sqrt(law.dof / rng.chi_square(law.dof))
+            chi2 = rng.chi_square(law.dof)
+            if chi2 == 0.0:  # a small dof's draw can underflow
+                raise ValueError(f"chi-square draw underflowed to 0 at x-law dof {law.dof}")
+            scale[i] = math.sqrt(law.dof / chi2)
     return law.center + _rank_one_sum(z, law.chol.T) * scale
 
 

@@ -55,15 +55,15 @@ the E-step already evaluated, instead of solving the gating problem to
 convergence.  The step is halved until the gating objective does not
 decrease, so the observed-data log-likelihood stays non-decreasing.
 
-``fit`` keeps the best of several starts, each a k-means partition of (x, y)
-from its own seeded generator.  It draws every start's partition before it
-fits any, then fits each distinct partition once, in start order: k-means
-often returns one partition to several starts, and a start is fitted given
-its partition alone.  Each start's k-means builds contiguous coordinate rows
-of (x, y): it sums the N-by-G squared distances one coordinate at a time
-and takes the centroids from ``np.bincount``, so it keeps no N-by-G-by-D
-temporary; up to d = 6 its labels are bit for bit those of the N-by-G-by-D
-sum and the masked means.
+``fit`` keeps the best of several starts, each an initial partition (k-means
+by default) from its own seeded generator.  It draws every start's partition
+before it fits any, then fits each distinct partition once, in start order:
+k-means often returns one partition to several starts, given labels return
+it to all of them, and a start is fitted given its partition alone.  Each
+start's k-means builds contiguous coordinate rows of (x, y): it sums the
+N-by-G squared distances one coordinate at a time and takes the centroids
+from ``np.bincount``, so it keeps no N-by-G-by-D temporary; up to d = 6 its
+labels are bit for bit those of the N-by-G-by-D sum and the masked means.
 """
 
 from __future__ import annotations
@@ -111,11 +111,8 @@ _NOISE_VAR_FLOOR = 1e-10
 _INITS = ("kmeans", "random_partition", "given_labels")
 
 class DegenerateFitError(RuntimeError):
-    """Every start collapsed (empty cluster, singular design, zero variance)."""
-
-
-class _DegenerateStart(Exception):
-    """Internal signal: abandon the current start and try the next one."""
+    """A start collapsed (empty cluster, singular design, zero variance);
+    ``fit`` raises it, naming each start's reason, when every start did."""
 
 
 @dataclass(frozen=True)
@@ -326,7 +323,7 @@ def _regularize_cov(cov: np.ndarray):
     try:
         return (cov, cholesky_lower(cov)), True
     except ValueError:
-        raise _DegenerateStart("singular covariance after regularization") from None
+        raise DegenerateFitError("singular covariance after regularization") from None
 
 
 def _x_factors(covs: np.ndarray):
@@ -352,7 +349,7 @@ def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.n
     try:
         beta = solve_spd(weighted @ design, weighted @ y)
     except ValueError:
-        raise _DegenerateStart("singular weighted design") from None
+        raise DegenerateFitError("singular weighted design") from None
     return beta[:, :-1], beta[:, -1]
 
 
@@ -454,7 +451,7 @@ def _m_step(data, config, resp, old, old_dist, const):
     spec = VARIANT_SPECS[config.variant]
     mass = resp.sum(axis=0)
     if np.any(mass < d + 2):
-        raise _DegenerateStart("cluster responsibility mass below d + 2")
+        raise DegenerateFitError("cluster responsibility mass below d + 2")
     used_ridge = False
     mu = covs = chols = log_det = dist_x = None
     if spec.x_law is not None:
@@ -472,7 +469,7 @@ def _m_step(data, config, resp, old, old_dist, const):
     resid = y - (slopes @ const.x_t + intercepts[:, None])
     noise_var = (wy.T * resid**2).sum(axis=1) / mass
     if not np.all(noise_var > const.var_floor):
-        raise _DegenerateStart("collapsed noise variance")
+        raise DegenerateFitError("collapsed noise variance")
     nus = zetas = None
     if spec.x_law == "t":
         # the ECME dof step, on the distances to the laws just set
@@ -514,12 +511,12 @@ def _run_start(data, config, resp, start_index):
         stack, dist, ridged = _m_step(data, config, resp, stack, dist, const)
         streak = streak + 1 if ridged else 0
         if streak >= 3:
-            raise _DegenerateStart("covariance required repeated regularization")
+            raise DegenerateFitError("covariance required repeated regularization")
         terms = _log_component_terms(stack, data.x, data.y, dist)
         row_lse = log_sum_exp(terms, axis=1)
         loglik = float(row_lse.sum())
         if not math.isfinite(loglik):
-            raise _DegenerateStart("non-finite log-likelihood")
+            raise DegenerateFitError("non-finite log-likelihood")
         trace.append(loglik)
         resp = np.exp(terms - row_lse[:, None])
         converged = len(trace) > 1 and abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < config.rel_tol
@@ -543,11 +540,9 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     fitted once, by the first start that drew it, in start order.  The
     fit is deterministic given the partition, so a repeat would equal the
     earlier result and lose the tie to it."""
-    # given_labels is deterministic, so extra starts would be identical
-    n_starts = 1 if config.init == "given_labels" else config.n_starts
     distinct = {}  # partition -> (the first start that drew it, its responsibilities)
     drawer = []  # each start's first drawer of its partition
-    for start in range(n_starts):
+    for start in range(config.n_starts):
         resp0 = initialize(data, config, np.random.default_rng([config.seed, start]))
         drawer.append(distinct.setdefault(resp0.argmax(axis=1).tobytes(), (start, resp0))[0])
     best = None
@@ -555,7 +550,7 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     for start, resp0 in distinct.values():
         try:
             result = _run_start(data, config, resp0, start)
-        except _DegenerateStart as exc:
+        except DegenerateFitError as exc:
             reasons[start] = str(exc)
             continue
         if best is None or result.loglik_trace[-1] > best.loglik_trace[-1]:

@@ -216,7 +216,7 @@ class Dataset:
         if x.ndim == 1:
             x = x[:, None]
         y = np.asarray(self.y, dtype=float).ravel()
-        if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
+        if x.ndim != 2 or x.shape[0] != y.shape[0] or min(x.shape) < 1:
             raise ValueError("x must be N-by-d with one y per row")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("non-finite values in data")

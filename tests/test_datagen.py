@@ -192,6 +192,12 @@ def test_bounded_int_rejects_nonpositive():
     pytest.param(lambda rng: rng.bounded_int(2.5), "n must be an integer", id="bounded-int-float"),
     pytest.param(lambda rng: rng.permutation(-3), "n must be non-negative", id="permutation-negative"),
     pytest.param(lambda rng: rng.permutation(True), "n must be an integer", id="permutation-bool"),
+    pytest.param(lambda rng: rng.words(True), "n must be an integer", id="words-bool"),
+    pytest.param(lambda rng: rng.randoms(True), "n must be an integer", id="randoms-bool"),
+    pytest.param(lambda rng: rng.normals(True), "n must be an integer", id="normals-bool"),
+    pytest.param(lambda rng: rng.words(2.5), "n must be an integer", id="words-float"),
+    pytest.param(lambda rng: rng.randoms(-2), "n must be non-negative", id="randoms-negative"),
+    pytest.param(lambda rng: rng.normals(-2), "n must be non-negative", id="normals-negative"),
 ])
 def test_draw_arguments_are_checked(draw, message):
     with pytest.raises(ValueError, match=message):
@@ -247,6 +253,13 @@ def test_generate_student_matches_scalar_oracle(d, dof):
         assert np.array_equal(data.x, x)
         assert np.array_equal(data.y, y)
         assert np.array_equal(data.labels, labels)
+
+
+def test_generate_rejects_a_chi_square_draw_of_zero():
+    # at dof 0.01 about 1 in 40 chi-square draws underflows to exactly 0
+    spec = ScenarioSpec((GroupSpec(300, StudentParams([0.0], [[1.0]], 0.01), [1.0], 0.0, 1.0),), seed=0)
+    with pytest.raises(ValueError, match="dof 0.01"):
+        generate(spec)
 
 
 def test_generate_does_not_refactor_the_x_laws(monkeypatch):

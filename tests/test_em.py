@@ -21,7 +21,6 @@ from cwmix.densities import GaussianParams, StudentParams, mahalanobis_sq
 from cwmix.em import (
     DegenerateFitError,
     FitConfig,
-    _DegenerateStart,
     _fit_gating,
     _latent_weights,
     _regularize_cov,
@@ -498,7 +497,7 @@ def test_regularize_cov_factors_each_covariance_once(monkeypatch):
     assert ridged and len(calls) == 2
     np.testing.assert_array_equal(out, np.ones((2, 2)) + 1e-8 * np.eye(2))
     np.testing.assert_array_equal(chol, cholesky(out))
-    with pytest.raises(_DegenerateStart):
+    with pytest.raises(DegenerateFitError):
         _regularize_cov(np.zeros((2, 2)))
 
 
@@ -520,7 +519,7 @@ def test_weighted_ls_stacked_matches_per_component_fit(d):
     # one component whose weight sits on d points cannot fit d + 1 coefficients
     w[:, 1] = 0.0
     w[:d, 1] = 1.0
-    with pytest.raises(_DegenerateStart, match="singular weighted design"):
+    with pytest.raises(DegenerateFitError, match="singular weighted design"):
         em._weighted_ls(design, y, w)
 
 
@@ -1195,13 +1194,13 @@ def _partitions(data, config):
 
 def _count_run_start(monkeypatch, fail=None):
     """Start indices _run_start is called with; with ``fail``, each call
-    raises _DegenerateStart(fail) instead of fitting."""
+    raises DegenerateFitError(fail) instead of fitting."""
     run_start, calls = em._run_start, []
 
     def counted(data, config, resp, start_index):
         calls.append(start_index)
         if fail is not None:
-            raise _DegenerateStart(fail)
+            raise DegenerateFitError(fail)
         return run_start(data, config, resp, start_index)
 
     monkeypatch.setattr(em, "_run_start", counted)
@@ -1220,7 +1219,7 @@ def test_fit_runs_each_distinct_start_once(monkeypatch, name, variant):
         resp0 = initialize(data, config, np.random.default_rng([config.seed, start]))
         try:
             res = em._run_start(data, config, resp0, start)
-        except _DegenerateStart:
+        except DegenerateFitError:
             continue
         if best is None or res.loglik_trace[-1] > best.loglik_trace[-1]:
             best = res
@@ -1246,12 +1245,13 @@ def test_fit_draws_every_partition_before_running_a_start(monkeypatch):
     assert events == ["draw"] * 10 + ["run"] * 8
 
 
-def test_fit_names_a_degenerate_duplicate_start(monkeypatch):
-    # one group: every k-means start is the same partition, fitted once
+@pytest.mark.parametrize("init", ("kmeans", "given_labels"))
+def test_fit_names_a_degenerate_duplicate_start(monkeypatch, init):
+    # one group: every start draws the same partition, fitted once
     x = np.random.default_rng(0).normal(size=60)
     calls = _count_run_start(monkeypatch)
     with pytest.raises(DegenerateFitError) as err:
-        fit(Dataset(x, 2.0 * x + 1.0), FitConfig(G=1))
+        fit(Dataset(x, 2.0 * x + 1.0, labels=np.ones(60, int)), FitConfig(G=1, init=init))
     assert calls == [0]
     assert str(err.value) == "; ".join(
         ["start 0: collapsed noise variance"]

@@ -591,6 +591,8 @@ def test_dataset_validation():
         Dataset(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         Dataset(np.ones((3, 1)), np.ones(2))
+    with pytest.raises(ValueError, match="x must be N-by-d"):
+        Dataset(np.zeros((20, 0)), np.arange(20.0))
     d = Dataset(np.ones((3, 1)), np.ones(3), np.array([1, NOISE, 2]))
     assert d.n == 3 and d.d == 1
 
