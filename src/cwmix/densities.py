@@ -4,7 +4,14 @@ Everything downstream (mixture evaluation, EM, the metrics) is built on
 the pieces here: Gaussian and Student-t log-densities of any dimension
 (also from a squared Mahalanobis distance the caller already has), squared
 Mahalanobis distance, log-gamma, digamma and trigamma.  All density work
-happens in log space; exponentiation is left to normalization sites.
+happens in log space; exponentiation is left to normalization sites, which
+exponentiate log-shares (each term minus its slice's maximum or log-sum)
+through ``_share_exp``.  It floors them at -700: np.exp of an argument much
+below that, whose result is subnormal or 0, takes 20 to 180 times as long
+per element, and a fit's E-step meets such terms often (a well separated
+component's share of a far point).  e^-700, about 1e-304, is a normal
+double, so a share below it reads e^-700; ``log_sum_exp`` keeps every bit,
+since its slice's maximum contributes an exact 1.0 to the sum.
 
 Covariance-like matrices are handled through a lower-triangular Cholesky
 factorization only; no explicit inverse is ever formed.  A factorization
@@ -370,12 +377,31 @@ def trigamma(x: float) -> float:
     return acc + inv + 0.5 * inv2 + series
 
 
+#: The floor under the log-shares ``_share_exp`` exponentiates (the module
+#: docstring says why): e^-700, about 1e-304, is a normal double.
+_LOG_SHARE_FLOOR = -700.0
+
+
+def _share_exp(z: np.ndarray) -> np.ndarray:
+    """exp of the log-shares z <= 0, floored at e^-700, in place in z: a share
+    below e^-700 reads e^-700, every other share is np.exp's, and a NaN stays
+    NaN."""
+    return np.exp(np.maximum(z, _LOG_SHARE_FLOOR, out=z), out=z)
+
+
 def log_sum_exp(a, axis=None):
-    """Numerically stable log(sum(exp(a))) along the given axis."""
+    """Numerically stable log(sum(exp(a))) along the given axis.
+
+    Each slice is shifted by its maximum m and its terms exponentiated by
+    ``_share_exp``: the floor moves only terms below e^-700, whose sum with
+    the maximum's exact 1.0 rounds to the unfloored sum.  The result is m +
+    log(sum), so a slice that is all -inf gives -inf, one that holds +inf
+    (and no NaN) +inf, and one that holds a NaN NaN."""
     a = np.asarray(a, dtype=float)
     m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
+    # out= keeps a 0-d a's shifted copy an array, which _share_exp writes to
+    shifted = np.subtract(a, np.where(np.isfinite(m), m, 0.0), out=np.empty_like(a))
+    total = np.log(np.sum(_share_exp(shifted), axis=axis))
     out = np.squeeze(m, axis=axis) if axis is not None else m.reshape(())
-    total = np.log(np.sum(np.exp(a - m), axis=axis))
     result = out + total
     return float(result) if result.ndim == 0 else result

@@ -42,12 +42,19 @@ variance comes from a stacked product, one stacked factorization solves every
 least-squares fit, and one more factors every x covariance (one that does
 not factor sends each component through ``_regularize_cov``).  Only the dof
 solves stay per component.
-Every weighted product runs over N as its innermost, contiguous axis: x is
-centred at each component's mean as G-by-d-by-N rows, the weighted design
-as G-by-(d+1)-by-N, and the next E-step's x distances whiten that same
-centred x rather than subtracting the means again.  The [x, 1] design, x as
-d contiguous rows, the noise-variance floor and, for fmrc, the gating
-Hessian's per-point blocks are computed once per start.
+The least-squares fits take two products against per-start products of the
+[x, 1] design: the G Gram matrices are the N-by-G weights' transpose times
+the N-by-(d+1)^2 self-products of the design rows, and the right-hand
+sides the same weights times the design rows times y.  The x moments run
+over N as their innermost, contiguous axis: x is centred at each
+component's mean as G-by-d-by-N rows, and the next E-step's x distances
+whiten that same centred x rather than subtracting the means again.  The
+design, its row self-products (which also give the fmrc gating Hessian's
+per-point blocks), the design rows times y, x as d contiguous rows and the
+noise-variance floor are computed once per start.  The E-step's
+responsibilities are exponentiated log-shares floored at e^-700 (see
+``densities._share_exp``): a share below 1e-304 reads e^-700 instead of
+costing np.exp's slow underflow path.
 
 The fmrc gating M-step is generalized EM: each iteration takes one guarded,
 penalized Newton step from the previous gating, starting from the log gate
@@ -61,9 +68,12 @@ before it fits any, then fits each distinct partition once, in start order:
 k-means often returns one partition to several starts, given labels return
 it to all of them, and a start is fitted given its partition alone.  Each
 start's k-means builds contiguous coordinate rows of (x, y): it sums the
-N-by-G squared distances one coordinate at a time and takes the centroids
-from ``np.bincount``, so it keeps no N-by-G-by-D temporary; up to d = 6 its
-labels are bit for bit those of the N-by-G-by-D sum and the masked means.
+squared distances as G-by-N rows, one coordinate at a time into two
+preallocated buffers, takes each point's nearest centre from G - 1 strict
+comparisons of those rows (the first on ties, as argmin), and takes the
+centroids from ``np.bincount``, so it keeps no N-by-G-by-D temporary; up to
+d = 6 its labels are bit for bit those of the N-by-G-by-D sum, argmin and
+the masked means.
 """
 
 from __future__ import annotations
@@ -79,6 +89,7 @@ import numpy as np
 # distances); perfbench/tracing.py still looks it up in this module.
 from .densities import (  # noqa: F401
     _log_det,
+    _share_exp,
     _whitened_sq,
     cholesky_lower,
     digamma,
@@ -163,19 +174,27 @@ def _kmeans_columns(data: Dataset) -> np.ndarray:
 def _kmeans_labels(columns: np.ndarray, G: int, rng) -> np.ndarray:
     """Lloyd's k-means, at most 20 iterations, on the D-by-N ``columns`` from
     G distinct random points, restarted from new points when a cluster
-    empties.  The squared distances are summed one coordinate at a time, left
-    to right, which is the order of numpy's ``sum`` over fewer than eight
-    terms (every (x, y) with d <= 6); each centroid sums its points in index
-    order, as a masked mean does."""
+    empties.  The G-by-N squared distances are summed in two preallocated
+    buffers, one coordinate at a time, left to right, which is the order of
+    numpy's ``sum`` over fewer than eight terms (every (x, y) with d <= 6);
+    each centroid sums its points in index order, as a masked mean does."""
     n = columns.shape[1]
+    dist, term = np.empty((2, G, n))
     for _ in range(50):
         centers = columns[:, rng.choice(n, size=G, replace=False)]
         assign = None
         for _ in range(20):
-            dist = (columns[0][:, None] - centers[0]) ** 2
+            np.square(np.subtract(columns[0], centers[0][:, None], out=dist), out=dist)
             for column, center in zip(columns[1:], centers[1:]):
-                dist += (column[:, None] - center) ** 2
-            new_assign = dist.argmin(axis=1)
+                dist += np.square(np.subtract(column, center[:, None], out=term), out=term)
+            # the nearest centre, the first on ties as argmin gives it, from
+            # G - 1 strict comparisons of contiguous rows (cheaper than an
+            # argmin across the short G axis); dist[0] keeps the running minimum
+            new_assign = np.zeros(n, dtype=np.intp)
+            for g in range(1, G):
+                closer = dist[g] < dist[0]
+                np.putmask(new_assign, closer, g)
+                np.putmask(dist[0], closer, dist[g])
             if assign is not None and np.array_equal(new_assign, assign):
                 return assign
             assign = new_assign
@@ -340,14 +359,15 @@ def _x_factors(covs: np.ndarray):
     return np.array(covs), np.array(chols), any(ridged)
 
 
-def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted least squares of y on the N-by-(d+1) design [x, 1], one fit
-    per column of the N-by-G weights: (G-by-d slopes, G intercepts).  The G
-    weighted Gram matrices come from one stacked product over G-by-(d+1)-by-N
-    weighted design columns and are solved by one stacked factorization."""
-    weighted = np.ascontiguousarray(w.T)[:, None, :] * np.ascontiguousarray(design.T)
+def _weighted_ls(outer: np.ndarray, design_y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least squares of y on the design [x, 1], one fit per column of
+    the N-by-G weights, from the start's per-point products (``_start_constants``):
+    (G-by-d slopes, G intercepts).  The G weighted Gram matrices are
+    ``w.T @ outer``, the right-hand sides ``w.T @ design_y``, and one stacked
+    factorization solves them."""
+    k = design_y.shape[1]
     try:
-        beta = solve_spd(weighted @ design, weighted @ y)
+        beta = solve_spd((w.T @ outer).reshape(-1, k, k), w.T @ design_y)
     except ValueError:
         raise DegenerateFitError("singular weighted design") from None
     return beta[:, :-1], beta[:, -1]
@@ -422,16 +442,18 @@ def _fit_gating(x: np.ndarray, resp: np.ndarray, theta: np.ndarray, log_gate, de
 
 
 #: What every M-step of one start reads unchanged: the N-by-(d+1) design
-#: [x, 1], the floor under the noise variances, for a gated variant the
-#: N-by-(d+1)^2 products of each design row with itself (the gating Hessian's
-#: per-point blocks; None otherwise), and x as d contiguous rows of N.
-_StartConstants = namedtuple("_StartConstants", ["design", "var_floor", "outer", "x_t"])
+#: [x, 1], the N-by-(d+1)^2 products of each design row with itself (the
+#: least-squares Gram matrices' and the gating Hessian's per-point blocks),
+#: the design rows times y (the least-squares right-hand sides' per-point
+#: terms), the floor under the noise variances, and x as d contiguous rows of N.
+_StartConstants = namedtuple("_StartConstants", ["design", "outer", "design_y", "var_floor", "x_t"])
 
 
-def _start_constants(data: Dataset, gated: bool = False) -> _StartConstants:
+def _start_constants(data: Dataset) -> _StartConstants:
     design = np.column_stack([data.x, np.ones(data.n)])
-    outer = (design[:, :, None] * design[:, None, :]).reshape(data.n, -1) if gated else None
-    return _StartConstants(design, _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30), outer,
+    outer = (design[:, :, None] * design[:, None, :]).reshape(data.n, -1)
+    return _StartConstants(design, outer, design * data.y[:, None],
+                           _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30),
                            np.ascontiguousarray(data.x.T))
 
 
@@ -465,7 +487,7 @@ def _m_step(data, config, resp, old, old_dist, const):
         log_det = _log_det(chols)
         dist_x = _whitened_sq(chols, centered)
     wy = resp if uy is None else resp * uy
-    slopes, intercepts = _weighted_ls(const.design, y, wy)
+    slopes, intercepts = _weighted_ls(const.outer, const.design_y, wy)
     resid = y - (slopes @ const.x_t + intercepts[:, None])
     noise_var = (wy.T * resid**2).sum(axis=1) / mass
     if not np.all(noise_var > const.var_floor):
@@ -503,7 +525,7 @@ def _run_start(data, config, resp, start_index):
     from the current responsibilities, then one E-step of the record it set,
     until the log-likelihood's relative change is below ``rel_tol`` or
     ``max_iter`` iterations have run."""
-    const = _start_constants(data, VARIANT_SPECS[config.variant].gated)
+    const = _start_constants(data)
     stack = dist = None
     streak = 0
     trace = []
@@ -518,7 +540,7 @@ def _run_start(data, config, resp, start_index):
         if not math.isfinite(loglik):
             raise DegenerateFitError("non-finite log-likelihood")
         trace.append(loglik)
-        resp = np.exp(terms - row_lse[:, None])
+        resp = _share_exp(terms - row_lse[:, None])
         converged = len(trace) > 1 and abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < config.rel_tol
         if converged:
             break

@@ -31,7 +31,10 @@ def wilks_lambda(data: Dataset, labels) -> float:
         raise ValueError("no grouped observations")
     q = z.shape[1]
     within = np.zeros((q, q))
-    for g in np.unique(labels):
+    # counting needs max-label entries, so a label above the point count
+    # (legal, if odd) takes the sort instead; both list the groups in order
+    groups = np.unique(labels) if labels.max() > labels.size else np.flatnonzero(np.bincount(labels))
+    for g in groups:
         zg = z[labels == g]
         centered = zg - zg.mean(axis=0)
         within += centered.T @ centered
@@ -79,8 +82,8 @@ def misclassification(true_labels, predicted_labels, G: int):
     if n == 0:
         raise ValueError("no labels")
     # raw counts; label - 1 modulo G + 1 puts NOISE (0) in the last slot
-    raw = np.zeros((G + 1, G + 1), dtype=int)
-    np.add.at(raw, ((truth - 1) % (G + 1), (pred - 1) % (G + 1)), 1)
+    raw = np.bincount((truth - 1) % (G + 1) * (G + 1) + (pred - 1) % (G + 1),
+                      minlength=(G + 1) ** 2).reshape(G + 1, G + 1)
 
     def matched(perm):  # predicted group j aligned to true group perm[j]
         return sum(raw[t, j] for j, t in enumerate(perm))

@@ -42,6 +42,7 @@ from .densities import (  # noqa: F401
     StudentParams,
     _law,
     _log_det,
+    _share_exp,
     _whitened_sq,
     gaussian_log_density,
     gaussian_logpdf,
@@ -416,7 +417,7 @@ def posterior(model: CwmModel, x, y):
     """Posterior membership probabilities, one row per observation."""
     xb, yb, scalar = _as_batch(model, x, y)
     terms = _log_component_terms(_stack(model), xb, yb)
-    prob = np.exp(terms - log_sum_exp(terms, axis=1)[:, None])
+    prob = _share_exp(terms - log_sum_exp(terms, axis=1)[:, None])
     return prob[0] if scalar else prob
 
 

@@ -11,6 +11,7 @@ import oracles
 from cwmix.densities import (
     GaussianParams,
     StudentParams,
+    _share_exp,
     cholesky_lower,
     digamma,
     gaussian_logpdf,
@@ -439,3 +440,46 @@ def test_log_sum_exp_axis():
     rows = log_sum_exp(a, axis=1)
     for i in range(4):
         assert rows[i] == pytest.approx(log_sum_exp(a[i]), rel=1e-12)
+
+
+def unfloored_log_sum_exp(a, axis=None):
+    # log_sum_exp as it was before its exps were floored at e^-700
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    out = np.squeeze(m, axis=axis) if axis is not None else m.reshape(())
+    with np.errstate(divide="ignore"):
+        return out + np.log(np.sum(np.exp(a - m), axis=axis))
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_log_sum_exp_floor_keeps_every_bit(order):
+    # terms down to 1e4 below the maximum, many past the e^-700 floor and
+    # some in exp's subnormal range: the floored sum rounds as the plain one
+    r = np.random.default_rng(31)
+    for spread in (10.0, 700.0, 760.0, 1e4):
+        a = np.asarray(r.normal(size=(300, 4)) * 50.0 - spread * r.random((300, 4)), order=order)
+        for axis in (None, 0, 1):
+            np.testing.assert_array_equal(log_sum_exp(a, axis=axis), unfloored_log_sum_exp(a, axis))
+
+
+def test_log_sum_exp_non_finite_slices_keep_their_value():
+    # an all -inf slice is -inf, not the floor's sum; +inf and NaN as before
+    inf, nan = math.inf, math.nan
+    a = np.array([[-inf, -inf, -inf], [inf, 0.0, -inf], [inf, inf, -800.0], [nan, 0.0, 1.0],
+                  [inf, nan, 0.0], [-inf, nan, -inf], [0.0, -inf, -inf], [-inf, 5.0, -2000.0]])
+    with np.errstate(invalid="ignore"):
+        want = unfloored_log_sum_exp(a, 1)
+    np.testing.assert_array_equal(want[:6], [-inf, inf, inf, nan, nan, nan])
+    np.testing.assert_array_equal(log_sum_exp(a, axis=1), want)
+    np.testing.assert_array_equal(log_sum_exp(a.T, axis=0), want)
+    assert log_sum_exp(a[0]) == -inf and log_sum_exp(a[1]) == inf and math.isnan(log_sum_exp(a[3]))
+    assert log_sum_exp(-inf) == -inf and log_sum_exp(2.5) == 2.5
+
+
+def test_share_exp_is_exp_down_to_the_floor():
+    r = np.random.default_rng(32)
+    z = np.concatenate([-700.0 * r.random(5000), [0.0, -0.0, -700.0, np.nextafter(-700.0, 0.0)]])
+    np.testing.assert_array_equal(_share_exp(z.copy()), np.exp(z))
+    below = np.array([np.nextafter(-700.0, -math.inf), -708.5, -745.2, -1e4, -math.inf])
+    np.testing.assert_array_equal(_share_exp(below), np.exp(-700.0))
+    assert np.isnan(_share_exp(np.array([math.nan]))[0])

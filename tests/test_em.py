@@ -30,7 +30,6 @@ from cwmix.em import (
     initialize,
 )
 from cwmix.model import (
-    VARIANT_SPECS,
     VARIANTS,
     Component,
     Conditional,
@@ -234,6 +233,22 @@ def test_kmeans_labels_sum_the_coordinates_in_the_reference_order():
                for s in seeds)
     for seed in seeds:
         _assert_kmeans_matches_oracle(z, 2, seed)
+
+
+def test_kmeans_labels_give_a_tied_point_the_lower_centre():
+    # with the ends of 0, 1, 2 as the first centres the middle point is
+    # exactly as far from both; it joins the first-drawn centre, as argmin
+    # picks it, and that choice decides the final partition
+    z = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    seeds = range(25)
+    firsts = [np.random.default_rng(s).choice(3, size=2, replace=False) for s in seeds]
+    assert any(set(first) == {0, 2} for first in firsts)
+    for seed, first in zip(seeds, firsts):
+        _assert_kmeans_matches_oracle(z, 2, seed)
+        if set(first) == {0, 2}:
+            labels = em._kmeans_labels(em._kmeans_columns(Dataset(z[:, :1], z[:, 1])), 2,
+                                       np.random.default_rng(seed))
+            assert labels[1] == labels[first[0]] == 0
 
 
 def test_kmeans_labels_restart_on_an_empty_cluster_like_the_reference():
@@ -509,7 +524,8 @@ def test_weighted_ls_stacked_matches_per_component_fit(d):
     y = x @ r.normal(size=d) + r.normal(size=n)
     w = r.uniform(0.05, 2.0, size=(n, G))
     design = np.column_stack([x, np.ones(n)])
-    slopes, intercepts = em._weighted_ls(design, y, w)
+    const = em._start_constants(Dataset(x, y))
+    slopes, intercepts = em._weighted_ls(const.outer, const.design_y, w)
     assert slopes.shape == (G, d) and intercepts.shape == (G,)
     for g in range(G):
         weighted = design * w[:, g, None]
@@ -520,7 +536,7 @@ def test_weighted_ls_stacked_matches_per_component_fit(d):
     w[:, 1] = 0.0
     w[:d, 1] = 1.0
     with pytest.raises(DegenerateFitError, match="singular weighted design"):
-        em._weighted_ls(design, y, w)
+        em._weighted_ls(const.outer, const.design_y, w)
 
 
 def test_m_step_ridges_only_the_singular_component(monkeypatch):
@@ -805,7 +821,7 @@ def test_m_step_hands_the_e_step_its_distances(variant):
 def assert_m_step_hands_off_its_distances(data, config):
     """Three M-steps from a k-means start: the distances each returns are bit
     for bit a fresh ``_component_distances`` of the model it returns."""
-    const = em._start_constants(data, VARIANT_SPECS[config.variant].gated)
+    const = em._start_constants(data)
     resp = initialize(data, config, np.random.default_rng([0, 0]))
     model, dist, _ = em._m_step(data, config, resp, None, None, const)
     for _ in range(3):
@@ -1013,7 +1029,7 @@ def gating_theta(gating):
 
 def gating_step(x, resp, theta):
     # one gating M-step from the gating rows ``theta``, before any E-step has run
-    const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
+    const = em._start_constants(Dataset(x, np.zeros(len(x))))
     return _fit_gating(x, resp, theta, None, const.design, const.outer)[0]
 
 
@@ -1071,7 +1087,7 @@ def test_fit_gating_reuses_the_e_step_log_gate(monkeypatch, seed):
     theta = gating_theta(warm)
     logits = _gate_logits(x, theta)
     log_gate = logits - densities.log_sum_exp(logits, axis=0)
-    const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
+    const = em._start_constants(Dataset(x, np.zeros(len(x))))
     calls = []
     log_sum_exp = em.log_sum_exp
     monkeypatch.setattr(em, "log_sum_exp", lambda *a, **k: calls.append(1) or log_sum_exp(*a, **k))
@@ -1091,13 +1107,12 @@ def test_fit_gating_hoisted_outer_takes_the_same_step(seed):
     # start, they give the step that blocks formed here give, bit for bit
     x, resp = gating_problem(seed)
     warm = np.zeros((2, 3))
-    const = em._start_constants(Dataset(x, np.zeros(len(x))), gated=True)
+    const = em._start_constants(Dataset(x, np.zeros(len(x))))
     design = np.column_stack([x, np.ones(len(x))])
     outer = np.einsum("ni,nj->nij", design, design).reshape(len(x), -1)
     np.testing.assert_array_equal(
         _fit_gating(x, resp, warm, None, const.design, const.outer)[0],
         _fit_gating(x, resp, warm, None, design, outer)[0])
-    assert em._start_constants(Dataset(x, np.zeros(len(x)))).outer is None
 
 
 def test_fit_gating_keeps_theta_when_the_ridged_hessian_does_not_factor(monkeypatch):
@@ -1108,7 +1123,7 @@ def test_fit_gating_keeps_theta_when_the_ridged_hessian_does_not_factor(monkeypa
     x = np.column_stack([x1, x1])
     resp = r.dirichlet(np.ones(2), size=60)
     theta = np.zeros((1, 3))
-    const = em._start_constants(Dataset(x, np.zeros(60)), gated=True)
+    const = em._start_constants(Dataset(x, np.zeros(60)))
     raised = []
     solve_spd = em.solve_spd
 

@@ -92,6 +92,15 @@ def test_wilks_matches_direct_recount(sizes):
     assert wilks_lambda(Dataset(x, y), labels) == pytest.approx(want, rel=1e-12)
 
 
+def test_wilks_reads_labels_above_the_point_count_as_groups():
+    # group lists come from counting labels up to the largest; a label far
+    # above N names its group as a small one does, without a count per value
+    r = np.random.default_rng(4)
+    data = Dataset(r.normal(size=(40, 2)), r.normal(size=40))
+    labels = np.repeat([1, 2, 3], [15, 20, 5])
+    assert wilks_lambda(data, labels * 10**15) == wilks_lambda(data, labels)
+
+
 def test_wilks_excludes_noise_rows():
     r = np.random.default_rng(9)
     x = r.normal(size=(60, 1))
