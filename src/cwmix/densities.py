@@ -398,10 +398,10 @@ def log_sum_exp(a, axis=None):
     log(sum), so a slice that is all -inf gives -inf, one that holds +inf
     (and no NaN) +inf, and one that holds a NaN NaN."""
     a = np.asarray(a, dtype=float)
+    if a.ndim == 0:  # a 0-d difference is a numpy scalar, which _share_exp cannot write to
+        a = a.reshape(1)
     m = np.max(a, axis=axis, keepdims=True)
-    # out= keeps a 0-d a's shifted copy an array, which _share_exp writes to
-    shifted = np.subtract(a, np.where(np.isfinite(m), m, 0.0), out=np.empty_like(a))
-    total = np.log(np.sum(_share_exp(shifted), axis=axis))
+    total = np.log(np.sum(_share_exp(a - np.where(np.isfinite(m), m, 0.0)), axis=axis))
     out = np.squeeze(m, axis=axis) if axis is not None else m.reshape(())
     result = out + total
     return float(result) if result.ndim == 0 else result
