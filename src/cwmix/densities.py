@@ -377,16 +377,11 @@ def trigamma(x: float) -> float:
     return acc + inv + 0.5 * inv2 + series
 
 
-#: The floor under the log-shares ``_share_exp`` exponentiates (the module
-#: docstring says why): e^-700, about 1e-304, is a normal double.
-_LOG_SHARE_FLOOR = -700.0
-
-
 def _share_exp(z: np.ndarray) -> np.ndarray:
-    """exp of the log-shares z <= 0, floored at e^-700, in place in z: a share
-    below e^-700 reads e^-700, every other share is np.exp's, and a NaN stays
-    NaN."""
-    return np.exp(np.maximum(z, _LOG_SHARE_FLOOR, out=z), out=z)
+    """exp of the log-shares z <= 0, floored at e^-700 (the module docstring
+    says why), in place in z: a share below e^-700 reads e^-700, every other
+    share is np.exp's, and a NaN stays NaN."""
+    return np.exp(np.maximum(z, -700.0, out=z), out=z)
 
 
 def log_sum_exp(a, axis=None):
