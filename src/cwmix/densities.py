@@ -25,7 +25,9 @@ normal equations of a regression, the fmrc gating Hessian), where numpy's
 per-call overhead would cost more than the arithmetic.  Every inner product
 is summed left to right with one rounding per product and per addition, so
 neither result depends on the BLAS kernel.  ``solve_lower`` whitens N points
-per factor, so it stays one numpy row loop for the whole stack.
+per factor, so it is one numpy forward substitution for the whole stack,
+one contiguous coordinate row of N at a time, its inner products too summed
+left to right; ``_whitened_sq`` shares that substitution.
 
 A Gaussian and a Student-t law share one body: a finite center, a scatter
 matrix, its Cholesky factor and log-determinant, read as ``center``,
@@ -33,7 +35,9 @@ matrix, its Cholesky factor and log-determinant, read as ``center``,
 its dof.  Squared Mahalanobis distances have one implementation,
 ``_whitened_sq``: the per-law ``mahalanobis_sq``, ``gaussian_logpdf`` and
 ``student_logpdf`` call it with one factor, and the E- and M-steps with the
-stacked factors of every component.
+stacked factors of every component.  It sums the whitened rows' squares
+left to right, so no distance depends on the BLAS kernel or on how the
+points are laid out.
 """
 
 from __future__ import annotations
@@ -109,22 +113,32 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     return np.array(factors, dtype=float).reshape(shape)
 
 
+def _forward_rows(L, b) -> list:
+    """The rows of w with L w = b, for one lower-triangular L or a (G, k, k)
+    stack of them, b as for solve_lower: row i is (b_i - sum_t<i L_it w_t) /
+    L_ii, a (G, m) array (G = 1 for one factor) computed one contiguous
+    coordinate row at a time, the sum taken left to right."""
+    L = np.asarray(L, dtype=float)
+    L = L.reshape((-1,) + L.shape[-2:])
+    b = np.asarray(b, dtype=float).reshape(L.shape[:2] + (-1,))
+    rows = []
+    for i in range(L.shape[-1]):
+        rhs = b[:, i]
+        if i:
+            acc = L[:, i, 0, None] * rows[0]
+            for t in range(1, i):
+                acc += L[:, i, t, None] * rows[t]
+            rhs = rhs - acc
+        rows.append(rhs / L[:, i, i, None])
+    return rows
+
+
 def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L w = b by forward substitution, for one lower-triangular L or a
     (G, k, k) stack of them; b is a vector or a matrix per factor, of shape
     (k,) or (k, m) for one factor and (G, k) or (G, k, m) for a stack."""
-    L = np.asarray(L, dtype=float)
-    L = L.reshape((-1,) + L.shape[-2:])
     b = np.asarray(b, dtype=float)
-    shape = b.shape
-    b = b.reshape(L.shape[:2] + (-1,))
-    w = np.zeros_like(b)
-    for i in range(L.shape[-1]):
-        rhs = b[:, i]
-        if i:
-            rhs = rhs - (L[:, i : i + 1, :i] @ w[:, :i])[:, 0]
-        w[:, i] = rhs / L[:, i, i, None]
-    return w.reshape(shape)
+    return np.stack(_forward_rows(L, b), axis=1).reshape(b.shape)
 
 
 def _substitute(L: list, b: list) -> list:
@@ -247,9 +261,14 @@ def _whitened_sq(chol, centered) -> np.ndarray:
     """Squared Mahalanobis distances: the squared norms of L^-1 (z - center)
     for points ``centered`` at their law, coordinates on the second-to-last
     axis.  One law's k-by-k factor takes (k, N) points; a (G, k, k) stack
-    takes (G, k, N), one stacked triangular solve giving G-by-N distances."""
-    white = solve_lower(chol, centered)
-    return np.sum(white * white, axis=-2)
+    takes (G, k, N), one stacked forward substitution giving G-by-N
+    distances, its rows' squares summed left to right."""
+    centered = np.asarray(centered, dtype=float)
+    rows = _forward_rows(chol, centered)
+    sq = rows[0] * rows[0]
+    for row in rows[1:]:
+        sq += row * row
+    return sq.reshape(centered.shape[:-2] + centered.shape[-1:])
 
 
 def mahalanobis_sq(z, params) -> float | np.ndarray:

@@ -107,6 +107,7 @@ from .model import (
     _gate_logits,
     _integer,
     _log_component_terms,
+    _matmul,
     _seed,
     _Stack,
     _unstack,
@@ -488,7 +489,7 @@ def _m_step(data, config, resp, old, old_dist, const):
         dist_x = _whitened_sq(chols, centered)
     wy = resp if uy is None else resp * uy
     slopes, intercepts = _weighted_ls(const.outer, const.design_y, wy)
-    resid = y - (slopes @ const.x_t + intercepts[:, None])
+    resid = y - (_matmul(slopes, const.x_t) + intercepts[:, None])
     noise_var = (wy.T * resid**2).sum(axis=1) / mass
     if not np.all(noise_var > const.var_floor):
         raise DegenerateFitError("collapsed noise variance")

@@ -12,7 +12,8 @@ import numpy as np
 
 from .densities import GaussianParams, gaussian_logpdf
 from .em import FitResult
-from .model import NOISE, VARIANT_SPECS, CwmModel, Dataset, _integer, _labels, posterior
+from .model import (NOISE, VARIANT_SPECS, CwmModel, Dataset, _integer, _labels, _matmul, _stack,
+                    posterior)
 
 
 def wilks_lambda(data: Dataset, labels) -> float:
@@ -22,43 +23,57 @@ def wilks_lambda(data: Dataset, labels) -> float:
     excluded.  Only the total scatter must be nonsingular; a group of any
     size adds to the pooled within scatter.  A single group gives exactly 1
     (within equals total), a singular within scatter 0.
+
+    z is laid out as d + 1 contiguous rows of N.  The group sums come from
+    ``np.bincount``, the total from their exactly rounded sum, and each
+    scatter from one product of the rows centred at their group's or the
+    total mean.
     """
     labels = Dataset(data.x, data.y, labels).labels
-    z = np.column_stack([data.x, data.y])
+    z = np.vstack([data.x.T, data.y])
     keep = labels != NOISE
-    z, labels = z[keep], labels[keep]
-    if z.shape[0] == 0:
+    if not keep.all():
+        z, labels = z[:, keep], labels[keep]
+    n = labels.size
+    if n == 0:
         raise ValueError("no grouped observations")
-    q = z.shape[1]
-    within = np.zeros((q, q))
     # counting needs max-label entries, so a label above the point count
-    # (legal, if odd) takes the sort instead; both list the groups in order
-    groups = np.unique(labels) if labels.max() > labels.size else np.flatnonzero(np.bincount(labels))
-    for g in groups:
-        zg = z[labels == g]
-        centered = zg - zg.mean(axis=0)
-        within += centered.T @ centered
-    centered = z - z.mean(axis=0)
-    total = centered.T @ centered
-    sign_t, logdet_t = np.linalg.slogdet(total)
+    # (legal, if odd) is replaced by its rank among the labels first
+    if labels.max() > n:
+        labels = np.unique(labels, return_inverse=True)[1]
+    sums = np.stack([np.bincount(labels, weights=row) for row in z])
+    # an absent label (NOISE's slot, at least) has a zero sum and count
+    within_c = z - np.take(sums / np.maximum(np.bincount(labels), 1), labels, axis=1)
+    # fsum makes the total mean one group's mean, bit for bit, when only one is present
+    total_c = z - np.array([math.fsum(row) for row in sums.tolist()])[:, None] / n
+    sign_t, logdet_t = np.linalg.slogdet(total_c @ total_c.T)
     if sign_t <= 0 or not np.isfinite(logdet_t):
         raise ValueError("total scatter matrix is singular")
-    sign_w, logdet_w = np.linalg.slogdet(within)
+    sign_w, logdet_w = np.linalg.slogdet(within_c @ within_c.T)
     if sign_w <= 0:
         return 0.0
     return float(min(1.0, math.exp(logdet_w - logdet_t)))
 
 
 def iwf(data: Dataset, model: CwmModel, include_noise: bool = True) -> float:
-    """Root-mean-square of y minus the posterior-weighted local regression mean."""
+    """Root-mean-square of y minus the posterior-weighted local regression mean.
+
+    With ``include_noise`` False the NOISE-labeled rows are left out.  The
+    local means are laid out G-by-N, one row per component, from the stacked
+    record, and summed against the posterior's rows left to right."""
     if include_noise or data.labels is None:
         x, y = data.x, data.y
     else:
         keep = data.labels != NOISE
+        if not keep.any():
+            raise ValueError("no grouped observations")
         x, y = data.x[keep], data.y[keep]
-    post = posterior(model, x, y)
-    local_means = np.stack([c.y_conditional.map(x) for c in model.components], axis=1)
-    fitted = (post * local_means).sum(axis=1)
+    post = posterior(model, x, y).T
+    stack = _stack(model)
+    local = _matmul(stack.slope, np.ascontiguousarray(x.T)) + stack.intercept[:, None]
+    fitted = post[0] * local[0]
+    for g in range(1, model.G):
+        fitted += post[g] * local[g]
     return float(np.sqrt(np.mean((y - fitted) ** 2)))
 
 
@@ -81,9 +96,11 @@ def misclassification(true_labels, predicted_labels, G: int):
     n = truth.shape[0]
     if n == 0:
         raise ValueError("no labels")
-    # raw counts; label - 1 modulo G + 1 puts NOISE (0) in the last slot
-    raw = np.bincount((truth - 1) % (G + 1) * (G + 1) + (pred - 1) % (G + 1),
-                      minlength=(G + 1) ** 2).reshape(G + 1, G + 1)
+    # raw counts, slot label - 1 for a group and the last slot, G, for NOISE
+    truth_slot, pred_slot = truth - 1, pred - 1
+    truth_slot[truth == NOISE] = G
+    pred_slot[pred == NOISE] = G
+    raw = np.bincount(truth_slot * (G + 1) + pred_slot, minlength=(G + 1) ** 2).reshape(G + 1, G + 1)
 
     def matched(perm):  # predicted group j aligned to true group perm[j]
         return sum(raw[t, j] for j, t in enumerate(perm))
@@ -126,7 +143,9 @@ def _bic(fit: FitResult, N: int, ll_x: float = 0.0, k_x: int = 0) -> float:
 
 
 def bic(fit: FitResult, N: int) -> float:
-    """-2 loglik + k log N (smaller is better)."""
+    """-2 loglik + k log N (smaller is better); N is the count of observations."""
+    if _integer("N", N) < 1:
+        raise ValueError("N must be at least 1")
     return _bic(fit, N)
 
 

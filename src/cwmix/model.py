@@ -19,10 +19,12 @@ record its last E-step read.  Both read a law through the names its two
 kinds share (``center``, ``scatter``) and build one through
 ``densities._law``.  Evaluation is laid out G-by-N, one row per component:
 the distances of every observation to every component come from one stacked
-triangular solve in ``densities._whitened_sq``, the whitening the per-law
-densities use too, and the log-densities are G-by-N expressions
+forward substitution in ``densities._whitened_sq``, the whitening the
+per-law densities use too, and the log-densities are G-by-N expressions
 with per-component parameters as G-by-1 columns.  Only ``log_gamma`` of each
-dof is taken per component.
+dof is taken per component.  A G-by-d parameter block times the d rows of x
+is a broadcast outer product at d = 1 (``_matmul``).  ``classify`` takes the
+arg-max of these G-by-N rows as they are; only ``posterior`` normalizes them.
 """
 
 from __future__ import annotations
@@ -343,6 +345,12 @@ def _unstack(stack: _Stack) -> CwmModel:
     return CwmModel(stack.variant, tuple(comps), gating)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a G-by-d a and a d-by-N b.  At d = 1 it is the broadcast
+    outer product, the same bits at about a sixth of np.matmul's cost."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
 def _gate_logits(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """G-by-N gating logits: 0 for the baseline, w'x + w0 from the rows of
     ``theta`` for the others.  The E-step and the gating M-step
@@ -350,7 +358,7 @@ def _gate_logits(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
     ``log_sum_exp``, so the M-step's acceptance test compares values computed
     alike."""
     logits = np.zeros((theta.shape[0] + 1, xb.shape[0]))
-    logits[1:] = theta[:, :-1] @ xb.T + theta[:, -1:]
+    logits[1:] = _matmul(theta[:, :-1], xb.T) + theta[:, -1:]
     return logits
 
 
@@ -360,7 +368,7 @@ def _component_distances(stack: _Stack, xb: np.ndarray, yb: np.ndarray) -> Dista
     contiguous rows of N, as the M-step lays it out, so the distances the
     M-step hands the E-step are these bit for bit."""
     x_t = np.ascontiguousarray(xb.T)
-    resid = yb - (stack.slope @ x_t + stack.intercept[:, None])
+    resid = yb - (_matmul(stack.slope, x_t) + stack.intercept[:, None])
     log_gate = None
     if stack.theta is not None:
         logits = _gate_logits(xb, stack.theta)
@@ -422,9 +430,20 @@ def posterior(model: CwmModel, x, y):
 
 
 def classify(model: CwmModel, data: Dataset) -> np.ndarray:
-    """Maximum-posterior group index per observation; ties go to the lowest index."""
-    prob = posterior(model, data.x, data.y)
-    return np.argmax(prob, axis=1) + 1
+    """Maximum-posterior group index per observation: the arg-max of the
+    component terms log(weight_g density_g), which normalizing to posteriors
+    would only shift per observation; ties go to the lowest index."""
+    xb, yb, _ = _as_batch(model, data.x, data.y)
+    rows = _log_component_terms(_stack(model), xb, yb).T
+    # G - 1 strict comparisons of contiguous rows, the first index winning
+    # ties as argmax gives it; top keeps the running maximum
+    top = rows[0].copy()
+    labels = np.ones(top.shape[0], dtype=np.intp)
+    for g in range(1, rows.shape[0]):
+        higher = rows[g] > top
+        np.putmask(labels, higher, g + 1)
+        np.putmask(top, higher, rows[g])
+    return labels
 
 
 # ----------------------------------------------------------- nesting maps

@@ -12,6 +12,7 @@ from cwmix.densities import (
     GaussianParams,
     StudentParams,
     _share_exp,
+    _whitened_sq,
     cholesky_lower,
     digamma,
     gaussian_logpdf,
@@ -95,6 +96,23 @@ def test_stacked_kernels_match_each_matrix(k):
         np.testing.assert_array_equal(solve_spd(stack, mat)[g], solve_spd(stack[g], mat[g]))
     np.testing.assert_allclose(np.einsum("gij,gj->gi", stack, solve_spd(stack, vec)), vec,
                                rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_whitened_sq_is_the_squared_norm_of_solve_lower(k):
+    # both forward-substitute the same rows; summing a norm's squares left to
+    # right keeps every bit while it has at most two terms (bound for three
+    # fixed beforehand)
+    L = cholesky_lower(np.array([random_spd(k, scale) for scale in (1e-3, 1.0, 1e4)]))
+    pts = rng.normal(size=(3, k, 40)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(3, k, 1))
+    for got, white in [(_whitened_sq(L, pts), solve_lower(L, pts)),
+                       (_whitened_sq(L[1], pts[1]), solve_lower(L[1], pts[1]))]:
+        want = np.sum(white * white, axis=-2)
+        assert got.shape == want.shape
+        if k <= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("bad", [

@@ -370,8 +370,15 @@ _one_line = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0
     pytest.param(lambda: misclassification([1, 2], [2, 1], 2.0), "G must be an integer",
                  id="misclassification-float-G"),
     # with the NOISE rows left out nothing is left to score
-    pytest.param(lambda: iwf(_noise_only, _one_line, include_noise=False), "one y per row",
+    pytest.param(lambda: iwf(_noise_only, _one_line, include_noise=False), "no grouped observations",
                  id="iwf-nothing-but-noise"),
+    # N is a count of observations: no bool, no fraction and at least one
+    pytest.param(lambda: bic(dummy_fit(_one_line, -5.0), True), "N must be an integer", id="bic-bool-N"),
+    pytest.param(lambda: bic(dummy_fit(_one_line, -5.0), 2.5), "N must be an integer",
+                 id="bic-fractional-N"),
+    pytest.param(lambda: bic(dummy_fit(_one_line, -5.0), 0), "N must be at least 1", id="bic-zero-N"),
+    pytest.param(lambda: bic(dummy_fit(_one_line, -5.0), -3), "N must be at least 1",
+                 id="bic-negative-N"),
 ])
 def test_invalid_metric_input_is_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import random_model, random_points, random_spd
+from cwmix.datagen import SCENARIO_NAMES, builtin_scenario, generate
 from cwmix.densities import (
     GaussianParams,
     StudentParams,
@@ -17,6 +18,7 @@ from cwmix.densities import (
     mahalanobis_sq,
     student_logpdf,
 )
+from cwmix.em import FitConfig, fit
 from cwmix.model import (
     NOISE,
     VARIANTS,
@@ -26,6 +28,7 @@ from cwmix.model import (
     Dataset,
     LinearMap,
     _log_component_terms,
+    _matmul,
     _stack,
     _unstack,
     check_degenerate_conditional,
@@ -288,6 +291,40 @@ def test_classify_matches_posterior_argmax():
     labels = classify(m, data)
     p = posterior(m, x, y)
     assert np.all(labels == np.argmax(p, axis=1) + 1)
+
+
+def test_classify_breaks_a_tie_between_later_components_low():
+    # components 2 and 3 are one law at one weight, so their terms tie
+    # exactly and beat component 1's; the lower index, 2, wins
+    far = gaussian_component(0.2, 50.0, 1.0, 1.0, 0.0, 1.0)
+    near = gaussian_component(0.4, 0.0, 1.0, 1.0, 0.0, 1.0)
+    m = CwmModel("gaussian_cwm", (far, near, near))
+    data = Dataset(rng.normal(size=(12, 1)), rng.normal(size=12))
+    terms = _log_component_terms(_stack(m), data.x, data.y)
+    assert np.array_equal(terms[:, 1], terms[:, 2]) and np.all(terms[:, 1] > terms[:, 0])
+    assert np.all(classify(m, data) == 2)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_classify_is_the_posterior_argmax_of_builtin_fits(name, variant):
+    # classify reads the component terms without normalizing them; on the
+    # default fit of every builtin design it labels as the posterior does
+    spec = builtin_scenario(name).with_seed(1)
+    data = generate(spec)
+    m = fit(data, FitConfig(G=len(spec.groups), variant=variant, seed=1)).model
+    want = np.argmax(posterior(m, data.x, data.y), axis=1) + 1
+    np.testing.assert_array_equal(classify(m, data), want)
+
+
+def test_inner_dimension_one_product_is_matmul_bit_for_bit():
+    # at d = 1 the broadcast outer product replaces np.matmul, for a
+    # contiguous right-hand side and for the transposed view of an N-by-1 x
+    r = np.random.default_rng(8)
+    a = r.normal(size=(3, 1)) * 10.0 ** r.uniform(-8.0, 8.0, size=(3, 1))
+    x = r.normal(size=(500, 1)) * 10.0 ** r.uniform(-8.0, 8.0, size=(500, 1))
+    for b in (np.ascontiguousarray(x.T), x.T):
+        assert _matmul(a, b).tobytes() == np.matmul(a, b).tobytes()
 
 
 def test_classify_true_model_on_generated_batch():
