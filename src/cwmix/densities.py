@@ -263,7 +263,6 @@ def _whitened_sq(chol, centered) -> np.ndarray:
     axis.  One law's k-by-k factor takes (k, N) points; a (G, k, k) stack
     takes (G, k, N), one stacked forward substitution giving G-by-N
     distances, its rows' squares summed left to right."""
-    centered = np.asarray(centered, dtype=float)
     rows = _forward_rows(chol, centered)
     sq = rows[0] * rows[0]
     for row in rows[1:]:

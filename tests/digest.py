@@ -25,10 +25,10 @@ noise-free ex1-ex3 (228 cells in all).  Last it hashes
 ``misclassification`` on 3,000 random label vectors.
 """
 
+import argparse
 import hashlib
 import itertools
 import json
-import sys
 import time
 import warnings
 
@@ -91,9 +91,10 @@ def _cell(parts, data, G, variant, seed, **options):
 
 
 def main():
-    show_parts = sys.argv[1:] == ["--parts"]
-    if sys.argv[1:] and not show_parts:
-        sys.exit("usage: digest.py [--parts]")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parts", action="store_true",
+                        help="first print a short hash of each value per cell")
+    show_parts = parser.parse_args().parts
     start = time.perf_counter()
     h = hashlib.sha256()
     cells = 0

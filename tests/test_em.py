@@ -848,9 +848,9 @@ def test_m_step_hands_the_e_step_its_bivariate_distances(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_m_step_hands_the_e_step_its_distances_in_four_dimensions(variant):
-    # at d = 4 the whitening's triangular solve sums through a BLAS product
-    # whose bits depend on the layout of the centred x; scoring lays x out
-    # as the M-step does, so the hand-off stays exact
+    # at d = 4 the residuals' slope product goes through BLAS, whose bits
+    # depend on the layout of x; scoring lays x out as the M-step does, so
+    # the hand-off stays exact
     r = np.random.default_rng(4)
     labels = r.integers(0, 3, size=400)
     x = r.normal(size=(400, 4)) @ r.normal(size=(4, 4)) + 3.0 * labels[:, None]
