@@ -34,7 +34,6 @@ augmented with uniform background points over a box.  Tables quote sigma
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -43,7 +42,7 @@ import numpy as np
 
 # cholesky_lower is not called here (a law carries its factor as ``chol``);
 # perfbench/tracing.py still looks it up in this module.
-from .densities import GaussianParams, StudentParams, cholesky_lower, law_from_dict, law_to_dict  # noqa: F401
+from .densities import GaussianParams, StudentParams, cholesky_lower  # noqa: F401
 from .model import NOISE, Dataset, LinearMap, _integer, _seed
 
 _MASK64 = (1 << 64) - 1
@@ -451,57 +450,3 @@ def crab_perturb(data: Dataset, constant: float) -> Dataset:
     labels = None if data.labels is None else data.labels.copy()
     return Dataset(x, data.y.copy(), labels)
 
-
-# --- JSON mirror -----------------------------------------------------------
-
-
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    out = {
-        "seed": spec.seed,
-        "groups": [
-            {
-                "n": g.n,
-                "x_law": law_to_dict(g.x_law),
-                "slope": g.slope.tolist(),
-                "intercept": g.intercept,
-                "noise_sd": g.noise_sd,
-            }
-            for g in spec.groups
-        ],
-    }
-    if spec.noise is not None:
-        out["noise"] = {
-            "count": spec.noise.count,
-            "box": [list(iv) for iv in spec.noise.box],
-        }
-    return out
-
-
-def scenario_from_dict(doc: dict) -> ScenarioSpec:
-    groups = tuple(
-        GroupSpec(
-            g["n"],
-            law_from_dict(g["x_law"]),
-            np.asarray(g["slope"], dtype=float),
-            g["intercept"],
-            g["noise_sd"],
-        )
-        for g in doc["groups"]
-    )
-    noise = None
-    if doc.get("noise") is not None:
-        noise = NoiseSpec(
-            doc["noise"]["count"], tuple(tuple(iv) for iv in doc["noise"]["box"])
-        )
-    return ScenarioSpec(groups, noise, doc.get("seed", 0))
-
-
-def write_scenario(path, spec: ScenarioSpec) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(spec), fh, indent=2)
-        fh.write("\n")
-
-
-def read_scenario(path) -> ScenarioSpec:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))

@@ -71,9 +71,7 @@ start's k-means builds contiguous coordinate rows of (x, y): it sums the
 squared distances as G-by-N rows, one coordinate at a time into two
 preallocated buffers, takes each point's nearest centre from G - 1 strict
 comparisons of those rows (the first on ties, as argmin), and takes the
-centroids from ``np.bincount``, so it keeps no N-by-G-by-D temporary; up to
-d = 6 its labels are bit for bit those of the N-by-G-by-D sum, argmin and
-the masked means.
+centroids from ``np.bincount``, so it keeps no N-by-G-by-D temporary.
 """
 
 from __future__ import annotations
@@ -120,7 +118,7 @@ _INIT_DOF = 10.0
 #: exact line is a spurious likelihood spike, not a solution.
 _NOISE_VAR_FLOOR = 1e-10
 
-_INITS = ("kmeans", "random_partition", "given_labels")
+_INITS = ("kmeans", "given_labels")
 
 class DegenerateFitError(RuntimeError):
     """A start collapsed (empty cluster, singular design, zero variance);
@@ -135,7 +133,6 @@ class FitConfig:
     rel_tol: float = 1e-8
     n_starts: int = 10
     init: str = "kmeans"
-    dof_mode: float | str = "estimate"
     seed: int = 0
 
     def __post_init__(self):
@@ -147,11 +144,9 @@ class FitConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.init not in _INITS:
             raise ValueError(f"init must be one of {_INITS}")
-        estimate = isinstance(self.dof_mode, str) and self.dof_mode == "estimate"
-        for name in ("rel_tol",) if estimate else ("rel_tol", "dof_mode"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        rel_tol = self.rel_tol
+        if isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real) or not 0 < rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be a finite positive number, got {rel_tol!r}")
 
 
 @dataclass
@@ -176,9 +171,8 @@ def _kmeans_labels(columns: np.ndarray, G: int, rng) -> np.ndarray:
     """Lloyd's k-means, at most 20 iterations, on the D-by-N ``columns`` from
     G distinct random points, restarted from new points when a cluster
     empties.  The G-by-N squared distances are summed in two preallocated
-    buffers, one coordinate at a time, left to right, which is the order of
-    numpy's ``sum`` over fewer than eight terms (every (x, y) with d <= 6);
-    each centroid sums its points in index order, as a masked mean does."""
+    buffers, one coordinate at a time, left to right; each centroid sums its
+    points in index order."""
     n = columns.shape[1]
     dist, term = np.empty((2, G, n))
     for _ in range(50):
@@ -222,13 +216,6 @@ def initialize(data: Dataset, config: FitConfig, rng) -> np.ndarray:
         if np.any((labels < 1) | (labels > G)):
             raise ValueError(f"labels must lie in 1..{G}")
         assign = labels - 1
-    elif config.init == "random_partition":
-        for _ in range(50):
-            assign = rng.integers(0, G, size=data.n)
-            if len(np.unique(assign)) == G:
-                break
-        else:
-            raise ValueError("random partition left a cluster empty in every attempt")
     else:
         assign = _kmeans_labels(_kmeans_columns(data), G, rng)
     resp = np.zeros((data.n, G))
@@ -498,9 +485,7 @@ def _m_step(data, config, resp, old, old_dist, const):
         # the ECME dof step, on the distances to the laws just set
         delta_y = resid**2 / noise_var[:, None]
         joint = spec.y_law == "joint_t"
-        if config.dof_mode != "estimate":
-            nus = zetas = np.full(G, float(config.dof_mode))
-        elif old is None:
+        if old is None:
             nus = zetas = np.full(G, _INIT_DOF)
         elif joint:
             nus = _solve_dof(old.nu, d + 1, dist_x + delta_y, resp)

@@ -29,7 +29,9 @@ def wilks_lambda(data: Dataset, labels) -> float:
     scatter from one product of the rows centred at their group's or the
     total mean.
     """
-    labels = Dataset(data.x, data.y, labels).labels
+    labels = _labels(labels)
+    if labels.shape[0] != data.n:
+        raise ValueError("labels length mismatch")
     z = np.vstack([data.x.T, data.y])
     keep = labels != NOISE
     if not keep.all():

@@ -433,8 +433,9 @@ def classify(model: CwmModel, data: Dataset) -> np.ndarray:
     """Maximum-posterior group index per observation: the arg-max of the
     component terms log(weight_g density_g), which normalizing to posteriors
     would only shift per observation; ties go to the lowest index."""
-    xb, yb, _ = _as_batch(model, data.x, data.y)
-    rows = _log_component_terms(_stack(model), xb, yb).T
+    if data.d != model.d:
+        raise ValueError(f"x must have {model.d} columns")
+    rows = _log_component_terms(_stack(model), data.x, data.y).T
     # G - 1 strict comparisons of contiguous rows, the first index winning
     # ties as argmax gives it; top keeps the running maximum
     top = rows[0].copy()
@@ -568,7 +569,8 @@ def model_to_dict(model: CwmModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> CwmModel:
-    """Inverse of model_to_dict; validates through the CwmModel constructor."""
+    """Inverse of model_to_dict; validates through the CwmModel constructor,
+    and the doc's "G" and "d" must be those of its components."""
     components = []
     for entry in doc["components"]:
         marg = None if entry["x_marginal"] is None else law_from_dict(entry["x_marginal"])
@@ -582,4 +584,8 @@ def model_from_dict(doc: dict) -> CwmModel:
     gating = None
     if "gating" in doc:
         gating = tuple(LinearMap(g["w"], g["w0"]) for g in doc["gating"])
-    return CwmModel(doc["variant"], tuple(components), gating)
+    model = CwmModel(doc["variant"], tuple(components), gating)
+    for key in ("G", "d"):
+        if doc[key] != getattr(model, key):
+            raise ValueError(f"{key} is {doc[key]!r}, but the components give {getattr(model, key)}")
+    return model

@@ -17,12 +17,11 @@ trees' outputs to see which cells and values moved.
 
 It hashes ``generate()`` on the 9 builtin designs at data seeds 1-3, then,
 for each of the 6 variants, the default 10-start ``fit()`` at the true G
-and every metric on its result (162 cells).  At data seed 1 it adds 66
-cells with a non-default ``FitConfig``: a fixed ``dof_mode`` for the t laws
-on every design, ``max_iter`` 1 and 2 on ex4_s2 and ex6_s2, the
-``random_partition`` init on ex4_s2, and the ``given_labels`` init on the
-noise-free ex1-ex3 (228 cells in all).  Last it hashes
-``misclassification`` on 3,000 random label vectors.
+and every metric on its result (162 cells).  At data seed 1 it adds 42
+cells with a non-default ``FitConfig``: ``max_iter`` 1 and 2 on ex4_s2 and
+ex6_s2, and the ``given_labels`` init on the noise-free ex1-ex3 (204 cells
+in all).  Last it hashes ``misclassification`` on 3,000 random label
+vectors.
 """
 
 import argparse
@@ -116,11 +115,9 @@ def main():
     for name in SCENARIO_NAMES:
         spec = builtin_scenario(name).with_seed(1)
         data, G = generate(spec), len(spec.groups)
-        options = [dict(variant=v, dof_mode=5.0) for v in ("t_cwm", "fmt")]
+        options = []
         if name in ("ex4_s2", "ex6_s2"):
             options += [dict(variant=v, max_iter=m) for v in VARIANTS for m in (1, 2)]
-        if name == "ex4_s2":
-            options += [dict(variant=v, init="random_partition") for v in VARIANTS]
         if name in ("ex1", "ex2", "ex3"):  # the noisy designs carry NOISE labels
             options += [dict(variant=v, init="given_labels") for v in VARIANTS]
         for option in options:

@@ -1,4 +1,4 @@
-"""The seeded generator and the scenario mirror of cwmix.datagen.
+"""The seeded generator and the scenario specs of cwmix.datagen.
 
 The bulk draws (words, randoms, normals, permutation) are checked value for
 value against the scalar draws and the reference streams in oracles.py, and
@@ -25,10 +25,6 @@ from cwmix.datagen import (
     builtin_scenario,
     crab_perturb,
     generate,
-    read_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    write_scenario,
 )
 from cwmix.densities import GaussianParams, StudentParams, cholesky_lower, solve_spd
 from cwmix.model import Dataset
@@ -308,39 +304,7 @@ def test_generate_layout():
     assert _digest(generate(spec.with_seed(5))) != _digest(data)
 
 
-# --- specs, the JSON mirror and the perturbation --------------------------------
-
-
-def _same_spec(a, b):
-    return scenario_to_dict(a) == scenario_to_dict(b)
-
-
-def test_scenario_dict_round_trip():
-    for spec in [builtin_scenario(n).with_seed(7) for n in SCENARIO_NAMES] + [
-            _student_spec(2, 0.7, 3)]:
-        back = scenario_from_dict(scenario_to_dict(spec))
-        assert _same_spec(back, spec)
-        assert _digest(generate(back)) == _digest(generate(spec))
-    law = scenario_from_dict(scenario_to_dict(_student_spec(2, 0.7, 3))).groups[0].x_law
-    assert isinstance(law, StudentParams) and law.dof == 0.7
-
-
-def test_scenario_file_round_trip(tmp_path):
-    spec = builtin_scenario("ex6_s4").with_seed(12)
-    path = tmp_path / "ex6.json"
-    write_scenario(path, spec)
-    assert path.read_text().endswith("}\n")
-    assert _same_spec(read_scenario(path), spec)
-    bare = dataclasses.replace(spec, noise=None)
-    write_scenario(path, bare)
-    back = read_scenario(path)
-    assert back.noise is None and _same_spec(back, bare)
-
-
-def test_scenario_from_dict_defaults_seed_zero():
-    doc = scenario_to_dict(builtin_scenario("ex1").with_seed(9))
-    del doc["seed"]
-    assert scenario_from_dict(doc).seed == 0
+# --- specs and the perturbation -----------------------------------------------
 
 
 def _law(d=1):

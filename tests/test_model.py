@@ -698,6 +698,10 @@ _unit = GaussianParams([0.0], [[1.0]])
                  id="gating-matrix"),
     pytest.param(lambda: CwmModel("fmr", _pair, (_zero_gate, _zero_gate)), "takes no gating",
                  id="gating-not-gated"),
+    pytest.param(lambda: _edited_model("fmr", (), G=5), "G is 5, but the components give 2",
+                 id="dict-G-mismatch"),
+    pytest.param(lambda: _edited_model("fmr", (), d=7), "d is 7, but the components give 1",
+                 id="dict-d-mismatch"),
     pytest.param(lambda: CwmModel("fmr", (Component(1.0, _unit, _cond),)), "carry no x-marginal",
                  id="marginal-not-allowed"),
     pytest.param(lambda: CwmModel("gaussian_cwm", (Component(1.0, None, _cond),)), "require an x-marginal",
@@ -722,6 +726,8 @@ _unit = GaussianParams([0.0], [[1.0]])
                  id="labels-column"),
     pytest.param(lambda: cwm_to_fmrc_gating(random_model(np.random.default_rng(0), "fmr", 2, 1)),
                  "applies to gaussian_cwm", id="gating-extraction-variant"),
+    pytest.param(lambda: classify(example1_model(), Dataset(np.ones((3, 2)), np.ones(3))),
+                 "x must have 1 columns", id="classify-columns"),
 ])
 def test_invalid_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
