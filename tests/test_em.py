@@ -89,6 +89,8 @@ def test_fit_config_defaults():
         dict(G=2, n_starts=0),
         dict(G=2, init="mystery"),
         dict(G=2, init="random_partition"),
+        dict(G=2, seed=-1),
+        dict(G=2, seed=2**64),
         dict(G=2.5),
         dict(G=True),
         dict(G=2, n_starts=2.5),
