@@ -4,8 +4,8 @@ Every random draw comes from a self-contained 64-bit generator, so a dataset
 depends only on its spec and seed, not on numpy's generators.  The
 algorithms, spelled out so another implementation can match the stream:
 
-    seeding      splitmix64 expands the seed (any integer type but bool, in
-                 [0, 2^64), as for ``FitConfig``) into the 256-bit state
+    seeding      splitmix64 expands the seed (an integer in [0, 2^64), read
+                 by ``densities._seed``) into the 256-bit state
     core         xoshiro256++ (rotl(s0 + s3, 23) + s0 output function)
     uniforms     top 53 bits of each word, scaled by 2^-53 -> [0, 1)
     normals      Box-Muller pairs (u1 redrawn while it is 0); the sine of a
@@ -42,8 +42,8 @@ import numpy as np
 
 # cholesky_lower is not called here (a law carries its factor as ``chol``);
 # perfbench/tracing.py still looks it up in this module.
-from .densities import GaussianParams, StudentParams, cholesky_lower  # noqa: F401
-from .model import NOISE, Dataset, LinearMap, _integer, _seed
+from .densities import GaussianParams, StudentParams, _integer, _real, _seed, cholesky_lower  # noqa: F401
+from .model import NOISE, Dataset, LinearMap
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -99,14 +99,6 @@ def _lemire(n: int, draw) -> int:
     return m >> 64
 
 
-def _count(n) -> int:
-    """A draw count n: an integer, not a bool, and at least 0."""
-    n = _integer("n", n)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return n
-
-
 class Xoshiro256:
     """xoshiro256++ seeded through splitmix64, with the derived draws
     (uniforms, normals, bounded ints, gamma) documented in the module
@@ -134,7 +126,7 @@ class Xoshiro256:
 
     def words(self, n: int) -> np.ndarray:
         """The next n words as a uint64 array."""
-        n = _count(n)
+        n = _integer("n", n, low=0)
         return np.fromiter(islice(self._stream, n), np.uint64, n)
 
     def random(self) -> float:
@@ -163,7 +155,7 @@ class Xoshiro256:
         over word pairs; an odd count keeps the last sine as the new spare.
         log, cos and sin come from ``math`` so that a value does not depend
         on how the draws are batched (numpy's log rounds differently)."""
-        n = _count(n)
+        n = _integer("n", n, low=0)
         out = np.empty(n)
         k = 0
         if n and self._spare_normal is not None:
@@ -189,15 +181,11 @@ class Xoshiro256:
 
     def bounded_int(self, n: int) -> int:
         """Unbiased integer in [0, n) via Lemire's multiply-shift."""
-        n = _integer("n", n)
-        if n < 1:
-            raise ValueError("n must be positive")
-        return _lemire(n, self.next_u64)
+        return _lemire(_integer("n", n, low=1), self.next_u64)
 
     def gamma(self, shape: float) -> float:
         """Gamma(shape, scale=1) via the Marsaglia-Tsang squeeze."""
-        if not 0.0 < shape < math.inf:  # a NaN or infinite shape never passes the squeeze
-            raise ValueError("shape must be positive and finite")
+        shape = _real("shape", shape, positive=True)  # NaN or inf would never pass the squeeze
         if shape < 1.0:
             # boost: Gamma(a) = Gamma(a + 1) * U^(1/a)
             u = self.random()
@@ -219,13 +207,14 @@ class Xoshiro256:
                 return d * v
 
     def chi_square(self, dof: float) -> float:
-        return 2.0 * self.gamma(0.5 * dof)
+        """Chi-square draw, 2 Gamma(dof / 2); dof is the chi-square shape."""
+        return 2.0 * self.gamma(0.5 * _real("chi-square shape", dof, positive=True))
 
     def permutation(self, n: int) -> np.ndarray:
         """Backward Fisher-Yates permutation of range(n).  The n - 1 words
         are drawn at once; a rare Lemire rejection (probability below
         n / 2^64) reads on into the stream, as ``bounded_int`` would."""
-        n = _count(n)
+        n = _integer("n", n, low=0)
         draw = chain(self.words(max(n - 1, 0)).tolist(), iter(self.next_u64, None)).__next__
         perm = list(range(n))
         for i in range(n - 1, 0, -1):
@@ -251,9 +240,7 @@ class GroupSpec:
         line = LinearMap(self.slope, self.intercept)
         object.__setattr__(self, "slope", line.slope)
         object.__setattr__(self, "intercept", line.intercept)
-        object.__setattr__(self, "noise_sd", float(self.noise_sd))
-        if not 0 < self.noise_sd < math.inf:
-            raise ValueError("noise_sd must be positive and finite")
+        object.__setattr__(self, "noise_sd", _real("noise_sd", self.noise_sd, positive=True))
         if line.slope.shape[0] != self.x_law.dim:
             raise ValueError("slope length must match the x-law dimension")
 
@@ -269,11 +256,11 @@ class NoiseSpec:
         object.__setattr__(self, "count", _integer("noise count", self.count))
         if self.count < 1:
             raise ValueError("noise count must be >= 1")
-        box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+        box = tuple((_real("box bound", lo), _real("box bound", hi)) for lo, hi in self.box)
         if not box:
             raise ValueError("box needs at least two intervals (x and y)")
-        if not all(-math.inf < lo <= hi < math.inf for lo, hi in box):
-            raise ValueError("box intervals must be finite and nonempty")
+        if not all(lo <= hi for lo, hi in box):
+            raise ValueError("box intervals must be nonempty")
         object.__setattr__(self, "box", box)
 
 
@@ -446,7 +433,7 @@ def crab_perturb(data: Dataset, constant: float) -> Dataset:
     if data.d < 2:
         raise ValueError("need at least 2 x-columns")
     x = data.x.copy()
-    x[24, 1] += float(constant)
+    x[24, 1] += _real("constant", constant)
     labels = None if data.labels is None else data.labels.copy()
     return Dataset(x, data.y.copy(), labels)
 

@@ -38,17 +38,48 @@ its dof.  Squared Mahalanobis distances have one implementation,
 stacked factors of every component.  It sums the whitened rows' squares
 left to right, so no distance depends on the BLAS kernel or on how the
 points are laid out.
+
+Every module reads a caller's numbers through three rules kept here:
+``_integer`` (any integer type but bool, with an optional lower bound),
+``_seed`` (an integer in [0, 2^64)) and ``_real`` (a finite real number of
+any type but bool, as a float, above 0 where it must be positive).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 _PIVOT_REL_FLOOR = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int: any integer type but bool, numpy's too, at least ``low`` if given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return int(value)
+
+
+def _seed(value) -> int:
+    """``value`` as a seed: an integer in [0, 2^64)."""
+    seed = _integer("seed", value)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    return seed
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float: any real type but bool, finite, and above 0 if ``positive``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+        if value > 0 or not positive:
+            return float(value)
+    raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite, got {value!r}")
 
 
 def _factor(a: list) -> list:
@@ -232,10 +263,7 @@ class StudentParams(_EllipticalLaw):
     _fields = ("location", "scale")
 
     def __post_init__(self):
-        dof = float(self.dof)
-        if not 0.0 < dof < math.inf:
-            raise ValueError(f"dof must be strictly positive and finite, got {dof}")
-        object.__setattr__(self, "dof", dof)
+        object.__setattr__(self, "dof", _real("dof", self.dof, positive=True))
         super().__post_init__()
 
 

@@ -77,7 +77,6 @@ centroids from ``np.bincount``, so it keeps no N-by-G-by-D temporary.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -86,7 +85,10 @@ import numpy as np
 # mahalanobis_sq is not called here (the weights reuse the E-step's
 # distances); perfbench/tracing.py still looks it up in this module.
 from .densities import (  # noqa: F401
+    _integer,
     _log_det,
+    _real,
+    _seed,
     _share_exp,
     _whitened_sq,
     cholesky_lower,
@@ -103,10 +105,8 @@ from .model import (
     Dataset,
     Distances,
     _gate_logits,
-    _integer,
     _log_component_terms,
     _matmul,
-    _seed,
     _Stack,
     _unstack,
 )
@@ -137,16 +137,13 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("G", "max_iter", "n_starts"):
-            if _integer(name, getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            _integer(name, getattr(self, name), low=1)
         _seed(self.seed)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.init not in _INITS:
             raise ValueError(f"init must be one of {_INITS}")
-        rel_tol = self.rel_tol
-        if isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real) or not 0 < rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be a finite positive number, got {rel_tol!r}")
+        _real("rel_tol", self.rel_tol, positive=True)
 
 
 @dataclass

@@ -10,10 +10,9 @@ import warnings
 
 import numpy as np
 
-from .densities import GaussianParams, gaussian_logpdf
+from .densities import GaussianParams, _integer, gaussian_logpdf
 from .em import FitResult
-from .model import (NOISE, VARIANT_SPECS, CwmModel, Dataset, _integer, _labels, _matmul, _stack,
-                    posterior)
+from .model import NOISE, VARIANT_SPECS, CwmModel, Dataset, _labels, _matmul, _stack, posterior
 
 
 def wilks_lambda(data: Dataset, labels) -> float:
@@ -89,9 +88,7 @@ def misclassification(true_labels, predicted_labels, G: int):
     truth, pred = _labels(true_labels), _labels(predicted_labels)
     if truth.shape[0] != pred.shape[0]:
         raise ValueError("label vectors differ in length")
-    if _integer("G", G) < 1:
-        raise ValueError("G must be at least 1")
-    if G > 8:
+    if _integer("G", G, low=1) > 8:
         raise ValueError("permutation alignment supports G <= 8")
     if np.any(truth > G) or np.any(pred > G):
         raise ValueError(f"labels must lie in 1..{G} or NOISE")
@@ -123,9 +120,8 @@ def free_parameters(variant: str, G: int, d: int) -> int:
     spec = VARIANT_SPECS.get(variant)
     if spec is None:
         raise ValueError(f"unknown variant {variant!r}")
-    for name, value in (("G", G), ("d", d)):
-        if _integer(name, value) < 1:
-            raise ValueError(f"{name} must be at least 1")
+    _integer("G", G, low=1)
+    _integer("d", d, low=1)
     per_component = d + 2  # slope, intercept, noise variance
     if spec.x_law is not None:
         per_component += d + d * (d + 1) // 2
@@ -135,33 +131,33 @@ def free_parameters(variant: str, G: int, d: int) -> int:
     return G * per_component + mixing
 
 
-def _bic(fit: FitResult, N: int, ll_x: float = 0.0, k_x: int = 0) -> float:
+def _bic(fit: FitResult, ll_x: float = 0.0, k_x: int = 0) -> float:
     """-2 (loglik + ll_x) + (k + k_x) log N; ll_x and k_x add an x-marginal to the fit."""
     if not fit.converged:
         warnings.warn("BIC computed from a non-converged fit", RuntimeWarning)
     model = fit.model
     k = free_parameters(model.variant, model.G, model.d) + k_x
-    return float(-2.0 * (fit.loglik_trace[-1] + ll_x) + k * math.log(N))
+    return float(-2.0 * (fit.loglik_trace[-1] + ll_x) + k * math.log(fit.responsibilities.shape[0]))
 
 
-def bic(fit: FitResult, N: int) -> float:
-    """-2 loglik + k log N (smaller is better); N is the count of observations."""
-    if _integer("N", N) < 1:
-        raise ValueError("N must be at least 1")
-    return _bic(fit, N)
+def bic(fit: FitResult) -> float:
+    """-2 loglik + k log N (smaller is better), N the fit's responsibility rows."""
+    return _bic(fit)
 
 
 def bic_joint_nested(fit: FitResult, data: Dataset) -> float:
-    """BIC on the joint (x, y) scale for cross-variant comparison.
+    """BIC on the joint (x, y) scale of a fit to ``data``, for cross-variant comparison.
 
     Conditional-only fits (fmr, fmrc) are completed with a single pooled
     Gaussian x-marginal — the nesting that makes their likelihood comparable
     with joint models; joint fits pass through to plain bic().
     """
+    if data.n != fit.responsibilities.shape[0]:
+        raise ValueError(f"data has {data.n} rows, but the fit has {fit.responsibilities.shape[0]}")
     if fit.model.spec.x_law is not None:
-        return _bic(fit, data.n)
+        return _bic(fit)
     mu = data.x.mean(axis=0)
     centered = data.x - mu
     cov = centered.T @ centered / data.n
     ll_x = float(np.sum(gaussian_logpdf(data.x, GaussianParams(mu, cov))))
-    return _bic(fit, data.n, ll_x, data.d + data.d * (data.d + 1) // 2)
+    return _bic(fit, ll_x, data.d + data.d * (data.d + 1) // 2)

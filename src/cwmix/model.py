@@ -30,7 +30,6 @@ arg-max of these G-by-N rows as they are; only ``posterior`` normalizes them.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -42,8 +41,10 @@ import numpy as np
 from .densities import (  # noqa: F401
     GaussianParams,
     StudentParams,
+    _integer,
     _law,
     _log_det,
+    _real,
     _share_exp,
     _whitened_sq,
     gaussian_log_density,
@@ -87,10 +88,10 @@ class LinearMap:
         slope = np.atleast_1d(np.asarray(self.slope, dtype=float))
         if slope.ndim != 1:
             raise ValueError("slope must be a vector")
+        if not np.isfinite(slope).all():
+            raise ValueError("non-finite slope")
         object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "intercept", float(self.intercept))
-        if not (np.isfinite(slope).all() and math.isfinite(self.intercept)):
-            raise ValueError("non-finite slope or intercept")
+        object.__setattr__(self, "intercept", _real("intercept", self.intercept))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.slope + self.intercept
@@ -107,13 +108,9 @@ class Conditional:
     dof: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_scale", float(self.noise_scale))
-        if not 0.0 < self.noise_scale < math.inf:
-            raise ValueError("noise_scale must be positive and finite")
+        object.__setattr__(self, "noise_scale", _real("noise_scale", self.noise_scale, positive=True))
         if self.dof is not None:
-            object.__setattr__(self, "dof", float(self.dof))
-            if not 0.0 < self.dof < math.inf:
-                raise ValueError("dof must be positive and finite")
+            object.__setattr__(self, "dof", _real("dof", self.dof, positive=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +123,7 @@ class Component:
     y_conditional: Conditional
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", _real("weight", self.weight))
         if not 0 < self.weight <= 1:
             raise ValueError("weight must lie in (0, 1]")
 
@@ -240,13 +237,6 @@ class Dataset:
         return self.x.shape[1]
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; any integer type but bool passes, numpy's too."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _labels(values) -> np.ndarray:
     """``values`` as an int vector of group labels, each a group index
     (1, 2, ...) or NOISE; integral floats pass, 1.5 or NaN do not."""
@@ -259,14 +249,6 @@ def _labels(values) -> np.ndarray:
     if np.any(labels < NOISE):
         raise ValueError("labels must be group indices or NOISE")
     return labels
-
-
-def _seed(value) -> int:
-    """``value`` as a seed: an integer in [0, 2^64)."""
-    seed = _integer("seed", value)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    return seed
 
 
 # --------------------------------------------------------------- evaluation
@@ -481,7 +463,7 @@ def t_conditional_decompose(joint: StudentParams, split: int):
     scale ((nu + delta(z1)) / (nu + split)) times the Schur complement.
     """
     q = joint.dim
-    if not 1 <= split < q:
+    if not 1 <= _integer("split", split) < q:
         raise ValueError(f"split must lie in [1, {q - 1}]")
     loc, scale, nu = joint.location, joint.scale, joint.dof
     s11 = scale[:split, :split]
@@ -577,10 +559,10 @@ def model_from_dict(doc: dict) -> CwmModel:
         yc = entry["y_conditional"]
         cond = Conditional(
             LinearMap(yc["slope"], yc["intercept"]),
-            math.sqrt(float(yc["noise_var"])),
-            dof=float(yc["dof"]) if "dof" in yc else None,
+            math.sqrt(_real("noise_var", yc["noise_var"], positive=True)),
+            dof=yc.get("dof"),
         )
-        components.append(Component(float(entry["weight"]), marg, cond))
+        components.append(Component(entry["weight"], marg, cond))
     gating = None
     if "gating" in doc:
         gating = tuple(LinearMap(g["w"], g["w0"]) for g in doc["gating"])

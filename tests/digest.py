@@ -86,7 +86,7 @@ def _cell(parts, data, G, variant, seed, **options):
     parts.put("wilks", [wilks_lambda(data, data.labels), wilks_lambda(data, pred)])
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "BIC computed from a non-converged fit", RuntimeWarning)
-        parts.put("bic", [bic(result, data.n), bic_joint_nested(result, data)])
+        parts.put("bic", [bic(result), bic_joint_nested(result, data)])
 
 
 def main():

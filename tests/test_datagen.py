@@ -186,14 +186,20 @@ def test_bounded_int_rejects_nonpositive():
                  id="chi-square-inf"),
     pytest.param(lambda rng: rng.bounded_int(True), "n must be an integer", id="bounded-int-bool"),
     pytest.param(lambda rng: rng.bounded_int(2.5), "n must be an integer", id="bounded-int-float"),
-    pytest.param(lambda rng: rng.permutation(-3), "n must be non-negative", id="permutation-negative"),
+    pytest.param(lambda rng: rng.permutation(-3), "n must be at least 0", id="permutation-negative"),
     pytest.param(lambda rng: rng.permutation(True), "n must be an integer", id="permutation-bool"),
     pytest.param(lambda rng: rng.words(True), "n must be an integer", id="words-bool"),
     pytest.param(lambda rng: rng.randoms(True), "n must be an integer", id="randoms-bool"),
     pytest.param(lambda rng: rng.normals(True), "n must be an integer", id="normals-bool"),
     pytest.param(lambda rng: rng.words(2.5), "n must be an integer", id="words-float"),
-    pytest.param(lambda rng: rng.randoms(-2), "n must be non-negative", id="randoms-negative"),
-    pytest.param(lambda rng: rng.normals(-2), "n must be non-negative", id="normals-negative"),
+    pytest.param(lambda rng: rng.randoms(-2), "n must be at least 0", id="randoms-negative"),
+    pytest.param(lambda rng: rng.normals(-2), "n must be at least 0", id="normals-negative"),
+    pytest.param(lambda rng: rng.gamma(True), "shape must be positive and finite, got True", id="gamma-bool"),
+    pytest.param(lambda rng: rng.gamma("2"), "shape must be positive and finite, got '2'", id="gamma-str"),
+    pytest.param(lambda rng: rng.chi_square(True), "chi-square shape must be positive and finite, got True",
+                 id="chi-square-bool"),
+    pytest.param(lambda rng: rng.chi_square("4"), "chi-square shape must be positive and finite, got '4'",
+                 id="chi-square-str"),
 ])
 def test_draw_arguments_are_checked(draw, message):
     with pytest.raises(ValueError, match=message):
@@ -317,6 +323,10 @@ def _law(d=1):
     (dict(noise_sd=0.0), "noise_sd must be positive"),
     (dict(noise_sd=float("nan")), "noise_sd must be positive"),
     (dict(slope=np.ones(2)), "slope length"),
+    (dict(noise_sd=True), "noise_sd must be positive and finite, got True"),
+    (dict(noise_sd="1.0"), "noise_sd must be positive and finite, got '1.0'"),
+    (dict(intercept=True), "intercept must be finite, got True"),
+    (dict(intercept="0"), "intercept must be finite, got '0'"),
 ])
 def test_group_spec_validation(kwargs, match):
     args = dict(n=5, x_law=_law(), slope=np.ones(1), intercept=0.0, noise_sd=1.0)
@@ -329,6 +339,8 @@ def test_group_spec_validation(kwargs, match):
     (0, ((0.0, 1.0), (0.0, 1.0)), "count must be >= 1"),
     (3, (), "at least two intervals"),
     (3, ((1.0, 0.0), (0.0, 1.0)), "nonempty"),
+    (3, ((True, 1.0), (0.0, 1.0)), "box bound must be finite, got True"),
+    (3, ((0.0, "1"), (0.0, 1.0)), "box bound must be finite, got '1'"),
 ])
 def test_noise_spec_validation(count, box, match):
     with pytest.raises(ValueError, match=match):
@@ -397,3 +409,6 @@ def test_crab_perturb_errors():
         crab_perturb(Dataset(x[:24], np.zeros(24)), 1.0)
     with pytest.raises(ValueError, match="2 x-columns"):
         crab_perturb(Dataset(x[:, :1], np.zeros(30)), 1.0)
+    for constant in (True, "2.5", _NAN):
+        with pytest.raises(ValueError, match="constant must be finite"):
+            crab_perturb(Dataset(x, np.zeros(30)), constant)

@@ -45,11 +45,11 @@ def two_line_data(rng, n1=100, n2=200):
     )
 
 
-def dummy_fit(model, loglik, converged=True):
+def dummy_fit(model, loglik, converged=True, n=4):
     return FitResult(
         model=model,
         loglik_trace=np.array([loglik - 1.0, loglik]),
-        responsibilities=np.full((4, model.G), 1.0 / model.G),
+        responsibilities=np.full((n, model.G), 1.0 / model.G),
         converged=converged,
         n_iter=2,
         start_index=0,
@@ -372,13 +372,9 @@ _one_line = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0
     # with the NOISE rows left out nothing is left to score
     pytest.param(lambda: iwf(_noise_only, _one_line, include_noise=False), "no grouped observations",
                  id="iwf-nothing-but-noise"),
-    # N is a count of observations: no bool, no fraction and at least one
-    pytest.param(lambda: bic(dummy_fit(_one_line, -5.0), True), "N must be an integer", id="bic-bool-N"),
-    pytest.param(lambda: bic(dummy_fit(_one_line, -5.0), 2.5), "N must be an integer",
-                 id="bic-fractional-N"),
-    pytest.param(lambda: bic(dummy_fit(_one_line, -5.0), 0), "N must be at least 1", id="bic-zero-N"),
-    pytest.param(lambda: bic(dummy_fit(_one_line, -5.0), -3), "N must be at least 1",
-                 id="bic-negative-N"),
+    # BIC's N is the fit's count of rows; data of another size is not its data
+    pytest.param(lambda: bic_joint_nested(dummy_fit(_one_line, -5.0), _twelve),
+                 "data has 12 rows, but the fit has 4", id="bic-joint-nested-rows"),
 ])
 def test_invalid_metric_input_is_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -389,11 +385,11 @@ def test_invalid_metric_input_is_rejected(call, message):
 
 def test_bic_counting_contract():
     m = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0, 1.0),))
-    assert bic(dummy_fit(m, -50.0), 100) == pytest.approx(100.0 + 5 * math.log(100))
+    assert bic(dummy_fit(m, -50.0, n=100)) == pytest.approx(100.0 + 5 * math.log(100))
     fmr = CwmModel(
         "fmr", (Component(1.0, None, Conditional(LinearMap(np.array([1.0]), 0.0), 1.0)),)
     )
-    assert bic(dummy_fit(fmr, -50.0), 100) == pytest.approx(100.0 + 3 * math.log(100))
+    assert bic(dummy_fit(fmr, -50.0, n=100)) == pytest.approx(100.0 + 3 * math.log(100))
 
 
 @pytest.mark.parametrize(
@@ -424,13 +420,13 @@ def test_bic_real_fits_match_hand_formula():
     fmr = fit(data, FitConfig(G=2, variant="fmr", n_starts=3, seed=5))
     for res, k in ((cwm, 11), (fmr, 7)):
         want = -2.0 * res.loglik_trace[-1] + k * math.log(data.n)
-        assert bic(res, data.n) == pytest.approx(want, rel=1e-12)
+        assert bic(res) == pytest.approx(want, rel=1e-12)
 
 
 def test_bic_flags_non_convergence():
     m = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0, 1.0),))
     with pytest.warns(RuntimeWarning):
-        bic(dummy_fit(m, -10.0, converged=False), 50)
+        bic(dummy_fit(m, -10.0, converged=False, n=50))
 
 
 def test_bic_joint_nested_completes_fmr():
@@ -447,4 +443,4 @@ def test_bic_joint_nested_completes_fmr():
 def test_bic_joint_nested_identity_for_joint_models():
     data = two_line_data(np.random.default_rng(22), 50, 70)
     res = fit(data, FitConfig(G=2, n_starts=3, seed=2))
-    assert bic_joint_nested(res, data) == bic(res, data.n)
+    assert bic_joint_nested(res, data) == bic(res)

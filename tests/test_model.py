@@ -437,6 +437,9 @@ def test_t_decompose_split_validation():
         t_conditional_decompose(joint, 0)
     with pytest.raises(ValueError):
         t_conditional_decompose(joint, 2)
+    for split in (True, 1.5):
+        with pytest.raises(ValueError, match="split must be an integer"):
+            t_conditional_decompose(joint, split)
 
 
 # ------------------------------------------------------- nesting reductions
@@ -728,6 +731,34 @@ _unit = GaussianParams([0.0], [[1.0]])
                  "applies to gaussian_cwm", id="gating-extraction-variant"),
     pytest.param(lambda: classify(example1_model(), Dataset(np.ones((3, 2)), np.ones(3))),
                  "x must have 1 columns", id="classify-columns"),
+    # every real parameter is a real number: a bool or a string is refused, not cast
+    pytest.param(lambda: StudentParams([0.0], [[1.0]], True), "dof must be positive and finite, got True",
+                 id="student-bool-dof"),
+    pytest.param(lambda: StudentParams([0.0], [[1.0]], "3"), "dof must be positive and finite, got '3'",
+                 id="student-str-dof"),
+    pytest.param(lambda: Conditional(_line, True), "noise_scale must be positive and finite, got True",
+                 id="conditional-bool-scale"),
+    pytest.param(lambda: Conditional(_line, "2"), "noise_scale must be positive and finite, got '2'",
+                 id="conditional-str-scale"),
+    pytest.param(lambda: Conditional(_line, 1.0, dof=True), "dof must be positive and finite, got True",
+                 id="conditional-bool-dof"),
+    pytest.param(lambda: Conditional(_line, 1.0, dof="5"), "dof must be positive and finite, got '5'",
+                 id="conditional-str-dof"),
+    pytest.param(lambda: Component(True, None, _cond), "weight must be finite, got True",
+                 id="component-bool-weight"),
+    pytest.param(lambda: Component("0.5", None, _cond), "weight must be finite, got '0.5'",
+                 id="component-str-weight"),
+    pytest.param(lambda: LinearMap([1.0], True), "intercept must be finite, got True",
+                 id="map-bool-intercept"),
+    pytest.param(lambda: LinearMap([1.0], "0"), "intercept must be finite, got '0'",
+                 id="map-str-intercept"),
+    # a model's JSON is read by the same rules, not cast on the way in
+    pytest.param(lambda: _edited_model("t_cwm", ("components", 0, "y_conditional"), dof=True),
+                 "dof must be positive and finite, got True", id="dict-bool-dof"),
+    pytest.param(lambda: _edited_model("fmr", ("components", 0), weight="0.5"),
+                 "weight must be finite, got '0.5'", id="dict-str-weight"),
+    pytest.param(lambda: _edited_model("fmr", ("components", 0, "y_conditional"), noise_var=True),
+                 "noise_var must be positive and finite, got True", id="dict-bool-noise-var"),
 ])
 def test_invalid_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
