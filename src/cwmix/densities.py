@@ -75,10 +75,15 @@ def _seed(value) -> int:
 
 
 def _real(name: str, value, positive: bool = False) -> float:
-    """``value`` as a float: any real type but bool, finite, and above 0 if ``positive``."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
-        if value > 0 or not positive:
-            return float(value)
+    """``value`` as a float: any real type but bool, finite (an int beyond the
+    float range is not), and above 0 if ``positive``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf
+        if math.isfinite(real) and (real > 0.0 or not positive):
+            return real
     raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite, got {value!r}")
 
 
@@ -371,7 +376,9 @@ _LANCZOS_COEF = (
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for a finite x > 0; x < 0.5 reflects to 1 - x."""
+    """Natural log of the Gamma function for a finite x > 0 (not a bool); x < 0.5 reflects to 1 - x."""
+    if type(x) is bool:
+        raise ValueError(f"log_gamma requires a real x, got {x!r}")
     x = float(x)
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError(f"log_gamma requires x > 0, got {x}")
@@ -387,9 +394,12 @@ def log_gamma(x: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """Digamma via recurrence to x >= 10 plus the asymptotic series."""
+    """Digamma of a real x > 0 (not a bool, not NaN) via recurrence to x >= 10
+    plus the asymptotic series."""
+    if type(x) is bool:
+        raise ValueError(f"digamma requires a real x, got {x!r}")
     x = float(x)
-    if x <= 0.0:
+    if not x > 0.0:  # NaN too
         raise ValueError(f"digamma requires x > 0, got {x}")
     acc = 0.0
     # from 10 the first omitted series term, 691 / (32760 x^12), is 2e-14
@@ -405,9 +415,12 @@ def digamma(x: float) -> float:
 
 
 def trigamma(x: float) -> float:
-    """Trigamma via recurrence to x >= 6 plus the asymptotic series."""
+    """Trigamma of a real x > 0 (not a bool, not NaN) via recurrence to x >= 6
+    plus the asymptotic series."""
+    if type(x) is bool:
+        raise ValueError(f"trigamma requires a real x, got {x!r}")
     x = float(x)
-    if x <= 0.0:
+    if not x > 0.0:  # NaN too
         raise ValueError(f"trigamma requires x > 0, got {x}")
     acc = 0.0
     while x < 6.0:

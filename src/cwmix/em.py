@@ -11,16 +11,21 @@ The E-step adds latent precision weights u = (dof + q) / (dof + delta), and
 the first CM-step sets the locations, scales, slopes and noise variances from
 the u-weighted moments; fmt's joint t gives x and y one shared weight,
 (nu + d + 1) / (nu + delta_x + resid^2 / sigma^2).  The dof step then
-maximizes the observed log-likelihood rather than the complete-data one: with
+targets the observed log-likelihood rather than the complete-data one: with
 the responsibilities r held fixed and u integrated out, each t law's dof
-maximizes sum_i r_ig log t_q(delta_ig; nu), solved by safeguarded Newton in
-``DOF_BRACKET`` from the previous dof (``estimate_dof``).  t_cwm solves its
-x law (q = d, delta_x) and its y law (q = 1, resid^2 / sigma^2) separately;
-fmt solves its one dof on the joint distance delta_x + resid^2 / sigma^2
-(q = d + 1), sigma^2 being the Schur scale.  A dof on the bracket edge is a
-routine result (the upper edge is the Gaussian limit) and is returned as is;
-the solve scores that edge only when a Newton iterate reaches it, so a warm
-start near an interior root scores neither edge.
+should raise F(nu) = sum_i r_ig log t_q(delta_ig; nu).  It takes one guarded
+Newton step per component from the previous dof (``_solve_dof``), kept when
+F's curvature is negative there, the step stays inside the open
+``DOF_BRACKET`` and F does not fall; otherwise the dof is the root that
+``estimate_dof`` solves by safeguarded Newton from the previous dof.  A dof
+on a bracket edge whose score points out of the bracket stays on that edge,
+a routine result (the upper edge is the Gaussian limit).  A CM-step need
+only not lower its objective, so the iteration is a generalized EM
+(Dempster, Laird & Rubin 1977; Liu & Rubin 1994), and repeated steps reach
+the exact root.  t_cwm steps its x law (q = d, delta_x) and its y law
+(q = 1, resid^2 / sigma^2) separately; fmt steps its one dof on the joint
+distance delta_x + resid^2 / sigma^2 (q = d + 1), sigma^2 being the Schur
+scale.
 Both CM-steps raise the observed log-likelihood, and the dof step removes
 the slow direction of ECM's, so t fits converge in tens of iterations.
 
@@ -93,6 +98,7 @@ from .densities import (  # noqa: F401
     _whitened_sq,
     cholesky_lower,
     digamma,
+    log_gamma,
     log_sum_exp,
     mahalanobis_sq,
     solve_spd,
@@ -307,11 +313,49 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
 
 
 def _solve_dof(old_dofs, q: int, delta: np.ndarray, resp: np.ndarray) -> np.ndarray:
-    """ECME dofs of every component of one q-variate t law: component g's
-    maximizes sum_i resp_ig log t_q(delta_gi; nu), with delta the G-by-N
-    distances to the laws this M-step set, warm-started from its old dof."""
-    return np.array([estimate_dof(row, r, q, start=old)
-                     for old, row, r in zip(old_dofs, delta, np.ascontiguousarray(resp.T))])
+    """ECME dofs of every component of one q-variate t law: one guarded
+    Newton step per component on F(nu) = sum_i resp_ig log t_q(delta_gi; nu),
+    with delta the G-by-N distances to the laws this M-step set, from its old
+    dof.
+
+    One pass over the N distances at the old dof nu gives sum w log1p(delta/nu),
+    which enters both F(nu) and ``estimate_dof``'s score f(nu) = 2 F'(nu),
+    and sum w b and sum w b^2, b = delta / (nu + delta), which give f'(nu).
+    A dof on a ``DOF_BRACKET`` edge whose score points out of the bracket
+    keeps that edge, as ``estimate_dof`` would return it.  Otherwise the
+    Newton step nu - f / f' is taken when f' < 0, the step stays inside the
+    open bracket and F does not fall there (one more log1p pass); in every
+    other case the dof is the local maximum of F that ``estimate_dof``
+    reaches from the old dof.  A step that does not lower F is all the
+    CM-step needs to keep ECME a generalized EM, and repeated on fixed
+    distances the steps reach ``estimate_dof``'s root."""
+    lo, hi = DOF_BRACKET
+
+    def objective(nu, mass, wlog):  # F(nu) less its terms free of nu
+        return (mass * (log_gamma((nu + q) / 2.0) - log_gamma(nu / 2.0) - 0.5 * q * math.log(nu))
+                - 0.5 * (nu + q) * wlog)
+
+    new = []
+    for old, row, w in zip(old_dofs, delta, np.ascontiguousarray(resp.T)):
+        nu = float(old)
+        mass = float(w.sum())
+        t = row / nu
+        b = t + 1.0
+        np.divide(t, b, out=b)  # delta / (nu + delta)
+        wlog = float(w @ np.log1p(t, out=t))
+        wb = float(w @ b)
+        wbb = float(w @ np.multiply(b, b, out=b))
+        value = mass * (digamma((nu + q) / 2.0) - digamma(nu / 2.0) - q / nu) - wlog + (1.0 + q / nu) * wb
+        if (nu == lo and value < 0.0) or (nu == hi and value > 0.0):
+            new.append(nu)  # the objective rises beyond this edge
+            continue
+        fp = (mass * (0.5 * (trigamma((nu + q) / 2.0) - trigamma(nu / 2.0)) + q / nu**2)
+              + wbb / nu - q * (2.0 * wb - wbb) / nu**2)
+        step = nu - value / fp
+        accept = (fp < 0.0 and lo < step < hi
+                  and objective(step, mass, float(w @ np.log1p(row / step))) >= objective(nu, mass, wlog))
+        new.append(step if accept else estimate_dof(row, w, q, start=old))
+    return np.array(new)
 
 
 # ------------------------------------------------------------------- M-step

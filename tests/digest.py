@@ -15,6 +15,16 @@ iteration count, or a failed fit's message), ``resp``, ``model``,
 last such line hashes the random ``misclassification`` calls.  Diff two
 trees' outputs to see which cells and values moved.
 
+With ``--values`` it first prints one line per cell: the same label, ``|``,
+then a JSON object of the values themselves, floats as repr: ``loglik``
+(the final log-likelihood), ``n_iter``, ``start``, ``converged``, ``wilks``
+(Lambda on the true and the predicted labels), ``iwf`` and ``bic``
+(``bic`` and ``bic_joint_nested``), or ``error`` for a failed fit.
+``PYTHONPATH=src python tests/digest.py --diff A B`` reads two such
+outputs, made on one machine, fits nothing, and prints for each value the
+cells whose value moved, with both values and the relative move, then a
+line with the count of moved cells and the largest relative move.
+
 It hashes ``generate()`` on the 9 builtin designs at data seeds 1-3, then,
 for each of the 6 variants, the default 10-start ``fit()`` at the true G
 and every metric on its result (162 cells).  At data seed 1 it adds 42
@@ -28,6 +38,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import time
 import warnings
 
@@ -68,12 +79,16 @@ def _misclassification(parts, truth, pred, G):
     parts.put("misclass", confusion)
 
 
+VALUE_KEYS = ("loglik", "n_iter", "start", "converged", "wilks", "iwf", "bic")
+
+
 def _cell(parts, data, G, variant, seed, **options):
+    """Hash one cell into ``parts``; return its ``--values`` record."""
     try:
         result = fit(data, FitConfig(G=G, variant=variant, seed=seed, **options))
     except DegenerateFitError as exc:
         parts.put("trace", str(exc))
-        return
+        return {"error": str(exc)}
     parts.put("trace", result.loglik_trace)
     parts.put("resp", result.responsibilities)
     parts.put("trace", [result.start_index, result.converged, result.n_iter])
@@ -81,28 +96,83 @@ def _cell(parts, data, G, variant, seed, **options):
     parts.put("logpdf", joint_logpdf(result.model, data.x, data.y))
     pred = classify(result.model, data)
     parts.put("classify", pred)
-    parts.put("iwf", iwf(data, result.model))
+    fit_iwf = iwf(data, result.model)
+    parts.put("iwf", fit_iwf)
     _misclassification(parts, data.labels, pred, G)
-    parts.put("wilks", [wilks_lambda(data, data.labels), wilks_lambda(data, pred)])
+    wilks = [wilks_lambda(data, data.labels), wilks_lambda(data, pred)]
+    parts.put("wilks", wilks)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "BIC computed from a non-converged fit", RuntimeWarning)
-        parts.put("bic", [bic(result), bic_joint_nested(result, data)])
+        bics = [bic(result), bic_joint_nested(result, data)]
+    parts.put("bic", bics)
+    return dict(zip(VALUE_KEYS, (float(result.loglik_trace[-1]), result.n_iter, result.start_index,
+                                 result.converged, wilks, fit_iwf, bics)))
+
+
+def _read_values(path):
+    """{cell label: its values} from the ``--values`` lines of a digest output."""
+    with open(path) as f:
+        return {label: json.loads(record)
+                for label, sep, record in (line.partition(" | ") for line in f) if sep}
+
+
+def _relative_move(a, b):
+    """The largest relative move between two values: numbers, bools, lists
+    of numbers, or None for a value a failed fit lacks (a move of inf)."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max(map(_relative_move, a, b), default=0.0)
+    if a == b:
+        return 0.0
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return abs(a - b) / max(abs(a), abs(b))
+    return math.inf
+
+
+def diff(path_a, path_b):
+    """Print, for each value, the cells whose value moved from ``path_a`` to ``path_b``."""
+    a, b = _read_values(path_a), _read_values(path_b)
+    for label in sorted(a.keys() ^ b.keys()):
+        print(f"cell only in {path_a if label in a else path_b}: {label}")
+    common = [label for label in a if label in b]
+    for key in VALUE_KEYS:
+        moved = []
+        for label in common:
+            old, new = a[label].get(key), b[label].get(key)
+            move = _relative_move(old, new)
+            if move:
+                moved.append((move, label))
+                print(f"{key} {label}: {old!r} -> {new!r} (relative {move:.2e})")
+        summary = f"{key}: {len(moved)} of {len(common)} cells moved"
+        if moved:
+            move, label = max(moved)
+            summary += f", largest relative move {move:.2e} ({label})"
+        print(summary)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parts", action="store_true",
                         help="first print a short hash of each value per cell")
-    show_parts = parser.parse_args().parts
+    parser.add_argument("--values", action="store_true",
+                        help="first print each cell's values as JSON after its label and ' | '")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare two --values outputs instead of fitting")
+    args = parser.parse_args()
+    if args.diff:
+        diff(*args.diff)
+        return
     start = time.perf_counter()
     h = hashlib.sha256()
     cells = 0
 
     def run_cell(label, data, G, variant, seed, **options):
         parts = _Parts(h)
-        _cell(parts, data, G, variant, seed, **options)
-        if show_parts:
-            print(label, variant, *(f"{k}={v}" for k, v in options.items()), parts.line())
+        values = _cell(parts, data, G, variant, seed, **options)
+        label = " ".join([label, variant, *(f"{k}={v}" for k, v in options.items())])
+        if args.parts:
+            print(label, parts.line())
+        if args.values:
+            print(label, "|", json.dumps(values))
 
     for name, seed in itertools.product(SCENARIO_NAMES, (1, 2, 3)):
         spec = builtin_scenario(name).with_seed(seed)
@@ -130,7 +200,7 @@ def main():
         n = int(rng.integers(1, 40))
         truth, pred = (rng.integers(NOISE, G + 1, size=n) for _ in range(2))
         _misclassification(parts, truth, pred, G)
-    if show_parts:
+    if args.parts:
         print("random-labels", parts.line())
     print(h.hexdigest(), cells, f"{time.perf_counter() - start:.1f}s")
 

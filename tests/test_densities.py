@@ -427,6 +427,18 @@ def test_trigamma_domain_error():
             trigamma(x)
 
 
+@pytest.mark.parametrize("fn", (log_gamma, digamma, trigamma), ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("x, message", [
+    pytest.param(True, "requires a real x, got True", id="true"),
+    pytest.param(False, "requires a real x, got False", id="false"),
+    pytest.param(float("nan"), "requires x > 0, got nan", id="nan"),
+])
+def test_special_functions_refuse_a_bool_or_nan(fn, x, message):
+    # a bool is not read as 0 or 1, and NaN is refused rather than returned
+    with pytest.raises(ValueError, match=re.escape(f"{fn.__name__} {message}")):
+        fn(x)
+
+
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: GaussianParams(np.zeros((1, 2)), np.eye(2)), "mean must be a vector",
                  id="gaussian-matrix-mean"),

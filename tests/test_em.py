@@ -7,6 +7,7 @@ profile-likelihood grid serve as independent oracles.
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +105,22 @@ def test_fit_config_defaults():
 def test_fit_config_validation(kwargs):
     with pytest.raises(ValueError):
         FitConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", (10**400, -10**400), ids=("huge", "huge-negative"))
+def test_real_beyond_the_float_range_is_rejected(value):
+    # an int too large for a float is not finite: the rule's ValueError,
+    # not an OverflowError from the conversion
+    with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+        FitConfig(G=2, rel_tol=value)
+    with pytest.raises(ValueError, match="x must be finite"):
+        densities._real("x", value)
+
+
+def test_positive_real_that_rounds_to_zero_is_rejected():
+    # positive as a Fraction, but 0.0 as the float the rule returns
+    with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+        FitConfig(G=2, rel_tol=Fraction(1, 10**400))
 
 
 def test_fit_config_accepts_numpy_integers():
@@ -355,24 +372,42 @@ def test_estimate_dof_same_root_from_any_start(root):
             assert estimate_dof(delta, weights, q, start=start) == pytest.approx(want, rel=1e-9)
 
 
+def t_objective_float(delta, weights, q, nu):
+    """sum_i w_i log t_q(delta_i; nu), up to terms free of nu, from scipy's gammaln."""
+    from scipy.special import gammaln
+
+    const = gammaln((nu + q) / 2) - gammaln(nu / 2) - q * math.log(nu) / 2
+    return float(weights @ (const - (nu + q) / 2 * np.log1p(delta / nu)))
+
+
 @pytest.mark.parametrize("root", DOF_ROOTS)
 def test_solve_dof_warm_start_needs_few_digammas(monkeypatch, root):
     # an ECME iteration moves a dof a little; from 10 % off, each component's
-    # solve scores the start, at most the edge on the rising side and at most
-    # five Newton steps, two digammas per score
+    # guarded Newton step scores the old dof, and a refused step adds at most
+    # the solve from it (a score of the start, the edge on the rising side and
+    # five Newton steps), two digammas per score.  No step lowers the dof
+    # objective beyond rounding, and repeated steps reach estimate_dof's root
     digamma = em.digamma
     calls = []
     monkeypatch.setattr(em, "digamma", lambda x: calls.append(x) or digamma(x))
+    lo, hi = em.DOF_BRACKET
     for q in (1, 2, 3):
         problems = [dof_problem(root, q), dof_problem(root, q, n=80)]
         delta = np.array([problems[0][0], problems[1][0][:40]])
         resp = np.array([problems[0][1], problems[1][1][:40]]).T
         want = [estimate_dof(row, w, q) for row, w in zip(delta, resp.T)]
         for scale in (0.9, 1.1):
-            calls.clear()
-            old = [min(scale * v, 200.0) for v in want]
-            np.testing.assert_allclose(em._solve_dof(old, q, delta, resp), want, rtol=1e-9)
-            assert len(calls) <= 2 * 14
+            # an ECME dof always lies in the bracket
+            dofs = [min(max(scale * v, lo), hi) for v in want]
+            for _ in range(60):
+                calls.clear()
+                new = em._solve_dof(dofs, q, delta, resp)
+                assert len(calls) <= 2 * 14
+                for row, w, old, nu in zip(delta, resp.T, dofs, new):
+                    before = t_objective_float(row, w, q, old)
+                    assert t_objective_float(row, w, q, nu) >= before - 1e-12 * abs(before)
+                dofs = new.tolist()
+            np.testing.assert_allclose(dofs, want, rtol=1e-9)
 
 
 @pytest.mark.parametrize("root", DOF_ROOTS)
@@ -689,22 +724,22 @@ def test_degenerate_start_is_reported(call, error, message):
 
 #: One k-means start (seed 1), at most 100 ECME iterations on builtin designs
 #: drawn with seed 1: final loglik, iteration count, and (x dof, y dof) per
-#: component.  Recorded with the ECME dof step and the digamma that recurs
-#: to x >= 10; every fit converges before the cap.
+#: component.  Recorded with the guarded one-step dof update (``_solve_dof``)
+#: and the digamma that recurs to x >= 10; every fit converges before the cap.
 T_FIT_PINS = {
-    ("ex4_s2", "t_cwm"): (-2229.9716866897306, 75, [
-        (5.105524757264897, 1.0082952921612685),
-        (1.933226437422895, 1.0570284477970773),
-        (4.183813566655452, 0.9380370458367029)]),
-    ("ex4_s2", "fmt"): (-2211.265425878938, 45, [
-        (130.22860925113469, 131.22860925113469),
-        (0.8227954701154527, 1.8227954701154527),
-        (6.393505356058284, 7.393505356058284)]),
-    ("ex6_s2", "t_cwm"): (-3133.7724621854036, 57, [
-        (1.0774075401400258, 0.5976054480028372),
-        (200.0, 14.4912866664128)]),
-    ("ex6_s2", "fmt"): (-3071.6664954861053, 44, [
-        (0.8814205325155818, 2.8814205325155817),
+    ("ex4_s2", "t_cwm"): (-2229.971698869862, 74, [
+        (5.106539345161167, 1.0084511156818983),
+        (1.9329388680736155, 1.056909605606461),
+        (4.183922576062264, 0.9380923903649209)]),
+    ("ex4_s2", "fmt"): (-2211.2654185160027, 46, [
+        (126.72407653386483, 127.72407653386483),
+        (0.8228253501434197, 1.8228253501434197),
+        (6.400402773050295, 7.400402773050295)]),
+    ("ex6_s2", "t_cwm"): (-3133.7724823808953, 56, [
+        (1.0774077351408613, 0.59764487355273),
+        (200.0, 14.493516030458656)]),
+    ("ex6_s2", "fmt"): (-3071.666493274298, 44, [
+        (0.8814166540188971, 2.881416654018897),
         (200.0, 202.0)]),
 }
 
@@ -1179,6 +1214,25 @@ def _partitions(data, config):
     """Each start's initial partition, as fit() draws it."""
     return [initialize(data, config, np.random.default_rng([config.seed, start]))
             .argmax(axis=1).tobytes() for start in range(config.n_starts)]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("name", ("ex4_s2", "ex6_s2"))
+@pytest.mark.parametrize("variant", ("t_cwm", "fmt"))
+def test_t_fit_trace_never_decreases_from_any_start(variant, name, seed):
+    # the guarded dof step keeps ECME a GEM: from every distinct start of a
+    # default fit, the observed log-likelihood never falls beyond rounding
+    spec = builtin_scenario(name).with_seed(seed)
+    data = generate(spec)
+    config = FitConfig(G=len(spec.groups), variant=variant, seed=seed)
+    partitions = _partitions(data, config)
+    for start in sorted({partitions.index(p) for p in partitions}):
+        resp0 = initialize(data, config, np.random.default_rng([config.seed, start]))
+        try:
+            trace = em._run_start(data, config, resp0, start).loglik_trace
+        except DegenerateFitError:
+            continue
+        assert np.all(np.diff(trace) >= -1e-12 * np.abs(trace[1:])), start
 
 
 def _count_run_start(monkeypatch, fail=None):
