@@ -11,20 +11,28 @@ algorithms, spelled out so another implementation can match the stream:
     normals      Box-Muller pairs (u1 redrawn while it is 0); the sine of a
                  pair is returned on the next call, so draws consume the
                  stream in fixed order however they are batched
-    bounded ints Lemire multiply-shift with rejection (unbiased)
+    bounded ints Lemire multiply-shift with rejection (unbiased), taken on
+                 32-bit halves for all of a shuffle's bounds at once
     gamma        Marsaglia-Tsang squeeze (shape >= 1; boosted below 1),
                  used for the chi-square mixing variable of Student-t draws
     shuffling    backward Fisher-Yates over row indices
 
 Draws are taken in bulk (``words``, ``randoms``, ``normals``) and give the
 same values as the one-at-a-time calls: every word, bulk or not, is the
-next one of a single xoshiro256++ stream.  The affine maps are written out
-elementwise: x = center + sum_j z_j * L[:, j] and y = sum_j x_j * slope_j +
-intercept + eps, each sum taken left to right, so no BLAS kernel (which may
-fuse a multiply and an add) touches a drawn value; ``cholesky_lower`` sums
-the factor L's inner products left to right as well.  What is left of
-platform dependence is libm's ``log``, ``sin`` and ``cos``, taken from
-``math``.
+next one of a single xoshiro256++ stream.  The stream is drawn ahead in
+numpy lanes: ``_steps`` writes the xoshiro256++ step once over a (4, L)
+uint64 state, and each of the L lanes makes B consecutive words.  The state
+transition is linear over GF(2), so lane j starts j B steps ahead through
+cached 256-by-256 bit matrices of 2^k steps (Haramoto et al. 2008), each
+the square of the one before.  Those matrices are multiplied as float32
+0/1 products, whose partial sums are integers of at most 256 and so exact
+under any BLAS kernel.  Only those exact products pass through BLAS; the
+affine maps are written out elementwise: x = center + sum_j z_j * L[:, j]
+and y = sum_j x_j * slope_j + intercept + eps, each sum taken left to
+right, so no BLAS kernel (which may fuse a multiply and an add) touches a
+drawn value; ``cholesky_lower`` sums the factor L's inner products left to
+right as well.  What is left of platform dependence is libm's ``log``,
+``sin`` and ``cos``, taken from ``math``.
 
 A scenario is a list of groups, each drawing x from a Gaussian or Student-t
 law and y from the line slope'x + intercept plus Gaussian noise, optionally
@@ -34,9 +42,10 @@ augmented with uniform background points over a box.  Tables quote sigma
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -72,20 +81,85 @@ def _splitmix64(state: int):
         yield z ^ (z >> 31)
 
 
-def _xoshiro256pp(s0: int, s1: int, s2: int, s3: int):
-    """Yield the xoshiro256++ stream from the state (s0, s1, s2, s3): the one
-    step every word takes.  A word costs one generator resume, less than a
-    method call that returns a list of one."""
-    while True:
-        r = (s0 + s3) & _MASK64
-        yield (((r << 23) | (r >> 41)) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
+_U23, _U41, _U17, _U45, _U19, _U32 = (np.uint64(k) for k in (23, 41, 17, 45, 19, 32))
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _steps(s: np.ndarray, n: int) -> np.ndarray:
+    """Take n xoshiro256++ steps on every column of the (4, L) uint64 state
+    ``s``, in place, and return the (n, L) words they output: column j is the
+    stream of lane j.  Every operand is a uint64, so the wraparound sums and
+    the shifts read alike under numpy 1.x's value-based casting and NEP 50."""
+    s0, s1, s2, s3 = s
+    out = np.empty((n, s.shape[1]), np.uint64)
+    t = np.empty_like(s0)
+    for word in out:
+        np.add(s0, s3, out=t)
+        np.bitwise_or(t << _U23, t >> _U41, out=word)
+        word += s0
+        np.left_shift(s1, _U17, out=t)
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        np.bitwise_or(s3 << _U45, s3 >> _U19, out=s3)
+    return out
+
+
+def _bits(s: np.ndarray) -> np.ndarray:
+    """The (4, L) states as an (L, 256) uint8 0/1 matrix: entry 64 w + b of
+    row j is bit b of word w of state j."""
+    octets = np.ascontiguousarray(s.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little")
+
+
+def _states(bits: np.ndarray) -> np.ndarray:
+    """Inverse of ``_bits``: the (L, 256) 0/1 rows as a (4, L) uint64 state."""
+    octets = np.packbits(bits, axis=1, bitorder="little")
+    return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
+
+
+def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over GF(2) for uint8 0/1 matrices.  It is taken as a float32
+    product: every partial sum of 0/1 terms is an integer of at most 256,
+    exact in float32, so no BLAS kernel, blocking or fused multiply-add can
+    change a bit of it."""
+    p = a.astype(np.float32) @ b.astype(np.float32)
+    return (p.astype(np.uint16) & np.uint16(1)).astype(np.uint8)
+
+
+@functools.cache
+def _jump(k: int) -> np.ndarray:
+    """The 256-by-256 GF(2) matrix, as uint8 bits, that takes a state's bit
+    row 2^k steps ahead: ``_gf2_product(_bits(s), _jump(k))``.  The step is
+    linear in the state bits, so row i of the k = 0 matrix is the step
+    applied to the i-th unit state; each later one squares the one before."""
+    if k == 0:
+        i = np.arange(256)
+        unit = np.zeros((4, 256), np.uint64)
+        unit[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
+        _steps(unit, 1)
+        return _bits(unit)
+    half = _jump(k - 1)
+    return _gf2_product(half, half)
+
+
+def _lanes(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """At least n words of the stream from the 4-word ``state``, and the state
+    after them.  L lanes of B = 2^b consecutive words run side by side, B
+    about sqrt(n / 16); lane j starts j B steps ahead, reached by doubling the
+    set of lane starts through the jump matrices of B, 2 B, 4 B, ... steps."""
+    b = max(n.bit_length() - 4, 0) // 2
+    count = -(-n // (1 << b))
+    starts = _bits(state[:, None])
+    k = b
+    while len(starts) < count:
+        starts = np.vstack((starts, _gf2_product(starts[: count - len(starts)], _jump(k))))
+        k += 1
+    lanes = _states(starts)
+    words = _steps(lanes, 1 << b).T.ravel()
+    return words, lanes[:, -1].copy()
 
 
 def _lemire(n: int, draw) -> int:
@@ -99,6 +173,15 @@ def _lemire(n: int, draw) -> int:
     return m >> 64
 
 
+def _multiply_shift(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's j = w b >> 64 for uint64 words w and bounds b <= 2^32, taken
+    on w's 32-bit halves so that no product leaves uint64, and the mask of
+    words whose low half w b mod 2^64 is below b: only those can ``_lemire``
+    reject, since its threshold 2^64 mod b is below b."""
+    hi, lo = w >> _U32, w & _LOW32
+    return (hi * b + (lo * b >> _U32)) >> _U32, w * b < b
+
+
 class Xoshiro256:
     """xoshiro256++ seeded through splitmix64, with the derived draws
     (uniforms, normals, bounded ints, gamma) documented in the module
@@ -107,27 +190,44 @@ class Xoshiro256:
     ``words(n)``, ``randoms(n)`` and ``normals(n)`` are the bulk forms of
     ``next_u64()``, ``random()`` and ``normal()``: each returns an array of
     the same values that n scalar calls would, and leaves the generator
-    (state and spare normal) where those calls would.  ``next_u64`` and
-    ``words`` both read the one stream, ``_xoshiro256pp``, whose generator
-    frame holds the state.  ``random`` and ``normal`` stay
-    scalar Python rather than calls to ``randoms(1)`` and ``normals(1)``:
-    a Student-t x law draws its rows one scalar at a time, and the array
-    round trip made such a ``generate()`` (N = 350, d = 2) three to four
-    times slower.
+    (stream position and spare normal) where those calls would.
+    ``next_u64`` and ``words`` both read one buffer of words drawn ahead of
+    the stream position; when it runs short, ``_lanes`` appends the larger
+    of what is missing, 2,048 words and twice the last refill, and the
+    state moves past them.  ``random`` and ``normal`` stay scalar Python
+    rather than calls to ``randoms(1)`` and ``normals(1)``: a Student-t x
+    law draws its rows one scalar at a time, and the array round trip made
+    such a ``generate()`` (N = 350, d = 2) three to four times slower.
     """
 
     def __init__(self, seed: int):
         g = _splitmix64(_seed(seed))
-        self._stream = _xoshiro256pp(*(next(g) for _ in range(4)))
+        self._state = np.array([next(g) for _ in range(4)], np.uint64)
+        self._ahead = np.empty(0, np.uint64)
+        self._pos = 0  # the next word of the stream is self._ahead[self._pos]
+        self._refilled = 0
         self._spare_normal: float | None = None
 
+    def _refill(self, n: int) -> None:
+        """Draw ahead until at least n words are left unread."""
+        self._refilled = max(n - (self._ahead.size - self._pos), 2048, 2 * self._refilled)
+        words, self._state = _lanes(self._state, self._refilled)
+        self._ahead = np.concatenate((self._ahead[self._pos :], words))
+        self._pos = 0
+
     def next_u64(self) -> int:
-        return next(self._stream)
+        if self._pos == self._ahead.size:
+            self._refill(1)
+        self._pos += 1
+        return self._ahead.item(self._pos - 1)
 
     def words(self, n: int) -> np.ndarray:
         """The next n words as a uint64 array."""
         n = _integer("n", n, low=0)
-        return np.fromiter(islice(self._stream, n), np.uint64, n)
+        if self._pos + n > self._ahead.size:
+            self._refill(n)
+        self._pos += n
+        return self._ahead[self._pos - n : self._pos]
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -179,10 +279,6 @@ class Xoshiro256:
                 self._spare_normal = float(pairs[-1, 1])
         return out
 
-    def bounded_int(self, n: int) -> int:
-        """Unbiased integer in [0, n) via Lemire's multiply-shift."""
-        return _lemire(_integer("n", n, low=1), self.next_u64)
-
     def gamma(self, shape: float) -> float:
         """Gamma(shape, scale=1) via the Marsaglia-Tsang squeeze."""
         shape = _real("shape", shape, positive=True)  # NaN or inf would never pass the squeeze
@@ -211,14 +307,19 @@ class Xoshiro256:
         return 2.0 * self.gamma(0.5 * _real("chi-square shape", dof, positive=True))
 
     def permutation(self, n: int) -> np.ndarray:
-        """Backward Fisher-Yates permutation of range(n).  The n - 1 words
-        are drawn at once; a rare Lemire rejection (probability below
-        n / 2^64) reads on into the stream, as ``bounded_int`` would."""
+        """Backward Fisher-Yates permutation of range(n).  The n - 1 words are
+        drawn at once and bound by n, n - 1, ..., 2 together.  A rare Lemire
+        rejection (probability below n^2 / 2^64) redoes the bounds with
+        ``_lemire`` one word at a time, reading on into the stream."""
         n = _integer("n", n, low=0)
-        draw = chain(self.words(max(n - 1, 0)).tolist(), iter(self.next_u64, None)).__next__
+        w = self.words(max(n - 1, 0))
+        js, unsure = _multiply_shift(w, np.arange(n, 1, -1, dtype=np.uint64))
+        js = js.tolist()
+        if unsure.any():
+            draw = chain(w.tolist(), iter(self.next_u64, None)).__next__
+            js = [_lemire(i + 1, draw) for i in range(n - 1, 0, -1)]
         perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = _lemire(i + 1, draw)
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.intp)
 

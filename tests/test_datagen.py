@@ -21,7 +21,14 @@ from cwmix.datagen import (
     NoiseSpec,
     ScenarioSpec,
     Xoshiro256,
+    _bits,
+    _gf2_product,
+    _jump,
+    _lemire,
+    _multiply_shift,
     _splitmix64,
+    _states,
+    _steps,
     builtin_scenario,
     crab_perturb,
     generate,
@@ -29,7 +36,7 @@ from cwmix.datagen import (
 from cwmix.densities import GaussianParams, StudentParams, cholesky_lower, solve_spd
 from cwmix.model import Dataset
 
-SIZES = (0, 1, 2, 7, 64, 1001)
+SIZES = (0, 1, 2, 7, 64, 1001, 2047, 2048, 2049, 70001)  # 2,048 is the least refill
 
 
 class ScriptedWords(Xoshiro256):
@@ -90,11 +97,29 @@ def test_xoshiro_first_words_seed_zero():
 
 @pytest.mark.parametrize("n", SIZES)
 def test_words_equal_next_u64_calls(n):
-    bulk, one = Xoshiro256(5), Xoshiro256(5)
+    bulk, one, ref = Xoshiro256(5), Xoshiro256(5), xoshiro256pp_stream(5)
     w = bulk.words(n)
     assert w.dtype == np.uint64 and w.shape == (n,)
-    assert w.tolist() == [one.next_u64() for _ in range(n)]
+    assert w.tolist() == [one.next_u64() for _ in range(n)] == [next(ref) for _ in range(n)]
     assert [bulk.next_u64() for _ in range(3)] == [one.next_u64() for _ in range(3)]
+
+
+def test_interleaved_draws_read_one_stream():
+    """Scalar and bulk reads across the refills of the drawn-ahead words."""
+    rng, ref = Xoshiro256(21), xoshiro256pp_stream(21)
+    for k in (1, 3, 2048, 5, 40000):
+        assert rng.next_u64() == next(ref)
+        assert rng.words(k).tolist() == [next(ref) for _ in range(k)]
+    assert rng.next_u64() == next(ref)
+
+
+def test_jump_matrices_move_a_state_two_to_k_steps():
+    g = _splitmix64(13)
+    state = np.array([next(g) for _ in range(4)], np.uint64)[:, None]
+    ref = list(itertools.islice(xoshiro256pp_stream(13), 2**12 + 4))
+    for k in range(13):
+        ahead = _states(_gf2_product(_bits(state), _jump(k)))
+        assert _steps(ahead, 4)[:, 0].tolist() == ref[2**k : 2**k + 4]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -159,20 +184,54 @@ def test_permutation_lemire_rejection(n, script):
 def test_bounded_int_threshold_is_two_to_64_mod_n():
     # 2^64 mod 3 = 1: a low half of 0 is rejected, a low half of 1 is kept
     rng = ScriptedWords([0, _HI])
-    assert rng.bounded_int(3) == 2
+    assert _lemire(3, rng.next_u64) == 2
     assert rng.next_u64() == 0x53175D61490B23DF  # two script words used
     rng = ScriptedWords([0xAAAAAAAAAAAAAAAB])  # 3 * w = 2^65 + 1
-    assert rng.bounded_int(3) == 2
+    assert _lemire(3, rng.next_u64) == 2
     assert rng.next_u64() == 0x53175D61490B23DF
     # 2^64 mod 4 = 0: nothing is rejected
     rng = ScriptedWords([0, _HI])
-    assert rng.bounded_int(4) == 0
+    assert _lemire(4, rng.next_u64) == 0
     assert rng.next_u64() == _HI
 
 
-def test_bounded_int_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Xoshiro256(0).bounded_int(0)
+def _word_with_low_half(b, low):
+    """A word w with w b mod 2^64 = low, for low a multiple of b's largest
+    power-of-two factor 2^s.  The top s bits of w are free (w b mod 2^64
+    does not see them); they are set here, so that w b >> 64 is large."""
+    s = (b & -b).bit_length() - 1
+    w = (low >> s) * pow(b >> s, -1, 1 << 64) % (1 << (64 - s))
+    return w + (((1 << s) - 1) << (64 - s))
+
+
+def _check_multiply_shift(words, bounds):
+    js, unsure = _multiply_shift(np.array(words, np.uint64), np.array(bounds, np.uint64))
+    for w, b, j, flag in zip(words, bounds, js.tolist(), unsure.tolist()):
+        assert j == (w * b) >> 64
+        assert flag == ((w * b) % 2**64 < b)
+        if not flag:
+            assert _lemire(b, iter([w]).__next__) == j
+
+
+def test_multiply_shift_equals_lemire_on_random_words():
+    gen = np.random.default_rng(3)
+    words = gen.integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False).tolist()
+    bounds = gen.integers(2, 2**32, 10**5, endpoint=True).tolist()
+    _check_multiply_shift(words, bounds)
+
+
+def test_multiply_shift_flags_each_low_half_below_its_bound():
+    """Words whose low half w b mod 2^64 sits next below, at and next above
+    each bound (one apart for an odd bound; its power-of-two factor apart,
+    the nearest that w b can reach, for an even one)."""
+    words, bounds = [], []
+    for b in (*range(2, 70), 1000, 4096, 70001, 2**31 - 1, 2**31, 2**32 - 1, 2**32):
+        step = b & -b
+        for low in (b - step, b, b + step):
+            words.append(_word_with_low_half(b, low))
+            bounds.append(b)
+    _check_multiply_shift(words, bounds)
+    assert sum((w * b) % 2**64 < b for w, b in zip(words, bounds)) == len(words) // 3
 
 
 @pytest.mark.parametrize("draw, message", [
@@ -184,8 +243,6 @@ def test_bounded_int_rejects_nonpositive():
     pytest.param(lambda rng: rng.gamma(float("inf")), "shape must be positive and finite", id="gamma-inf"),
     pytest.param(lambda rng: rng.chi_square(float("inf")), "shape must be positive and finite",
                  id="chi-square-inf"),
-    pytest.param(lambda rng: rng.bounded_int(True), "n must be an integer", id="bounded-int-bool"),
-    pytest.param(lambda rng: rng.bounded_int(2.5), "n must be an integer", id="bounded-int-float"),
     pytest.param(lambda rng: rng.permutation(-3), "n must be at least 0", id="permutation-negative"),
     pytest.param(lambda rng: rng.permutation(True), "n must be an integer", id="permutation-bool"),
     pytest.param(lambda rng: rng.words(True), "n must be an integer", id="words-bool"),
@@ -233,11 +290,16 @@ def test_seed_range():
 # --- generate() ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-@pytest.mark.parametrize("factor", [1, 10])
-def test_generate_matches_scalar_oracle(name, factor):
+@pytest.mark.parametrize("name, factor, seeds", [
+    *(pytest.param(name, factor, (1, 2, 3), id=f"{factor}-{name}")
+      for factor in (1, 10) for name in SCENARIO_NAMES),
+    # N = 35,000 and 30,000: about 140,000 words, drawn in 1,000 lanes and more
+    pytest.param("ex4_s2", 100, (1,), id="100-ex4_s2"),
+    pytest.param("ex6_s2", 100, (1,), id="100-ex6_s2"),
+])
+def test_generate_matches_scalar_oracle(name, factor, seeds):
     spec = _scaled(name, factor)
-    for seed in (1, 2, 3):
+    for seed in seeds:
         data = generate(spec.with_seed(seed))
         x, y, labels = generate_scalar(spec.with_seed(seed), cholesky_lower)
         assert np.array_equal(data.x, x)
@@ -292,8 +354,9 @@ def _full_d3_spec():
     ("full_d3", "20db327c87231aa360bddc006d4a0538040a14793ade7af4c42a10dd9e265586"),
 ])
 def test_generate_digest(name, digest):
-    """Fixed bytes for a fixed seed, under every BLAS kernel: no BLAS call
-    reaches a drawn value, and the d = 3 factors sum left to right."""
+    """Fixed bytes for a fixed seed, under every BLAS kernel: of the BLAS
+    calls, only exact 0/1 products reach a drawn value, and the d = 3
+    factors sum left to right."""
     spec = _full_d3_spec() if name == "full_d3" else builtin_scenario(name)
     assert _digest(generate(spec.with_seed(1))) == digest
 

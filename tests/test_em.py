@@ -82,24 +82,25 @@ def test_fit_config_defaults():
 
 @pytest.mark.parametrize(
     "kwargs",
+    # fixed ids, so that inserting or deleting a case renames no other case
     [
-        dict(G=0),
-        dict(G=2, variant="nope"),
-        dict(G=2, max_iter=0),
-        dict(G=2, rel_tol=0.0),
-        dict(G=2, n_starts=0),
-        dict(G=2, init="mystery"),
-        dict(G=2, init="random_partition"),
-        dict(G=2, seed=-1),
-        dict(G=2, seed=2**64),
-        dict(G=2.5),
-        dict(G=True),
-        dict(G=2, n_starts=2.5),
-        dict(G=2, max_iter=2.5),
-        dict(G=2, seed=1.7),
-        dict(G=2, rel_tol=float("inf")),
-        dict(G=2, rel_tol=True),
-        dict(G=2, rel_tol="1e-8"),
+        pytest.param(dict(G=0), id="kwargs0"),
+        pytest.param(dict(G=2, variant="nope"), id="kwargs1"),
+        pytest.param(dict(G=2, max_iter=0), id="kwargs2"),
+        pytest.param(dict(G=2, rel_tol=0.0), id="kwargs3"),
+        pytest.param(dict(G=2, n_starts=0), id="kwargs4"),
+        pytest.param(dict(G=2, init="mystery"), id="kwargs5"),
+        pytest.param(dict(G=2, init="random_partition"), id="kwargs6"),
+        pytest.param(dict(G=2, seed=-1), id="kwargs7"),
+        pytest.param(dict(G=2, seed=2**64), id="kwargs8"),
+        pytest.param(dict(G=2.5), id="kwargs9"),
+        pytest.param(dict(G=True), id="kwargs10"),
+        pytest.param(dict(G=2, n_starts=2.5), id="kwargs11"),
+        pytest.param(dict(G=2, max_iter=2.5), id="kwargs12"),
+        pytest.param(dict(G=2, seed=1.7), id="kwargs13"),
+        pytest.param(dict(G=2, rel_tol=float("inf")), id="kwargs14"),
+        pytest.param(dict(G=2, rel_tol=True), id="kwargs15"),
+        pytest.param(dict(G=2, rel_tol="1e-8"), id="kwargs16"),
     ],
 )
 def test_fit_config_validation(kwargs):
