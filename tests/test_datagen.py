@@ -293,7 +293,7 @@ def test_seed_range():
 @pytest.mark.parametrize("name, factor, seeds", [
     *(pytest.param(name, factor, (1, 2, 3), id=f"{factor}-{name}")
       for factor in (1, 10) for name in SCENARIO_NAMES),
-    # N = 35,000 and 30,000: about 140,000 words, drawn in 1,000 lanes and more
+    # N = 35,000: about 105,000 and 140,000 words, refilled in more than 1,000 lanes
     pytest.param("ex4_s2", 100, (1,), id="100-ex4_s2"),
     pytest.param("ex6_s2", 100, (1,), id="100-ex6_s2"),
 ])
