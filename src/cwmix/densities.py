@@ -16,18 +16,14 @@ since its slice's maximum contributes an exact 1.0 to the sum.
 Covariance-like matrices are handled through a lower-triangular Cholesky
 factorization only; no explicit inverse is ever formed.  A factorization
 whose pivot falls below 1e-12 times the largest diagonal entry is rejected
-as non-positive-definite.  ``cholesky_lower``, ``solve_lower`` and
-``solve_spd`` take one k-by-k matrix or a (G, k, k) stack; every matrix gets
-the same checks, and a matrix gets the same bits alone or stacked.
-``cholesky_lower`` and ``solve_spd`` factor and solve each matrix on its own
-as Python floats: their matrices are parameter-sized (an x covariance, the
-normal equations of a regression, the fmrc gating Hessian), where numpy's
-per-call overhead would cost more than the arithmetic.  Every inner product
-is summed left to right with one rounding per product and per addition, so
-neither result depends on the BLAS kernel.  ``solve_lower`` whitens N points
-per factor, so it is one numpy forward substitution for the whole stack,
-one contiguous coordinate row of N at a time, its inner products too summed
-left to right; ``_whitened_sq`` shares that substitution.
+as non-positive-definite.  ``cholesky_lower`` and ``solve_spd`` take one
+k-by-k matrix or a (G, k, k) stack; every matrix gets the same checks, and a
+matrix gets the same bits alone or stacked.  They factor and solve each
+matrix on its own as Python floats: their matrices are parameter-sized (an x
+covariance, the normal equations of a regression, the fmrc gating Hessian),
+where numpy's per-call overhead would cost more than the arithmetic.  Every
+inner product is summed left to right with one rounding per product and per
+addition, so neither result depends on the BLAS kernel.
 
 A Gaussian and a Student-t law share one body: a finite center, a scatter
 matrix, its Cholesky factor and log-determinant, read as ``center``,
@@ -35,9 +31,10 @@ matrix, its Cholesky factor and log-determinant, read as ``center``,
 its dof.  Squared Mahalanobis distances have one implementation,
 ``_whitened_sq``: the per-law ``mahalanobis_sq``, ``gaussian_logpdf`` and
 ``student_logpdf`` call it with one factor, and the E- and M-steps with the
-stacked factors of every component.  It sums the whitened rows' squares
-left to right, so no distance depends on the BLAS kernel or on how the
-points are laid out.
+stacked factors of every component.  It whitens N points per factor by
+one numpy forward substitution for the whole stack and sums its inner
+products and the whitened rows' squares left to right, so no distance
+depends on the BLAS kernel or on how the points are laid out.
 
 Every module reads a caller's numbers through three rules kept here:
 ``_integer`` (any integer type but bool, with an optional lower bound),
@@ -149,34 +146,6 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     return np.array(factors, dtype=float).reshape(shape)
 
 
-def _forward_rows(L, b) -> list:
-    """The rows of w with L w = b, for one lower-triangular L or a (G, k, k)
-    stack of them, b as for solve_lower: row i is (b_i - sum_t<i L_it w_t) /
-    L_ii, a (G, m) array (G = 1 for one factor) computed one contiguous
-    coordinate row at a time, the sum taken left to right."""
-    L = np.asarray(L, dtype=float)
-    L = L.reshape((-1,) + L.shape[-2:])
-    b = np.asarray(b, dtype=float).reshape(L.shape[:2] + (-1,))
-    rows = []
-    for i in range(L.shape[-1]):
-        rhs = b[:, i]
-        if i:
-            acc = L[:, i, 0, None] * rows[0]
-            for t in range(1, i):
-                acc += L[:, i, t, None] * rows[t]
-            rhs = rhs - acc
-        rows.append(rhs / L[:, i, i, None])
-    return rows
-
-
-def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L w = b by forward substitution, for one lower-triangular L or a
-    (G, k, k) stack of them; b is a vector or a matrix per factor, of shape
-    (k,) or (k, m) for one factor and (G, k) or (G, k, m) for a stack."""
-    b = np.asarray(b, dtype=float)
-    return np.stack(_forward_rows(L, b), axis=1).reshape(b.shape)
-
-
 def _substitute(L: list, b: list) -> list:
     """Solve L L' w = b, for one factor L and right-hand-side rows b, all as
     rows of floats, overwriting b with w: forward, then back substitution,
@@ -202,9 +171,10 @@ def _substitute(L: list, b: list) -> list:
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a w = b for symmetric positive-definite a, or for each matrix of a
-    (G, k, k) stack, via its Cholesky factor; b as for solve_lower.  Each
-    system is factored and solved on its own as Python floats, with
-    cholesky_lower's checks and arithmetic."""
+    (G, k, k) stack, via its Cholesky factor; b is a vector or a matrix per
+    system, of shape (k,) or (k, m) for one and (G, k) or (G, k, m) for a
+    stack.  Each system is factored and solved on its own as Python floats,
+    with cholesky_lower's checks and arithmetic."""
     shape, factors = _factors(a)
     b = np.asarray(b, dtype=float)
     rhs = b.reshape((len(factors), shape[-1], -1)).tolist()
@@ -291,12 +261,25 @@ def law_from_dict(doc: dict) -> GaussianParams | StudentParams:
 
 
 def _whitened_sq(chol, centered) -> np.ndarray:
-    """Squared Mahalanobis distances: the squared norms of L^-1 (z - center)
+    """Squared Mahalanobis distances: the squared norms of w = L^-1 (z - center)
     for points ``centered`` at their law, coordinates on the second-to-last
     axis.  One law's k-by-k factor takes (k, N) points; a (G, k, k) stack
-    takes (G, k, N), one stacked forward substitution giving G-by-N
-    distances, its rows' squares summed left to right."""
-    rows = _forward_rows(chol, centered)
+    takes (G, k, N) and gives G-by-N distances.  w comes from one numpy
+    forward substitution for the whole stack, one contiguous coordinate row
+    of N at a time: row i is (b_i - sum_t<i L_it w_t) / L_ii, b the centred
+    points, the sum taken left to right; so are the rows' squares."""
+    L = np.asarray(chol, dtype=float)
+    L = L.reshape((-1,) + L.shape[-2:])
+    b = np.asarray(centered, dtype=float).reshape(L.shape[:2] + (-1,))
+    rows = []
+    for i in range(L.shape[-1]):
+        rhs = b[:, i]
+        if i:
+            acc = L[:, i, 0, None] * rows[0]
+            for t in range(1, i):
+                acc += L[:, i, t, None] * rows[t]
+            rhs = rhs - acc
+        rows.append(rhs / L[:, i, i, None])
     sq = rows[0] * rows[0]
     for row in rows[1:]:
         sq += row * row

@@ -17,15 +17,16 @@ should raise F(nu) = sum_i r_ig log t_q(delta_ig; nu).  It takes one guarded
 Newton step per component from the previous dof (``_solve_dof``), kept when
 F's curvature is negative there, the step stays inside the open
 ``DOF_BRACKET`` and F does not fall; otherwise the dof is the root that
-``estimate_dof`` solves by safeguarded Newton from the previous dof.  A dof
-on a bracket edge whose score points out of the bracket stays on that edge,
-a routine result (the upper edge is the Gaussian limit).  A CM-step need
-only not lower its objective, so the iteration is a generalized EM
-(Dempster, Laird & Rubin 1977; Liu & Rubin 1994), and repeated steps reach
-the exact root.  t_cwm steps its x law (q = d, delta_x) and its y law
-(q = 1, resid^2 / sigma^2) separately; fmt steps its one dof on the joint
-distance delta_x + resid^2 / sigma^2 (q = d + 1), sigma^2 being the Schur
-scale.
+``estimate_dof`` solves by safeguarded Newton from the previous dof.  Both
+read the score f = 2 F' from one pass over N per dof, ``_dof_score``, and
+its slope from ``_dof_slope``.  A dof on a bracket edge whose score points
+out of the bracket stays on that edge, a routine result (the upper edge is
+the Gaussian limit).  A CM-step need only not lower its objective, so the
+iteration is a generalized EM (Dempster, Laird & Rubin 1977; Liu & Rubin
+1994), and repeated steps reach the exact root.  t_cwm steps its x law
+(q = d, delta_x) and its y law (q = 1, resid^2 / sigma^2) separately; fmt
+steps its one dof on the joint distance delta_x + resid^2 / sigma^2
+(q = d + 1), sigma^2 being the Schur scale.
 Both CM-steps raise the observed log-likelihood, and the dof step removes
 the slow direction of ECM's, so t fits converge in tens of iterations.
 
@@ -228,6 +229,26 @@ def initialize(data: Dataset, config: FitConfig, rng) -> np.ndarray:
 
 # ----------------------------------------------------------- dof estimation
 
+def _dof_score(nu: float, q: int, delta: np.ndarray, w: np.ndarray, mass: float) -> tuple:
+    """(f, sum w log1p(delta/nu), b, sum w b) in one pass over ``delta``: f(nu)
+    = 2 F'(nu) scores F = sum_i w_i log t_q(delta_i; nu), ``mass`` = sum w, and
+    b = delta / (nu + delta) is a fresh buffer."""
+    t = delta / nu
+    b = t + 1.0
+    np.divide(t, b, out=b)  # delta / (nu + delta)
+    wlog = float(w @ np.log1p(t, out=t))
+    wb = float(w @ b)
+    value = mass * (digamma((nu + q) / 2.0) - digamma(nu / 2.0) - q / nu) - wlog + (1.0 + q / nu) * wb
+    return value, wlog, b, wb
+
+
+def _dof_slope(nu: float, q: int, w: np.ndarray, mass: float, b: np.ndarray, wb: float) -> float:
+    """f'(nu) from ``_dof_score``'s b and sum w b at nu; it squares b in place."""
+    wbb = float(w @ np.multiply(b, b, out=b))
+    return (mass * (0.5 * (trigamma((nu + q) / 2.0) - trigamma(nu / 2.0)) + q / nu**2)
+            + wbb / nu - q * (2.0 * wb - wbb) / nu**2)
+
+
 def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
     """The dof v in ``DOF_BRACKET`` that maximizes sum_i w_i log t_q(delta_i; v),
     the weighted log-density of a q-variate t law whose location and scale
@@ -262,24 +283,8 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
     weights = np.asarray(weights, dtype=float)
     mass = float(weights.sum())
     lo, hi = DOF_BRACKET
-
-    def score(nu):
-        t = delta / nu
-        b = t + 1.0
-        np.divide(t, b, out=b)  # delta / (nu + delta)
-        wb = weights @ b
-        value = (mass * (digamma((nu + q) / 2.0) - digamma(nu / 2.0) - q / nu)
-                 - weights @ np.log1p(t, out=t) + (1.0 + q / nu) * wb)
-        return float(value), b, float(wb)
-
-    def slope(nu, b, wb):
-        # squares b in place: no caller reads it after the slope
-        wbb = float(weights @ np.multiply(b, b, out=b))
-        return (mass * (0.5 * (trigamma((nu + q) / 2.0) - trigamma(nu / 2.0)) + q / nu**2)
-                + wbb / nu - q * (2.0 * wb - wbb) / nu**2)
-
     nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
-    value, b, wb = score(nu)
+    value, _, b, wb = _dof_score(nu, q, delta, weights, mass)
     if not math.isfinite(value):
         raise ValueError("non-finite dof score")
     # only the bracket edge the objective rises towards can lack a sign
@@ -294,11 +299,11 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
             lo = nu
         else:
             hi = nu
-        fp = slope(nu, b, wb)
+        fp = _dof_slope(nu, q, weights, mass, b, wb)
         new = nu - value / fp if fp < 0.0 else lo
         if not lo < new < hi:
             if edge in (lo, hi):  # the step reaches the unscored edge
-                edge_value = score(edge)[0]
+                edge_value = _dof_score(edge, q, delta, weights, mass)[0]
                 if (edge_value <= 0.0) if edge == lo else (edge_value >= 0.0):
                     return float(edge)
                 edge = None
@@ -308,7 +313,7 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
         if abs(new - nu) < 1e-10 * nu or hi - lo < 1e-10 * nu:
             return new
         nu = new
-        value, b, wb = score(nu)
+        value, _, b, wb = _dof_score(nu, q, delta, weights, mass)
     return nu
 
 
@@ -318,9 +323,9 @@ def _solve_dof(old_dofs, q: int, delta: np.ndarray, resp: np.ndarray) -> np.ndar
     with delta the G-by-N distances to the laws this M-step set, from its old
     dof.
 
-    One pass over the N distances at the old dof nu gives sum w log1p(delta/nu),
-    which enters both F(nu) and ``estimate_dof``'s score f(nu) = 2 F'(nu),
-    and sum w b and sum w b^2, b = delta / (nu + delta), which give f'(nu).
+    One ``_dof_score`` pass over the N distances at the old dof nu gives
+    f(nu) = 2 F'(nu) and sum w log1p(delta/nu), which enters F(nu); f'(nu)
+    is ``_dof_slope``'s, from that pass.
     A dof on a ``DOF_BRACKET`` edge whose score points out of the bracket
     keeps that edge, as ``estimate_dof`` would return it.  Otherwise the
     Newton step nu - f / f' is taken when f' < 0, the step stays inside the
@@ -339,18 +344,11 @@ def _solve_dof(old_dofs, q: int, delta: np.ndarray, resp: np.ndarray) -> np.ndar
     for old, row, w in zip(old_dofs, delta, np.ascontiguousarray(resp.T)):
         nu = float(old)
         mass = float(w.sum())
-        t = row / nu
-        b = t + 1.0
-        np.divide(t, b, out=b)  # delta / (nu + delta)
-        wlog = float(w @ np.log1p(t, out=t))
-        wb = float(w @ b)
-        wbb = float(w @ np.multiply(b, b, out=b))
-        value = mass * (digamma((nu + q) / 2.0) - digamma(nu / 2.0) - q / nu) - wlog + (1.0 + q / nu) * wb
+        value, wlog, b, wb = _dof_score(nu, q, row, w, mass)
         if (nu == lo and value < 0.0) or (nu == hi and value > 0.0):
             new.append(nu)  # the objective rises beyond this edge
             continue
-        fp = (mass * (0.5 * (trigamma((nu + q) / 2.0) - trigamma(nu / 2.0)) + q / nu**2)
-              + wbb / nu - q * (2.0 * wb - wbb) / nu**2)
+        fp = _dof_slope(nu, q, w, mass, b, wb)
         step = nu - value / fp
         accept = (fp < 0.0 and lo < step < hi
                   and objective(step, mass, float(w @ np.log1p(row / step))) >= objective(nu, mass, wlog))

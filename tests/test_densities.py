@@ -19,7 +19,6 @@ from cwmix.densities import (
     log_gamma,
     log_sum_exp,
     mahalanobis_sq,
-    solve_lower,
     solve_spd,
     student_logpdf,
     trigamma,
@@ -91,7 +90,6 @@ def test_stacked_kernels_match_each_matrix(k):
     assert L.shape == stack.shape
     for g in range(3):
         np.testing.assert_array_equal(L[g], cholesky_lower(stack[g]))
-        np.testing.assert_array_equal(solve_lower(L, mat)[g], solve_lower(L[g], mat[g]))
         np.testing.assert_array_equal(solve_spd(stack, vec)[g], solve_spd(stack[g], vec[g]))
         np.testing.assert_array_equal(solve_spd(stack, mat)[g], solve_spd(stack[g], mat[g]))
     np.testing.assert_allclose(np.einsum("gij,gj->gi", stack, solve_spd(stack, vec)), vec,
@@ -100,19 +98,19 @@ def test_stacked_kernels_match_each_matrix(k):
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_whitened_sq_is_the_squared_norm_of_solve_lower(k):
-    # both forward-substitute the same rows; summing a norm's squares left to
-    # right keeps every bit while it has at most two terms (bound for three
+    # a stack gives each factor's distances bit for bit as that factor alone,
+    # and each is the squared norm of scipy's lower-triangular solve (bound
     # fixed beforehand)
+    from scipy.linalg import solve_triangular
+
     L = cholesky_lower(np.array([random_spd(k, scale) for scale in (1e-3, 1.0, 1e4)]))
     pts = rng.normal(size=(3, k, 40)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(3, k, 1))
-    for got, white in [(_whitened_sq(L, pts), solve_lower(L, pts)),
-                       (_whitened_sq(L[1], pts[1]), solve_lower(L[1], pts[1]))]:
-        want = np.sum(white * white, axis=-2)
-        assert got.shape == want.shape
-        if k <= 2:
-            assert got.tobytes() == want.tobytes()
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    got = _whitened_sq(L, pts)
+    assert got.shape == (3, 40)
+    for g in range(3):
+        assert got[g].tobytes() == _whitened_sq(L[g], pts[g]).tobytes()
+        white = solve_triangular(L[g], pts[g], lower=True)
+        np.testing.assert_allclose(got[g], np.sum(white * white, axis=0), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("bad", [

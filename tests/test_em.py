@@ -384,13 +384,26 @@ def t_objective_float(delta, weights, q, nu):
 @pytest.mark.parametrize("root", DOF_ROOTS)
 def test_solve_dof_warm_start_needs_few_digammas(monkeypatch, root):
     # an ECME iteration moves a dof a little; from 10 % off, each component's
-    # guarded Newton step scores the old dof, and a refused step adds at most
-    # the solve from it (a score of the start, the edge on the rising side and
-    # five Newton steps), two digammas per score.  No step lowers the dof
-    # objective beyond rounding, and repeated steps reach estimate_dof's root
+    # guarded Newton step scores the old dof once (two digammas), so a call
+    # whose steps are all kept makes two digammas per component, and a
+    # refused step adds at most the solve from it (a score of the start, the
+    # edge on the rising side and five Newton steps), two digammas per score.
+    # No step lowers the dof objective beyond rounding, and repeated steps
+    # reach estimate_dof's root
     digamma = em.digamma
     calls = []
     monkeypatch.setattr(em, "digamma", lambda x: calls.append(x) or digamma(x))
+    solve = em.estimate_dof
+    solved = []  # the digammas of each estimate_dof call from _solve_dof
+
+    def counted_solve(*args, **kwargs):
+        before = len(calls)
+        out = solve(*args, **kwargs)
+        solved.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(em, "estimate_dof", counted_solve)
+    all_kept = 0
     lo, hi = em.DOF_BRACKET
     for q in (1, 2, 3):
         problems = [dof_problem(root, q), dof_problem(root, q, n=80)]
@@ -402,13 +415,41 @@ def test_solve_dof_warm_start_needs_few_digammas(monkeypatch, root):
             dofs = [min(max(scale * v, lo), hi) for v in want]
             for _ in range(60):
                 calls.clear()
+                solved.clear()
                 new = em._solve_dof(dofs, q, delta, resp)
                 assert len(calls) <= 2 * 14
+                assert len(calls) == 2 * len(dofs) + sum(solved)
+                all_kept += not solved
                 for row, w, old, nu in zip(delta, resp.T, dofs, new):
                     before = t_objective_float(row, w, q, old)
                     assert t_objective_float(row, w, q, nu) >= before - 1e-12 * abs(before)
                 dofs = new.tolist()
             np.testing.assert_allclose(dofs, want, rtol=1e-9)
+    assert all_kept > 0
+
+
+@pytest.mark.parametrize("nu", (0.5, 3.0, 30.0, 200.0))
+@pytest.mark.parametrize("q", (1, 2, 3))
+def test_dof_score_and_slope_match_mpmath(nu, q):
+    # f = 2 F' and its slope f' = 2 F'' of F(nu) = sum_i w_i log t_q(delta_i; nu),
+    # from mp.diff at 50 digits.  Near a root f is a small difference of large
+    # terms, so each is bounded relative to the sum of its terms' magnitudes
+    # (bound fixed beforehand); a missing or wrong term would be off by far more
+    delta, w = dof_problem(nu, q)
+    mass = float(w.sum())
+    with mp.workdps(50):
+        objective = lambda v: t_objective(delta, w, q, v)  # noqa: E731
+        want_f = 2 * mp.diff(objective, mp.mpf(nu))
+        want_fp = 2 * mp.diff(objective, mp.mpf(nu), 2)
+    f, wlog, b, wb = em._dof_score(nu, q, delta, w, mass)
+    wbb = float(w @ (b * b))
+    fp = em._dof_slope(nu, q, w, mass, b, wb)
+    f_terms = (mass * (abs(em.digamma((nu + q) / 2)) + abs(em.digamma(nu / 2)) + q / nu)
+               + wlog + (1 + q / nu) * wb)
+    fp_terms = (mass * (0.5 * (em.trigamma((nu + q) / 2) + em.trigamma(nu / 2)) + q / nu**2)
+                + wbb / nu + q * (2 * wb + wbb) / nu**2)
+    assert abs(f - float(want_f)) <= 1e-10 * f_terms
+    assert abs(fp - float(want_fp)) <= 1e-10 * fp_terms
 
 
 @pytest.mark.parametrize("root", DOF_ROOTS)
