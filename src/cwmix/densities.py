@@ -173,10 +173,13 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a w = b for symmetric positive-definite a, or for each matrix of a
     (G, k, k) stack, via its Cholesky factor; b is a vector or a matrix per
     system, of shape (k,) or (k, m) for one and (G, k) or (G, k, m) for a
-    stack.  Each system is factored and solved on its own as Python floats,
-    with cholesky_lower's checks and arithmetic."""
+    stack; any other b raises ValueError.  Each system is factored and
+    solved on its own as Python floats, with cholesky_lower's checks and
+    arithmetic."""
     shape, factors = _factors(a)
     b = np.asarray(b, dtype=float)
+    if b.shape[:len(shape) - 1] != shape[:-1] or b.ndim > len(shape):
+        raise ValueError(f"right-hand side of shape {b.shape} does not fit matrices of shape {shape}")
     rhs = b.reshape((len(factors), shape[-1], -1)).tolist()
     w = [_substitute(L, r) for L, r in zip(factors, rhs)]
     return np.array(w, dtype=float).reshape(b.shape)

@@ -256,42 +256,38 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
 
     The score is f(v) = sum_i w_i [digamma((v+q)/2) - digamma(v/2) - q/v
     - log(1 + delta_i/v) + (v+q) delta_i / (v (v + delta_i))], twice the
-    derivative of the objective.  It is solved by safeguarded Newton from
-    ``start`` (default: the bracket's middle), with f' from trigamma: the
-    bracket around the root shrinks with every evaluation, and a Newton step
-    that leaves it, or that f' does not point to, is replaced by bisection.
-    The root is defined by digamma alone; trigamma only steers.  The solve
-    stops when a step or the bracket is below 1e-10 of the dof.
+    derivative of the objective.  f at ``start`` (default: the bracket's
+    middle) says which bracket edge the objective rises towards; only that
+    edge can lack a sign change, so it is scored next, and returned as is
+    when f does not change sign there (the upper edge is the Gaussian
+    limit).  Otherwise the root is solved by safeguarded Newton from the
+    start, with f' from trigamma: the bracket around the root shrinks with
+    every evaluation, and a Newton step that leaves it, or that f' does not
+    point to, is replaced by bisection.  The root is defined by digamma
+    alone; trigamma only steers.  The solve stops when a step or the bracket
+    is below 1e-10 of the dof.  Every return but an edge is a root where f
+    turns from positive to negative, a local maximum.
 
-    f at the start says which bracket edge the objective rises towards; only
-    that edge can lack a sign change.  It is scored when an iterate would
-    reach it: when a Newton step leaves the bracket on its side, or f' does
-    not point into the bracket, while the edge still bounds it.  If f has no
-    sign change there, that edge is the constrained maximizer and is
-    returned as is (the upper edge is the Gaussian limit); otherwise the
-    step is a bisection.  The edge's value enters no Newton or bisection
-    step, so the iterates and the return are those of scoring the edge
-    right after the start, and a warm start whose iterates stay inside the
-    bracket scores neither edge.  The two orders part only where f is zero
-    at the start, changes sign more than once between the start and the
-    edge, or has a root within the stopping tolerance of the edge: there,
-    scored up front, the edge is returned, and scored late, the iterates may
-    settle inside.  Every other return is a root where f turns from
-    positive to negative, a local maximum.
+    ``delta`` and ``weights`` are non-negative vectors of one nonempty
+    length with a positive weight sum, and ``q`` is a positive integer;
+    anything else raises ValueError.
     """
+    q = _integer("q", q, low=1)
     delta = np.asarray(delta, dtype=float)
     weights = np.asarray(weights, dtype=float)
     mass = float(weights.sum())
+    if not (delta.shape == weights.shape == (delta.size,) and mass > 0.0
+            and min(delta.min(), weights.min()) >= 0.0):
+        raise ValueError("delta and weights must be non-negative vectors of one nonempty length")
     lo, hi = DOF_BRACKET
     nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
     value, _, b, wb = _dof_score(nu, q, delta, weights, mass)
     if not math.isfinite(value):
         raise ValueError("non-finite dof score")
-    # only the bracket edge the objective rises towards can lack a sign
-    # change; it is scored when an iterate reaches it, and not before
-    edge = lo if value < 0.0 else hi
-    if nu == edge:
-        return float(edge)
+    if value <= 0.0 and (nu == lo or _dof_score(lo, q, delta, weights, mass)[0] <= 0.0):
+        return float(lo)
+    if value >= 0.0 and (nu == hi or _dof_score(hi, q, delta, weights, mass)[0] >= 0.0):
+        return float(hi)
     for _ in range(100):
         if value == 0.0:
             return nu
@@ -302,11 +298,6 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
         fp = _dof_slope(nu, q, weights, mass, b, wb)
         new = nu - value / fp if fp < 0.0 else lo
         if not lo < new < hi:
-            if edge in (lo, hi):  # the step reaches the unscored edge
-                edge_value = _dof_score(edge, q, delta, weights, mass)[0]
-                if (edge_value <= 0.0) if edge == lo else (edge_value >= 0.0):
-                    return float(edge)
-                edge = None
             new = 0.5 * (lo + hi)
         # relative: at large dofs the score's rounding moves the root by more
         # than an absolute 1e-10 (about 1e-9 at a dof of 100)

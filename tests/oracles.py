@@ -163,12 +163,12 @@ def solve_spd_columns(a, b):
 # --- eager dof solve ---------------------------------------------------------
 
 def estimate_dof_eager(delta, weights, q, digamma, trigamma, start=None, bracket=(0.5, 200.0)):
-    """The ECME dof solve as it was when it scored the rising bracket edge
-    right after the start, before any Newton step.  Its iterates are a pure
-    function of the score and slope, so a solver that scores that edge only
-    when an iterate reaches it must return the same floats; ``digamma`` and
-    ``trigamma`` are the library's, passed in, because the comparison is bit
-    for bit."""
+    """The ECME dof solve, written with plain arithmetic: the rising bracket
+    edge is scored right after the start, then safeguarded Newton runs on
+    the score and slope, each formed afresh from the distances.  The
+    library's solve reuses its score pass's buffers in place and must
+    return the same floats; ``digamma`` and ``trigamma`` are the library's,
+    passed in, because the comparison is bit for bit."""
     delta = np.asarray(delta, dtype=float)
     weights = np.asarray(weights, dtype=float)
     mass = float(weights.sum())

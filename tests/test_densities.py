@@ -134,6 +134,17 @@ def test_stack_rejected_when_any_member_fails(bad, position):
         solve_spd(stack, np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.eye(2), np.arange(4.0)),             # b is not k long
+    (np.eye(2), np.ones((2, 3, 1))),         # b has an axis too many
+    (np.array([np.eye(2)] * 3), np.ones((2, 3))),  # b is not G-by-k
+    (np.array([np.eye(2)] * 3), np.ones(3)),
+])
+def test_solve_spd_refuses_a_right_hand_side_that_does_not_fit(a, b):
+    with pytest.raises(ValueError):
+        solve_spd(a, b)
+
+
 def test_stack_pivot_floor_is_per_matrix():
     # the floor is relative to each matrix's own diagonal: a small but well
     # conditioned matrix beside a large one still factors
