@@ -13,8 +13,6 @@ algorithms, spelled out so another implementation can match the stream:
                  stream in fixed order however they are batched
     bounded ints Lemire multiply-shift with rejection (unbiased), taken on
                  32-bit halves for all of a shuffle's bounds at once
-    gamma        Marsaglia-Tsang squeeze (shape >= 1; boosted below 1),
-                 used for the chi-square mixing variable of Student-t draws
     shuffling    backward Fisher-Yates over row indices
 
 Draws are taken in bulk (``words``, ``randoms``, ``normals``) and give the
@@ -34,8 +32,8 @@ drawn value; ``cholesky_lower`` sums the factor L's inner products left to
 right as well.  What is left of platform dependence is libm's ``log``,
 ``sin`` and ``cos``, taken from ``math``.
 
-A scenario is a list of groups, each drawing x from a Gaussian or Student-t
-law and y from the line slope'x + intercept plus Gaussian noise, optionally
+A scenario is a list of groups, each drawing x from a Gaussian law and y
+from the line slope'x + intercept plus Gaussian noise, optionally
 augmented with uniform background points over a box.  Tables quote sigma
 (standard deviations), not variances; specs store standard deviations.
 """
@@ -51,7 +49,7 @@ import numpy as np
 
 # cholesky_lower is not called here (a law carries its factor as ``chol``);
 # perfbench/tracing.py still looks it up in this module.
-from .densities import GaussianParams, StudentParams, _integer, _real, _seed, cholesky_lower  # noqa: F401
+from .densities import GaussianParams, _integer, _real, _seed, cholesky_lower  # noqa: F401
 from .model import NOISE, Dataset, LinearMap
 
 _MASK64 = (1 << 64) - 1
@@ -184,20 +182,16 @@ def _multiply_shift(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 class Xoshiro256:
     """xoshiro256++ seeded through splitmix64, with the derived draws
-    (uniforms, normals, bounded ints, gamma) documented in the module
-    docstring.  Not thread-safe; share nothing between concurrent fits.
+    (uniforms, normals, bounded ints) documented in the module docstring.
+    Not thread-safe; share nothing between concurrent fits.
 
-    ``words(n)``, ``randoms(n)`` and ``normals(n)`` are the bulk forms of
-    ``next_u64()``, ``random()`` and ``normal()``: each returns an array of
-    the same values that n scalar calls would, and leaves the generator
-    (stream position and spare normal) where those calls would.
+    ``words(n)``, ``randoms(n)`` and ``normals(n)`` return the next n words,
+    uniforms and normals of the stream however the draws are batched: a
+    normal left over from an odd count waits as the spare for the next call.
     ``next_u64`` and ``words`` both read one buffer of words drawn ahead of
     the stream position; when it runs short, ``_lanes`` appends the larger
     of what is missing, 2,048 words and twice the last refill, and the
-    state moves past them.  ``random`` and ``normal`` stay scalar Python
-    rather than calls to ``randoms(1)`` and ``normals(1)``: a Student-t x
-    law draws its rows one scalar at a time, and the array round trip made
-    such a ``generate()`` (N = 350, d = 2) three to four times slower.
+    state moves past them.
     """
 
     def __init__(self, seed: int):
@@ -229,26 +223,9 @@ class Xoshiro256:
         self._pos += n
         return self._ahead[self._pos - n : self._pos]
 
-    def random(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def randoms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1), the top 53 bits of n words."""
         return (self.words(n) >> np.uint64(11)) * 2.0**-53
-
-    def normal(self) -> float:
-        if self._spare_normal is not None:
-            z, self._spare_normal = self._spare_normal, None
-            return z
-        u1 = self.random()
-        while u1 == 0.0:  # log(0) guard; probability 2^-53 per draw
-            u1 = self.random()
-        u2 = self.random()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_normal = r * math.sin(theta)
-        return r * math.cos(theta)
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals: the spare first, if any, then Box-Muller pairs
@@ -265,7 +242,7 @@ class Xoshiro256:
         if m:
             u = self.randoms(2 * m)
             zero = np.flatnonzero(u[::2] == 0.0)
-            while zero.size:  # as normal(): drop a zero u1, shift, draw one more
+            while zero.size:  # log(0) guard: drop a zero u1, shift, draw one more
                 p = 2 * zero[0]
                 u = np.concatenate((u[:p], u[p + 1 :], self.randoms(1)))
                 zero = np.flatnonzero(u[::2] == 0.0)
@@ -278,33 +255,6 @@ class Xoshiro256:
             if (n - k) % 2:
                 self._spare_normal = float(pairs[-1, 1])
         return out
-
-    def gamma(self, shape: float) -> float:
-        """Gamma(shape, scale=1) via the Marsaglia-Tsang squeeze."""
-        shape = _real("shape", shape, positive=True)  # NaN or inf would never pass the squeeze
-        if shape < 1.0:
-            # boost: Gamma(a) = Gamma(a + 1) * U^(1/a)
-            u = self.random()
-            while u == 0.0:
-                u = self.random()
-            return self.gamma(shape + 1.0) * u ** (1.0 / shape)
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            x = self.normal()
-            v = 1.0 + c * x
-            if v <= 0.0:
-                continue
-            v = v * v * v
-            u = self.random()
-            if u == 0.0:
-                continue
-            if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-                return d * v
-
-    def chi_square(self, dof: float) -> float:
-        """Chi-square draw, 2 Gamma(dof / 2); dof is the chi-square shape."""
-        return 2.0 * self.gamma(0.5 * _real("chi-square shape", dof, positive=True))
 
     def permutation(self, n: int) -> np.ndarray:
         """Backward Fisher-Yates permutation of range(n).  The n - 1 words are
@@ -329,7 +279,7 @@ class GroupSpec:
     """One generating group: x-law, regression line, and conditional noise."""
 
     n: int
-    x_law: GaussianParams | StudentParams
+    x_law: GaussianParams
     slope: np.ndarray
     intercept: float
     noise_sd: float
@@ -342,6 +292,8 @@ class GroupSpec:
         object.__setattr__(self, "slope", line.slope)
         object.__setattr__(self, "intercept", line.intercept)
         object.__setattr__(self, "noise_sd", _real("noise_sd", self.noise_sd, positive=True))
+        if not isinstance(self.x_law, GaussianParams):
+            raise ValueError("x_law must be a GaussianParams")
         if line.slope.shape[0] != self.x_law.dim:
             raise ValueError("slope length must match the x-law dimension")
 
@@ -406,25 +358,10 @@ def _rank_one_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_x(rng: Xoshiro256, law: GaussianParams | StudentParams, n: int) -> np.ndarray:
-    """n rows center + L z from the group's x-law, one point per stream
-    position.  A Student row scales L z by sqrt(dof / chi2) first; its
-    chi-square draw takes a variable number of words, so those rows are
-    drawn one point at a time."""
-    d = law.dim
-    if isinstance(law, GaussianParams):
-        z = rng.normals(n * d).reshape(n, d)
-        scale = 1.0  # exact: x * 1.0 == x
-    else:
-        z = np.empty((n, d))
-        scale = np.empty((n, 1))
-        for i in range(n):
-            z[i] = [rng.normal() for _ in range(d)]
-            chi2 = rng.chi_square(law.dof)
-            if chi2 == 0.0:  # a small dof's draw can underflow
-                raise ValueError(f"chi-square draw underflowed to 0 at x-law dof {law.dof}")
-            scale[i] = math.sqrt(law.dof / chi2)
-    return law.center + _rank_one_sum(z, law.chol.T) * scale
+def _draw_x(rng: Xoshiro256, law: GaussianParams, n: int) -> np.ndarray:
+    """n rows center + L z from the group's Gaussian x-law, z taking the
+    stream's next n d normals row by row."""
+    return law.center + _rank_one_sum(rng.normals(n * law.dim).reshape(n, law.dim), law.chol.T)
 
 
 def generate(spec: ScenarioSpec) -> Dataset:

@@ -68,16 +68,16 @@ the E-step already evaluated, instead of solving the gating problem to
 convergence.  The step is halved until the gating objective does not
 decrease, so the observed-data log-likelihood stays non-decreasing.
 
-``fit`` keeps the best of several starts, each an initial partition (k-means
-by default) from its own seeded generator.  It draws every start's partition
-before it fits any, then fits each distinct partition once, in start order:
-k-means often returns one partition to several starts, given labels return
-it to all of them, and a start is fitted given its partition alone.  Each
-start's k-means builds contiguous coordinate rows of (x, y): it sums the
-squared distances as G-by-N rows, one coordinate at a time into two
-preallocated buffers, takes each point's nearest centre from G - 1 strict
-comparisons of those rows (the first on ties, as argmin), and takes the
-centroids from ``np.bincount``, so it keeps no N-by-G-by-D temporary.
+``fit`` keeps the best of several starts, each a k-means partition from its
+own seeded generator.  It draws every start's partition before it fits any,
+then fits each distinct partition once, in start order: k-means often
+returns one partition to several starts, and a start is fitted given its
+partition alone.  Each start's k-means builds contiguous coordinate rows of
+(x, y): it sums the squared distances as G-by-N rows, one coordinate at a
+time into two preallocated buffers, takes each point's nearest centre from
+G - 1 strict comparisons of those rows (the first on ties, as argmin), and
+takes the centroids from ``np.bincount``, so it keeps no N-by-G-by-D
+temporary.
 """
 
 from __future__ import annotations
@@ -125,8 +125,6 @@ _INIT_DOF = 10.0
 #: exact line is a spurious likelihood spike, not a solution.
 _NOISE_VAR_FLOOR = 1e-10
 
-_INITS = ("kmeans", "given_labels")
-
 class DegenerateFitError(RuntimeError):
     """A start collapsed (empty cluster, singular design, zero variance);
     ``fit`` raises it, naming each start's reason, when every start did."""
@@ -139,7 +137,6 @@ class FitConfig:
     max_iter: int = 500
     rel_tol: float = 1e-8
     n_starts: int = 10
-    init: str = "kmeans"
     seed: int = 0
 
     def __post_init__(self):
@@ -148,8 +145,6 @@ class FitConfig:
         _seed(self.seed)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.init not in _INITS:
-            raise ValueError(f"init must be one of {_INITS}")
         _real("rel_tol", self.rel_tol, positive=True)
 
 
@@ -212,18 +207,8 @@ def initialize(data: Dataset, config: FitConfig, rng) -> np.ndarray:
     k-means clusters the coordinate rows ``_kmeans_columns(data)``."""
     if data.n <= config.G:
         raise ValueError("need more observations than groups")
-    G = config.G
-    if config.init == "given_labels":
-        if data.labels is None:
-            raise ValueError("given_labels initialization requires data.labels")
-        labels = data.labels
-        if np.any((labels < 1) | (labels > G)):
-            raise ValueError(f"labels must lie in 1..{G}")
-        assign = labels - 1
-    else:
-        assign = _kmeans_labels(_kmeans_columns(data), G, rng)
-    resp = np.zeros((data.n, G))
-    resp[np.arange(data.n), assign] = 1.0
+    resp = np.zeros((data.n, config.G))
+    resp[np.arange(data.n), _kmeans_labels(_kmeans_columns(data), config.G, rng)] = 1.0
     return resp
 
 
@@ -577,7 +562,10 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     the data and the start's own generator; then each distinct one is
     fitted once, by the first start that drew it, in start order.  The
     fit is deterministic given the partition, so a repeat would equal the
-    earlier result and lose the tie to it."""
+    earlier result and lose the tie to it.  A constant y raises ValueError:
+    its noise variances have no scale to be floored against."""
+    if data.y.min() == data.y.max():
+        raise ValueError("y is constant")
     distinct = {}  # partition -> (the first start that drew it, its responsibilities)
     drawer = []  # each start's first drawer of its partition
     for start in range(config.n_starts):

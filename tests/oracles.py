@@ -289,9 +289,9 @@ def kmeans_labels(z, G, rng, max_iter=20):
 class ScalarStream:
     """The generator's draws one value at a time, as cwmix first wrote them:
     53-bit uniforms, Box-Muller normals whose sine waits as a spare, Lemire
-    bounded ints (rejecting a low half below 2^64 mod n), Marsaglia-Tsang
-    gamma.  Words come from ``words`` when given (a scripted source), else
-    from xoshiro256pp_stream(seed)."""
+    bounded ints (rejecting a low half below 2^64 mod n).  Words come from
+    ``words`` when given (a scripted source), else from
+    xoshiro256pp_stream(seed)."""
 
     def __init__(self, seed=0, words=None):
         self.next_u64 = (xoshiro256pp_stream(seed) if words is None else iter(words)).__next__
@@ -326,26 +326,6 @@ class ScalarStream:
                 low = m & _M64
         return m >> 64
 
-    def gamma(self, shape):
-        if shape < 1.0:
-            u = self.random()
-            while u == 0.0:
-                u = self.random()
-            return self.gamma(shape + 1.0) * u ** (1.0 / shape)
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            x = self.normal()
-            v = 1.0 + c * x
-            if v <= 0.0:
-                continue
-            v = v * v * v
-            u = self.random()
-            if u == 0.0:
-                continue
-            if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-                return d * v
-
     def permutation(self, n):
         perm = np.arange(n)
         for i in range(n - 1, 0, -1):
@@ -372,16 +352,10 @@ def generate_scalar(spec, factor):
     d = spec.d
     xs, ys, labels = [], [], []
     for g, group in enumerate(spec.groups, start=1):
-        law = group.x_law
-        student = hasattr(law, "dof")
-        chol = factor(law.scale if student else law.cov)
-        center = law.location if student else law.mean
+        chol = factor(group.x_law.cov)
         x = np.empty((group.n, d))
         for i in range(group.n):
-            z = _sum_ltr(chol, rng.normals(d))
-            if student:
-                z *= math.sqrt(law.dof / (2.0 * rng.gamma(0.5 * law.dof)))
-            x[i] = center + z
+            x[i] = group.x_law.mean + _sum_ltr(chol, rng.normals(d))
         eps = group.noise_sd * rng.normals(group.n)
         xs.append(x)
         ys.append(_sum_ltr(x, group.slope) + group.intercept + eps)
