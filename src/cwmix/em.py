@@ -125,6 +125,10 @@ _INIT_DOF = 10.0
 #: exact line is a spurious likelihood spike, not a solution.
 _NOISE_VAR_FLOOR = 1e-10
 
+#: A noise standard deviation below this many machine epsilons of max|y| is
+#: rounding in y, not spread: the second floor on fitted noise variance.
+_Y_ROUNDING_EPS = 1024.0
+
 class DegenerateFitError(RuntimeError):
     """A start collapsed (empty cluster, singular design, zero variance);
     ``fit`` raises it, naming each start's reason, when every start did."""
@@ -132,6 +136,16 @@ class DegenerateFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
+    """What ``fit`` fits, and how.
+
+    ``G`` is the number of components and ``variant`` one of
+    ``model.VARIANTS``.  Each start iterates until the log-likelihood
+    l_t changes by |l_t - l_{t-1}| / (1 + |l_t|) < ``rel_tol``, or for
+    ``max_iter`` iterations.  ``n_starts`` starts are drawn: start k takes
+    its k-means partition from ``numpy.random.default_rng([seed, k])``, and a
+    partition that an earlier start drew is fitted once.
+    """
+
     G: int
     variant: str = "gaussian_cwm"
     max_iter: int = 500
@@ -150,6 +164,16 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """The best start's fit.
+
+    ``model`` is the fitted ``CwmModel`` and ``loglik_trace`` the observed
+    log-likelihood after each iteration, ``n_iter`` of them.
+    ``responsibilities`` is the N-by-G matrix of posterior memberships from
+    the last E-step.  ``converged`` tells whether the ``rel_tol`` stop rule
+    ended the fit (False when ``max_iter`` did), and ``start_index`` names
+    the start k that fitted it, the first start that drew its partition.
+    """
+
     model: CwmModel
     loglik_trace: np.ndarray
     responsibilities: np.ndarray
@@ -253,17 +277,19 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
     is below 1e-10 of the dof.  Every return but an edge is a root where f
     turns from positive to negative, a local maximum.
 
-    ``delta`` and ``weights`` are non-negative vectors of one nonempty
-    length with a positive weight sum, and ``q`` is a positive integer;
-    anything else raises ValueError.
+    ``delta`` and ``weights`` are finite, non-negative vectors of one
+    nonempty length with a positive weight sum, and ``q`` is a positive
+    integer; anything else raises ValueError before any arithmetic.
     """
     q = _integer("q", q, low=1)
     delta = np.asarray(delta, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    mass = float(weights.sum())
-    if not (delta.shape == weights.shape == (delta.size,) and mass > 0.0
-            and min(delta.min(), weights.min()) >= 0.0):
-        raise ValueError("delta and weights must be non-negative vectors of one nonempty length")
+    valid = (delta.shape == weights.shape == (delta.size,) and delta.size > 0
+             and np.isfinite(delta).all() and np.isfinite(weights).all()
+             and min(delta.min(), weights.min()) >= 0.0)
+    mass = float(weights.sum()) if valid else 0.0
+    if not mass > 0.0:
+        raise ValueError("delta and weights must be finite non-negative vectors of one nonempty length")
     lo, hi = DOF_BRACKET
     nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
     value, _, b, wb = _dof_score(nu, q, delta, weights, mass)
@@ -455,8 +481,9 @@ _StartConstants = namedtuple("_StartConstants", ["design", "outer", "design_y", 
 def _start_constants(data: Dataset) -> _StartConstants:
     design = np.column_stack([data.x, np.ones(data.n)])
     outer = (design[:, :, None] * design[:, None, :]).reshape(data.n, -1)
+    rounding = _Y_ROUNDING_EPS * np.finfo(float).eps * float(np.max(np.abs(data.y)))
     return _StartConstants(design, outer, design * data.y[:, None],
-                           _NOISE_VAR_FLOOR * (float(np.var(data.y)) + 1e-30),
+                           max(_NOISE_VAR_FLOOR * float(np.var(data.y)), rounding**2),
                            np.ascontiguousarray(data.x.T))
 
 
@@ -535,7 +562,7 @@ def _run_start(data, config, resp, start_index):
         streak = streak + 1 if ridged else 0
         if streak >= 3:
             raise DegenerateFitError("covariance required repeated regularization")
-        terms = _log_component_terms(stack, data.x, data.y, dist)
+        terms = _log_component_terms(stack, dist)
         row_lse = log_sum_exp(terms, axis=1)
         loglik = float(row_lse.sum())
         if not math.isfinite(loglik):
@@ -563,7 +590,8 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     fitted once, by the first start that drew it, in start order.  The
     fit is deterministic given the partition, so a repeat would equal the
     earlier result and lose the tie to it.  A constant y raises ValueError:
-    its noise variances have no scale to be floored against."""
+    every line fits it exactly, so every start would collapse its noise
+    variances, a fault of the data rather than of any start."""
     if data.y.min() == data.y.max():
         raise ValueError("y is constant")
     distinct = {}  # partition -> (the first start that drew it, its responsibilities)

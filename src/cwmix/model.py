@@ -25,6 +25,12 @@ with per-component parameters as G-by-1 columns.  Only ``log_gamma`` of each
 dof is taken per component.  A G-by-d parameter block times the d rows of x
 is a broadcast outer product at d = 1 (``_matmul``).  ``classify`` takes the
 arg-max of these G-by-N rows as they are; only ``posterior`` normalizes them.
+
+Observations are read one way, as ``Dataset`` reads them: x is N-by-d, or a
+vector of N points at d = 1, with one y per row.  ``joint_logpdf`` and
+``posterior`` read their (x, y) through ``Dataset`` and always return
+arrays; they and ``classify`` build their component terms through one
+helper, ``_model_terms``.
 """
 
 from __future__ import annotations
@@ -253,17 +259,6 @@ def _labels(values) -> np.ndarray:
 
 # --------------------------------------------------------------- evaluation
 
-def _as_batch(model: CwmModel, x, y):
-    """(x, y) as a ``Dataset`` reads them, with a vector x read as one point
-    (and flagged): batch arrays of finite values, at least one row."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    batch = Dataset(x[None, :] if scalar else x, y)
-    if batch.d != model.d:
-        raise ValueError(f"x must have {model.d} columns")
-    return batch.x, batch.y, scalar
-
-
 #: What the E-step reads of each observation at the current parameters, all
 #: G-by-N (one contiguous row per component): ``x``, the squared Mahalanobis
 #: distance of x to the x law (None when x is not modelled); ``resid``, y minus
@@ -360,18 +355,15 @@ def _component_distances(stack: _Stack, xb: np.ndarray, yb: np.ndarray) -> Dista
     return Distances(_whitened_sq(stack.chol, x_t - stack.center[:, :, None]), resid, log_gate)
 
 
-def _log_component_terms(stack: _Stack, xb: np.ndarray, yb: np.ndarray,
-                         dist: Distances | None = None) -> np.ndarray:
-    """N-by-G matrix of log(weight_g * density_g) at each observation.
+def _log_component_terms(stack: _Stack, dist: Distances) -> np.ndarray:
+    """N-by-G matrix of log(weight_g * density_g) at each observation, from
+    its distances ``dist`` to the components (``_component_distances``).
 
-    ``dist`` is ``_component_distances(stack, xb, yb)`` when the caller
-    already has it.  Every density is evaluated from those distances as one
-    G-by-N expression, with per-component scales, dofs and log-determinants
-    as G-by-1 columns; the result is the transpose of that G-by-N array.
+    Every density is evaluated from those distances as one G-by-N
+    expression, with per-component scales, dofs and log-determinants as
+    G-by-1 columns; the result is the transpose of that G-by-N array.
     """
-    if dist is None:
-        dist = _component_distances(stack, xb, yb)
-    d = xb.shape[1]
+    d = stack.slope.shape[1]
     spec = VARIANT_SPECS[stack.variant]
     scale_sq = stack.noise_scale[:, None] ** 2
     if spec.y_law == "joint_t":
@@ -392,32 +384,34 @@ def _log_component_terms(stack: _Stack, xb: np.ndarray, yb: np.ndarray,
     return (log_weight + ll).T
 
 
-def joint_logpdf(model: CwmModel, x, y):
-    """Log mixture density at (x, y); conditional-only for fmr/fmrc.
-
-    Accepts a single point (x: vector(d), y: scalar) or a batch
-    (x: N-by-d, y: vector(N)).
-    """
-    xb, yb, scalar = _as_batch(model, x, y)
-    values = log_sum_exp(_log_component_terms(_stack(model), xb, yb), axis=1)
-    return float(values[0]) if scalar else values
+def _model_terms(model: CwmModel, data: Dataset) -> np.ndarray:
+    """``_log_component_terms`` of ``model`` at the observations of ``data``,
+    whose x must have the model's d columns."""
+    if data.d != model.d:
+        raise ValueError(f"x must have {model.d} columns")
+    stack = _stack(model)
+    return _log_component_terms(stack, _component_distances(stack, data.x, data.y))
 
 
-def posterior(model: CwmModel, x, y):
-    """Posterior membership probabilities, one row per observation."""
-    xb, yb, scalar = _as_batch(model, x, y)
-    terms = _log_component_terms(_stack(model), xb, yb)
-    prob = _share_exp(terms - log_sum_exp(terms, axis=1)[:, None])
-    return prob[0] if scalar else prob
+def joint_logpdf(model: CwmModel, x, y) -> np.ndarray:
+    """Log mixture density at each observation (x, y), conditional-only for
+    fmr/fmrc.  (x, y) are read as ``Dataset`` reads them: x is N-by-d, or a
+    vector of N points at d = 1, with one y per row."""
+    return log_sum_exp(_model_terms(model, Dataset(x, y)), axis=1)
+
+
+def posterior(model: CwmModel, x, y) -> np.ndarray:
+    """N-by-G posterior membership probabilities, one row per observation;
+    (x, y) are read as ``joint_logpdf`` reads them."""
+    terms = _model_terms(model, Dataset(x, y))
+    return _share_exp(terms - log_sum_exp(terms, axis=1)[:, None])
 
 
 def classify(model: CwmModel, data: Dataset) -> np.ndarray:
     """Maximum-posterior group index per observation: the arg-max of the
     component terms log(weight_g density_g), which normalizing to posteriors
     would only shift per observation; ties go to the lowest index."""
-    if data.d != model.d:
-        raise ValueError(f"x must have {model.d} columns")
-    rows = _log_component_terms(_stack(model), data.x, data.y).T
+    rows = _model_terms(model, data).T
     # G - 1 strict comparisons of contiguous rows, the first index winning
     # ties as argmax gives it; top keeps the running maximum
     top = rows[0].copy()

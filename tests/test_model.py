@@ -27,6 +27,7 @@ from cwmix.model import (
     CwmModel,
     Dataset,
     LinearMap,
+    _component_distances,
     _log_component_terms,
     _matmul,
     _stack,
@@ -69,7 +70,7 @@ def example1_model():
 
 def test_joint_logpdf_single_standard_component():
     m = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 0.0, 0.0, 1.0),))
-    assert joint_logpdf(m, np.zeros(1), 0.0) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+    assert joint_logpdf(m, np.zeros((1, 1)), [0.0]) == pytest.approx([-math.log(2 * math.pi)], abs=1e-12)
 
 
 def test_joint_logpdf_identical_components_collapse():
@@ -77,15 +78,15 @@ def test_joint_logpdf_identical_components_collapse():
     m2 = CwmModel("gaussian_cwm", (c, c))
     m1 = CwmModel("gaussian_cwm", (gaussian_component(1.0, 1.0, 2.0, 3.0, -1.0, 0.7),))
     for _ in range(5):
-        x = rng.normal(size=1, scale=3)
-        y = float(rng.normal(scale=5))
+        x = rng.normal(size=(1, 1), scale=3)
+        y = [float(rng.normal(scale=5))]
         assert joint_logpdf(m2, x, y) == pytest.approx(joint_logpdf(m1, x, y), abs=1e-12)
 
 
 def test_joint_logpdf_two_group_oracle_value():
     # frozen extended-precision two-term sum at (10, 62)
-    got = joint_logpdf(example1_model(), np.array([10.0]), 62.0)
-    assert got == pytest.approx(-4.322783716197346, abs=1e-10)
+    got = joint_logpdf(example1_model(), np.array([[10.0]]), [62.0])
+    assert got == pytest.approx([-4.322783716197346], abs=1e-10)
 
 
 def test_joint_logpdf_batch_matches_scalar():
@@ -93,7 +94,7 @@ def test_joint_logpdf_batch_matches_scalar():
     x, y = random_points(rng, 8, 1)
     batch = joint_logpdf(m, x, y)
     for i in range(8):
-        assert batch[i] == pytest.approx(joint_logpdf(m, x[i], float(y[i])), rel=1e-12)
+        assert batch[i] == pytest.approx(joint_logpdf(m, x[i:i + 1], y[i:i + 1])[0], rel=1e-12)
 
 
 def test_joint_logpdf_fmr_is_conditional_only():
@@ -102,10 +103,10 @@ def test_joint_logpdf_fmr_is_conditional_only():
         "fmr",
         (Component(1.0, None, Conditional(LinearMap(np.array([slope]), intercept), sd)),),
     )
-    x = np.array([2.0])
+    x = np.array([[2.0]])
     resid = 3.0 - (slope * 2.0 + intercept)
     want = -0.5 * (math.log(2 * math.pi * sd**2) + resid**2 / sd**2)
-    assert joint_logpdf(m, x, 3.0) == pytest.approx(want, abs=1e-12)
+    assert joint_logpdf(m, x, [3.0]) == pytest.approx([want], abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", ("t_cwm", "fmt"))
@@ -179,14 +180,15 @@ def test_log_component_terms_match_per_component_densities(variant, d):
     r = np.random.default_rng(100 * d + VARIANTS.index(variant))
     model = random_model(r, variant, 3, d)
     x, y = random_points(r, 25, d)
-    got = _log_component_terms(_stack(model), x, y)
+    stack = _stack(model)
+    got = _log_component_terms(stack, _component_distances(stack, x, y))
     assert got.shape == (25, 3)
     np.testing.assert_allclose(got, component_log_terms(model, x, y), rtol=1e-12)
 
 
 def test_joint_logpdf_dimension_mismatch():
     with pytest.raises(ValueError):
-        joint_logpdf(example1_model(), np.array([1.0, 2.0]), 0.0)
+        joint_logpdf(example1_model(), np.array([[1.0, 2.0]]), [0.0])
 
 
 # ----------------------------------------------------------------- posterior
@@ -194,7 +196,7 @@ def test_joint_logpdf_dimension_mismatch():
 def test_posterior_symmetric_components():
     c = gaussian_component(0.5, 0.0, 1.0, 1.0, 0.0, 1.0)
     m = CwmModel("gaussian_cwm", (c, c))
-    p = posterior(m, np.array([0.3]), 1.1)
+    p = posterior(m, np.array([[0.3]]), [1.1])[0]
     assert p == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
@@ -202,7 +204,7 @@ def test_posterior_prior_weights_with_identical_likelihood():
     a = gaussian_component(0.9, 0.0, 1.0, 1.0, 0.0, 1.0)
     b = gaussian_component(0.1, 0.0, 1.0, 1.0, 0.0, 1.0)
     m = CwmModel("gaussian_cwm", (a, b))
-    p = posterior(m, np.array([-0.7]), 0.2)
+    p = posterior(m, np.array([[-0.7]]), [0.2])[0]
     assert p == pytest.approx([0.9, 0.1], abs=1e-14)
 
 
@@ -212,7 +214,7 @@ def test_posterior_near_group_center_oracle():
         dict(pi=2 / 3, mu=-10.0, sigma=2.0, slope=-6.0, intercept=4.0, noise_sd=2.0),
     ]
     want = oracles.posterior_from_terms(oracles.cwm_joint_terms(comps, 9.5, 60.0))
-    got = posterior(example1_model(), np.array([9.5]), 60.0)
+    got = posterior(example1_model(), np.array([[9.5]]), [60.0])[0]
     assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
@@ -231,7 +233,7 @@ def test_posterior_overlapping_model_oracle():
     )
     for x, y in [(0.2, 0.1), (1.4, 1.0), (-2.0, -1.5)]:
         want = oracles.posterior_from_terms(oracles.cwm_joint_terms(comps, x, y))
-        got = posterior(m, np.array([x]), y)
+        got = posterior(m, np.array([[x]]), [y])[0]
         assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
@@ -300,7 +302,8 @@ def test_classify_breaks_a_tie_between_later_components_low():
     near = gaussian_component(0.4, 0.0, 1.0, 1.0, 0.0, 1.0)
     m = CwmModel("gaussian_cwm", (far, near, near))
     data = Dataset(rng.normal(size=(12, 1)), rng.normal(size=12))
-    terms = _log_component_terms(_stack(m), data.x, data.y)
+    stack = _stack(m)
+    terms = _log_component_terms(stack, _component_distances(stack, data.x, data.y))
     assert np.array_equal(terms[:, 1], terms[:, 2]) and np.all(terms[:, 1] > terms[:, 0])
     assert np.all(classify(m, data) == 2)
 
@@ -777,13 +780,28 @@ def test_integral_labels_pass_as_ints():
     pytest.param([np.nan], 0.0, "non-finite values", id="nan-x-single"),
     pytest.param([1.0], -np.inf, "non-finite values", id="inf-y-single"),
     pytest.param(np.empty((0, 1)), [], "one y per row", id="empty"),
-    pytest.param([1.0, 2.0], 0.0, "x must have 1 columns", id="single-point-columns"),
+    pytest.param([1.0, 2.0], 0.0, "one y per row", id="single-point-columns"),
     pytest.param(np.ones((2, 1)), [0.0], "one y per row", id="lengths"),
 ])
 @pytest.mark.parametrize("score", [joint_logpdf, posterior])
 def test_scoring_reads_input_as_dataset_does(score, x, y, message):
     with pytest.raises(ValueError, match=message):
         score(example1_model(), x, y)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_scoring_reads_a_vector_x_as_n_points_at_d_one(variant):
+    # Dataset reads a vector x as N observations at d = 1, and so do the
+    # scores: the same bits as the N-by-1 x, and the labels classify gives
+    r = np.random.default_rng(30 + VARIANTS.index(variant))
+    m = random_model(r, variant, 3, 1)
+    x, y = random_points(r, 40, 1)
+    x = x[:, 0]
+    for score, shape in ((joint_logpdf, (40,)), (posterior, (40, 3))):
+        got = score(m, x, y)
+        assert got.shape == shape
+        assert got.tobytes() == score(m, x[:, None], y).tobytes()
+    np.testing.assert_array_equal(np.argmax(posterior(m, x, y), axis=1) + 1, classify(m, Dataset(x, y)))
 
 
 @pytest.mark.parametrize("G, n", [(1, 4), (3, 3)])
