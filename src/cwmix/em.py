@@ -36,9 +36,26 @@ the next E-step reads of it: the x distances to the x laws it just factored,
 the residuals it formed for the noise variances and the log gate of the
 gating it accepted.  No dof enters them, so the dof step reads them too, and
 the M-step after takes its t weights and gating step from them: x is
-whitened once and the gate evaluated once per iteration.  A start builds its
-validated ``CwmModel`` once, from the record its last E-step read
+whitened once and the gate evaluated once per iteration.  The one record no
+M-step sets is a SQUAREM-extrapolated one (below), whose distances
+``model._component_distances`` computes, once.  A start builds its validated
+``CwmModel`` once, from the record its last recorded E-step read
 (``model._unstack``).
+
+An iteration is one M-step from the current responsibilities, then one
+E-step of the record it set; ``_run_start`` accelerates the iterations with
+SQUAREM (Varadhan & Roland 2008, scheme S3, with a global monotone
+safeguard).  Each cycle takes two plain iterations theta0 -> theta1 ->
+theta2.  When their log-likelihood increments show a slow linear tail, the
+record is extrapolated along them, in unconstrained coordinates
+(``_coordinates``: log weights, noise scales and dofs, Cholesky factors with
+log diagonals, raw slopes, intercepts, centres and gating rows), and one
+stabilizing iteration is taken from there.  It is kept only when its
+log-likelihood is at least theta2's, so the recorded log-likelihoods never
+fall; otherwise it is dropped, as is an extrapolation that fails, and the
+cycle stands at theta2.  A kept stabilizing iteration is recorded as one
+iteration.  With one step length the extrapolated record would be theta2
+itself, so a start whose cycles never extrapolate is plain EM, bit for bit.
 
 One iteration makes each small-matrix call once for all G components:
 ``cholesky_lower`` and ``solve_spd`` take the G-stack in one call and
@@ -111,6 +128,7 @@ from .model import (
     CwmModel,
     Dataset,
     Distances,
+    _component_distances,
     _gate_logits,
     _log_component_terms,
     _matmul,
@@ -121,6 +139,11 @@ from .model import (
 DOF_BRACKET = (0.5, 200.0)
 _INIT_DOF = 10.0
 
+#: The largest distance, and the largest weight sum, that ``estimate_dof``
+#: takes: its score divides a distance by a dof of at least 0.5 and sums
+#: weights times terms below about 700 + 4q, which stay finite below this.
+_DOF_STAT_MAX = 1e300
+
 #: Relative floor on fitted noise variance; a component collapsing onto an
 #: exact line is a spurious likelihood spike, not a solution.
 _NOISE_VAR_FLOOR = 1e-10
@@ -128,6 +151,16 @@ _NOISE_VAR_FLOOR = 1e-10
 #: A noise standard deviation below this many machine epsilons of max|y| is
 #: rounding in y, not spread: the second floor on fitted noise variance.
 _Y_ROUNDING_EPS = 1024.0
+
+#: A SQUAREM cycle extrapolates only when its second log-likelihood increment
+#: is at least this share of its first, a linear tail that EM would crawl
+#: down; a start converging faster pays nothing for the acceleration.
+_SLOW_RATE = 0.5
+
+#: How fast SQUAREM's cap on its step length grows when it binds and shrinks
+#: after a rejected or failed extrapolation (Varadhan & Roland 2008).
+_STEP_GROWTH = 4.0
+
 
 class DegenerateFitError(RuntimeError):
     """A start collapsed (empty cluster, singular design, zero variance);
@@ -140,10 +173,13 @@ class FitConfig:
 
     ``G`` is the number of components and ``variant`` one of
     ``model.VARIANTS``.  Each start iterates until the log-likelihood
-    l_t changes by |l_t - l_{t-1}| / (1 + |l_t|) < ``rel_tol``, or for
-    ``max_iter`` iterations.  ``n_starts`` starts are drawn: start k takes
-    its k-means partition from ``numpy.random.default_rng([seed, k])``, and a
-    partition that an earlier start drew is fitted once.
+    l_t changes by |l_t - l_{t-1}| / (1 + |l_t|) < ``rel_tol`` between two
+    recorded iterations, or until ``max_iter`` iterations are recorded.  A
+    recorded iteration is a plain EM iteration or a kept SQUAREM stabilizing
+    iteration (the module docstring says which); a dropped extrapolation is
+    not recorded and does not count.  ``n_starts`` starts are drawn: start
+    k takes its k-means partition from ``numpy.random.default_rng([seed,
+    k])``, and a partition that an earlier start drew is fitted once.
     """
 
     G: int
@@ -166,12 +202,15 @@ class FitConfig:
 class FitResult:
     """The best start's fit.
 
-    ``model`` is the fitted ``CwmModel`` and ``loglik_trace`` the observed
-    log-likelihood after each iteration, ``n_iter`` of them.
-    ``responsibilities`` is the N-by-G matrix of posterior memberships from
-    the last E-step.  ``converged`` tells whether the ``rel_tol`` stop rule
-    ended the fit (False when ``max_iter`` did), and ``start_index`` names
-    the start k that fitted it, the first start that drew its partition.
+    ``model`` is the fitted ``CwmModel``, the record that the last recorded
+    E-step scored, and ``loglik_trace`` the observed log-likelihood after
+    each recorded iteration (a plain one or a kept SQUAREM stabilizing one),
+    ``n_iter`` of them; it never decreases beyond a plain iteration's
+    rounding.  ``responsibilities`` is the N-by-G matrix of posterior
+    memberships from that last E-step.  ``converged`` tells whether the
+    ``rel_tol`` stop rule ended the fit (False when ``max_iter`` did), and
+    ``start_index`` names the start k that fitted it, the first start that
+    drew its partition.
     """
 
     model: CwmModel
@@ -277,19 +316,22 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
     is below 1e-10 of the dof.  Every return but an edge is a root where f
     turns from positive to negative, a local maximum.
 
-    ``delta`` and ``weights`` are finite, non-negative vectors of one
-    nonempty length with a positive weight sum, and ``q`` is a positive
-    integer; anything else raises ValueError before any arithmetic.
+    ``delta`` and ``weights`` are non-negative vectors of one nonempty
+    length with a positive weight sum, each distance at most
+    ``_DOF_STAT_MAX`` and each weight at most ``_DOF_STAT_MAX`` over the
+    length, and ``q`` is a positive integer; anything else (a NaN or an
+    infinity too) raises ValueError before any arithmetic on them.
     """
     q = _integer("q", q, low=1)
     delta = np.asarray(delta, dtype=float)
     weights = np.asarray(weights, dtype=float)
     valid = (delta.shape == weights.shape == (delta.size,) and delta.size > 0
-             and np.isfinite(delta).all() and np.isfinite(weights).all()
-             and min(delta.min(), weights.min()) >= 0.0)
+             and 0.0 <= delta.min() and delta.max() <= _DOF_STAT_MAX
+             and 0.0 <= weights.min() and weights.max() <= _DOF_STAT_MAX / delta.size)
     mass = float(weights.sum()) if valid else 0.0
     if not mass > 0.0:
-        raise ValueError("delta and weights must be finite non-negative vectors of one nonempty length")
+        raise ValueError("delta and weights must be non-negative vectors of one nonempty length, "
+                         "bounded so that the dof score stays finite")
     lo, hi = DOF_BRACKET
     nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
     value, _, b, wb = _dof_score(nu, q, delta, weights, mass)
@@ -546,32 +588,177 @@ def _m_step(data, config, resp, old, old_dist, const):
     return stack, Distances(dist_x, resid, log_gate), used_ridge
 
 
+# ------------------------------------------------------------------ SQUAREM
+
+def _coordinates(stack: _Stack) -> np.ndarray:
+    """The unconstrained coordinates of ``stack`` as one vector, the space
+    SQUAREM extrapolates in: log weights, slopes, intercepts and log noise
+    scales; when x is modelled, the centres and each x scatter's Cholesky
+    factor, its diagonal as logs; log dofs (fmt's y dof is nu + d, not a
+    coordinate of its own); the gating rows."""
+    parts = [np.log(stack.weight), stack.slope.ravel(), stack.intercept, np.log(stack.noise_scale)]
+    if stack.chol is not None:
+        rows, cols = np.tril_indices(stack.chol.shape[-1], -1)
+        parts += [stack.center.ravel(), np.log(np.diagonal(stack.chol, axis1=1, axis2=2)).ravel(),
+                  stack.chol[:, rows, cols].ravel()]
+    if stack.nu is not None:
+        parts.append(np.log(stack.nu))
+        if VARIANT_SPECS[stack.variant].y_law == "t":
+            parts.append(np.log(stack.zeta))
+    if stack.theta is not None:
+        parts.append(stack.theta.ravel())
+    return np.concatenate(parts)
+
+
+def _from_coordinates(like: _Stack, coords: np.ndarray) -> _Stack:
+    """The ``_Stack`` at ``coords`` (``_coordinates``' inverse), of the
+    variant and shapes of ``like``: the weights are normalized, and each log
+    dof is clamped to ``DOF_BRACKET`` before it is exponentiated."""
+    G, d = like.slope.shape
+    pos = 0
+
+    def take(*shape):
+        nonlocal pos
+        size = math.prod(shape)
+        pos += size
+        return coords[pos - size:pos].reshape(shape)
+
+    weight = np.exp(take(G))
+    slope, intercept, noise_scale = take(G, d), take(G), np.exp(take(G))
+    center = scatter = chol = log_det = nu = zeta = theta = None
+    if like.chol is not None:
+        center = take(G, d)
+        chol = np.zeros((G, d, d))
+        diag = np.arange(d)
+        chol[:, diag, diag] = np.exp(take(G, d))
+        rows, cols = np.tril_indices(d, -1)
+        chol[:, rows, cols] = take(G, rows.size)
+        scatter = chol @ chol.transpose(0, 2, 1)
+        log_det = _log_det(chol)
+    if like.nu is not None:
+        lo, hi = DOF_BRACKET
+        log_lo, log_hi = math.log(lo), math.log(hi)
+
+        def take_dofs():
+            logs = np.clip(take(G), log_lo, log_hi)
+            # a dof clamped to an edge is that edge, not exp's rounding of it
+            return np.where(logs == log_hi, hi, np.clip(np.exp(logs), lo, hi))
+
+        nu = take_dofs()
+        zeta = nu + d if VARIANT_SPECS[like.variant].y_law == "joint_t" else take_dofs()
+    if like.theta is not None:
+        theta = take(*like.theta.shape)
+    return _Stack(like.variant, weight / weight.sum(), slope, intercept, noise_scale,
+                  center, scatter, chol, log_det, nu, zeta, theta)
+
+
 # -------------------------------------------------------------------- driver
 
+def _e_step(stack: _Stack, dist: Distances) -> tuple[np.ndarray, float]:
+    """(responsibilities, log-likelihood) at ``stack``, from its distances."""
+    terms = _log_component_terms(stack, dist)
+    row_lse = log_sum_exp(terms, axis=1)
+    loglik = float(row_lse.sum())
+    if not math.isfinite(loglik):
+        raise DegenerateFitError("non-finite log-likelihood")
+    return _share_exp(terms - row_lse[:, None]), loglik
+
+
+def _iteration(data, config, resp, stack, dist, const) -> tuple:
+    """One EM iteration, an M-step from ``resp`` and the record ``stack``
+    its E-step read at ``dist``, then the E-step of the record it sets:
+    (stack, dist, ridged, resp, loglik)."""
+    stack, dist, ridged = _m_step(data, config, resp, stack, dist, const)
+    return (stack, dist, ridged) + _e_step(stack, dist)
+
+
+def _stabilized(data, config, like: _Stack, c0, r, v, step: float, const):
+    """The stabilizing iteration from the record extrapolated to the
+    coordinates c0 + 2 step r + step^2 v (shaped as ``like``), as
+    ``_iteration`` returns it, or None when it fails: an M-step's
+    ``DegenerateFitError``, a non-finite log-likelihood, or a floating-point
+    overflow, invalid operation or division by zero on the way, which a
+    long step can cause.  A Cholesky factor whose diagonal leaves the
+    positive floats fails so: exp overflows, or the log-determinant of an
+    underflowed zero divides by zero."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            stack = _from_coordinates(like, c0 + 2.0 * step * r + step * step * v)
+            dist = _component_distances(stack, data.x, data.y)
+            resp, _ = _e_step(stack, dist)
+            return _iteration(data, config, resp, stack, dist, const)
+    except (DegenerateFitError, FloatingPointError):
+        return None
+
+
+def _squarem_step(data, config, records, logliks, step_max, const):
+    """SQUAREM's extrapolation (Varadhan & Roland 2008, scheme S3) after the
+    two plain iterations theta0 -> theta1 -> theta2 of ``records``, whose
+    log-likelihoods are ``logliks``: (the kept stabilizing iteration or None,
+    the new step cap).
+
+    Only a slow cycle extrapolates, one whose second log-likelihood increment
+    is at least ``_SLOW_RATE`` of its first.  In ``_coordinates``, with
+    r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, the step length
+    s = |r| / |v| is clamped to [1, ``step_max``] and the record is moved to
+    theta0 + 2 s r + s^2 v (alpha = -s in the paper's notation).  At s = 1
+    that is theta2 itself, so nothing is tried.  The stabilizing iteration
+    from the moved record is kept when its log-likelihood is at least
+    theta2's.  The cap grows by ``_STEP_GROWTH`` when it binds, and shrinks
+    by it, to no less than 1, after a rejected or failed extrapolation."""
+    l0, l1, l2 = logliks
+    if not l2 - l1 >= _SLOW_RATE * (l1 - l0):
+        return None, step_max
+    c0, c1, c2 = map(_coordinates, records)
+    r, v = c1 - c0, c2 - 2.0 * c1 + c0
+    norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+    if norm_r >= step_max * norm_v:
+        step, grown = step_max, step_max * _STEP_GROWTH
+    else:
+        step, grown = max(1.0, norm_r / norm_v), step_max
+    if step == 1.0:
+        return None, grown
+    new = _stabilized(data, config, records[-1], c0, r, v, step, const)
+    if new is None or not new[-1] >= l2:
+        return None, max(1.0, step_max / _STEP_GROWTH)
+    return new, grown
+
+
 def _run_start(data, config, resp, start_index):
-    """EM from the responsibilities ``resp``: each iteration is one M-step
-    from the current responsibilities, then one E-step of the record it set,
-    until the log-likelihood's relative change is below ``rel_tol`` or
-    ``max_iter`` iterations have run."""
+    """EM from the responsibilities ``resp``, accelerated by SQUAREM
+    (``_squarem_step``), until the log-likelihood's relative change between
+    two recorded iterations is below ``rel_tol`` or ``max_iter`` iterations
+    are recorded.
+
+    The first iteration starts from ``resp``.  Then each cycle takes two
+    plain iterations (``_iteration``) from its first record and may try one
+    extrapolation; a kept stabilizing iteration is recorded as the third
+    iteration of the cycle and starts the next one, and otherwise the next
+    cycle starts from the second plain iteration.  Every recorded iteration
+    has a log-likelihood at least its predecessor's, up to a plain
+    iteration's rounding.  Three kept M-steps in a row that ridge a
+    covariance end the start."""
     const = _start_constants(data)
     stack = dist = None
-    streak = 0
-    trace = []
-    for _ in range(config.max_iter):
-        stack, dist, ridged = _m_step(data, config, resp, stack, dist, const)
+    trace, cycle = [], []  # cycle: this cycle's records so far
+    streak, step_max = 0, 1.0
+    converged = False
+    while len(trace) < config.max_iter and not converged:
+        if len(cycle) == 3:
+            new, step_max = _squarem_step(data, config, cycle, trace[-3:], step_max, const)
+            if new is None:  # the next cycle starts from theta2
+                cycle = cycle[-1:]
+                continue
+            cycle = []  # the kept stabilizing iteration starts the next cycle
+        else:
+            new = _iteration(data, config, resp, stack, dist, const)
+        stack, dist, ridged, resp, loglik = new
         streak = streak + 1 if ridged else 0
         if streak >= 3:
             raise DegenerateFitError("covariance required repeated regularization")
-        terms = _log_component_terms(stack, dist)
-        row_lse = log_sum_exp(terms, axis=1)
-        loglik = float(row_lse.sum())
-        if not math.isfinite(loglik):
-            raise DegenerateFitError("non-finite log-likelihood")
         trace.append(loglik)
-        resp = _share_exp(terms - row_lse[:, None])
+        cycle.append(stack)
         converged = len(trace) > 1 and abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < config.rel_tol
-        if converged:
-            break
     return FitResult(
         model=_unstack(stack),
         loglik_trace=np.asarray(trace),
@@ -583,7 +770,10 @@ def _run_start(data, config, resp, start_index):
 
 
 def fit(data: Dataset, config: FitConfig) -> FitResult:
-    """Best-of-n-starts EM/ECME fit; ties go to the lowest start index.
+    """Best-of-n-starts EM/ECME fit, each start accelerated by SQUAREM
+    (Varadhan & Roland 2008, "Simple and globally convergent methods for
+    accelerating the convergence of any EM algorithm", Scand. J. Statist.
+    35); ties go to the lowest start index.
 
     Every start's initial partition is drawn first, by ``initialize`` from
     the data and the start's own generator; then each distinct one is

@@ -23,7 +23,9 @@ then a JSON object of the values themselves, floats as repr: ``loglik``
 ``PYTHONPATH=src python tests/digest.py --diff A B`` reads two such
 outputs, made on one machine, fits nothing, and prints for each value the
 cells whose value moved, with both values and the relative move, then a
-line with the count of moved cells and the largest relative move.
+line with the count of moved cells and the largest relative move.  Last it
+prints, for each variant and set of options, the summed ``n_iter`` of the
+fitted cells in each file, with their counts.
 
 It hashes ``generate()`` on the 9 builtin designs at data seeds 1-3, then,
 for each of the 6 variants, the default 10-start ``fit()`` at the true G
@@ -146,6 +148,15 @@ def diff(path_a, path_b):
             move, label = max(moved)
             summary += f", largest relative move {move:.2e} ({label})"
         print(summary)
+    # a cell's label is its design, data seed, variant and options
+    groups = sorted({" ".join(label.split()[2:]) for label in a.keys() | b.keys()})
+    for group in groups:
+        sums = []
+        for values in (a, b):
+            n_iter = [v["n_iter"] for label, v in values.items()
+                      if " ".join(label.split()[2:]) == group and "n_iter" in v]
+            sums.append(f"{sum(n_iter)} over {len(n_iter)} cells")
+        print(f"n_iter sum {group}: {sums[0]} -> {sums[1]}")
 
 
 def main():

@@ -3,8 +3,9 @@
 Everything here is computed by a different route than the library under test:
 direct formulas in mpmath extended precision, scipy special functions,
 brute-force enumeration, or an earlier algorithm that the current one must
-match, bit for bit or within a bound fixed beforehand.  Nothing imports from
-cwmix.
+match, bit for bit or within a bound fixed beforehand.  Only ``plain_em``
+reaches into cwmix: it is the library's EM loop before SQUAREM, run on the
+library's own M- and E-steps, so it stands for the iteration itself.
 """
 
 import math
@@ -371,3 +372,36 @@ def generate_scalar(spec, factor):
     lab = np.concatenate(labels)
     perm = rng.permutation(x.shape[0])
     return x[perm], y[perm], lab[perm]
+
+
+# --- plain EM ----------------------------------------------------------------
+
+def plain_em(data, config, resp):
+    """One start of EM as cwmix ran it before SQUAREM: each iteration is one
+    M-step from the current responsibilities, then one E-step of the record
+    it set, until the log-likelihood's relative change is below
+    ``config.rel_tol`` or ``config.max_iter`` iterations have run.  Returns
+    the start's ``FitResult`` (start index 0)."""
+    from cwmix import em
+
+    const = em._start_constants(data)
+    stack = dist = None
+    streak = 0
+    trace = []
+    for _ in range(config.max_iter):
+        stack, dist, ridged = em._m_step(data, config, resp, stack, dist, const)
+        streak = streak + 1 if ridged else 0
+        if streak >= 3:
+            raise em.DegenerateFitError("covariance required repeated regularization")
+        terms = em._log_component_terms(stack, dist)
+        row_lse = em.log_sum_exp(terms, axis=1)
+        loglik = float(row_lse.sum())
+        if not math.isfinite(loglik):
+            raise em.DegenerateFitError("non-finite log-likelihood")
+        trace.append(loglik)
+        resp = em._share_exp(terms - row_lse[:, None])
+        converged = len(trace) > 1 and abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < config.rel_tol
+        if converged:
+            break
+    return em.FitResult(model=em._unstack(stack), loglik_trace=np.asarray(trace), responsibilities=resp,
+                        converged=converged, n_iter=len(trace), start_index=0)
