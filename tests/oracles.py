@@ -386,13 +386,9 @@ def plain_em(data, config, resp):
 
     const = em._start_constants(data)
     stack = dist = None
-    streak = 0
     trace = []
     for _ in range(config.max_iter):
-        stack, dist, ridged = em._m_step(data, config, resp, stack, dist, const)
-        streak = streak + 1 if ridged else 0
-        if streak >= 3:
-            raise em.DegenerateFitError("covariance required repeated regularization")
+        stack, dist = em._m_step(data, config, resp, stack, dist, const)
         terms = em._log_component_terms(stack, dist)
         row_lse = em.log_sum_exp(terms, axis=1)
         loglik = float(row_lse.sum())

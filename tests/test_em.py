@@ -535,18 +535,17 @@ def test_regularize_cov_factors_each_covariance_once(monkeypatch):
     calls = []
     monkeypatch.setattr(em, "cholesky_lower", lambda a: calls.append(a) or cholesky(a))
     cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-    (out, chol), ridged = _regularize_cov(cov)
-    assert not ridged and len(calls) == 1
-    np.testing.assert_array_equal(out, cov)
-    np.testing.assert_array_equal(chol, cholesky(cov))
+    (out, chol), ridged = _regularize_cov(cov[None])
+    assert ridged is False and len(calls) == 1
+    np.testing.assert_array_equal(out, cov[None])
+    np.testing.assert_array_equal(chol, cholesky(cov)[None])
     calls.clear()
-    # rank one: the first factorization fails, the ridged one succeeds
-    (out, chol), ridged = _regularize_cov(np.ones((2, 2)))
-    assert ridged and len(calls) == 2
-    np.testing.assert_array_equal(out, np.ones((2, 2)) + 1e-8 * np.eye(2))
-    np.testing.assert_array_equal(chol, cholesky(out))
-    with pytest.raises(DegenerateFitError):
-        _regularize_cov(np.zeros((2, 2)))
+    # rank one: the one stacked factorization fails, and nothing is ridged
+    with pytest.raises(DegenerateFitError, match="^singular covariance$"):
+        _regularize_cov(np.stack([cov, np.ones((2, 2))]))
+    assert len(calls) == 1
+    with pytest.raises(DegenerateFitError, match="^singular covariance$"):
+        _regularize_cov(np.zeros((1, 2, 2)))
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
@@ -572,7 +571,7 @@ def test_weighted_ls_stacked_matches_per_component_fit(d):
         em._weighted_ls(const.outer, const.design_y, w)
 
 
-def test_m_step_ridges_only_the_singular_component(monkeypatch):
+def test_m_step_refuses_a_singular_x_covariance(monkeypatch):
     r = np.random.default_rng(8)
     n = 60
     x = r.normal(size=(n, 2))
@@ -588,26 +587,23 @@ def test_m_step_ridges_only_the_singular_component(monkeypatch):
     ux[10:30, 0] = 0.0
     monkeypatch.setattr(em, "_latent_weights", lambda *a: (ux, np.ones((n, 2))))
     regularize = em._regularize_cov
-    flags = []
-    monkeypatch.setattr(em, "_regularize_cov",
-                        lambda *a: (lambda out: flags.append(out[1]) or out)(regularize(*a)))
-    model, _, ridged = em._m_step(data, FitConfig(G=2, variant="t_cwm"), resp, None, None,
-                                  em._start_constants(data))
-    assert ridged and flags == [True, False]
+    calls = []
+    monkeypatch.setattr(em, "_regularize_cov", lambda covs: calls.append(covs) or regularize(covs))
+    config = FitConfig(G=2, variant="t_cwm")
+    with pytest.raises(DegenerateFitError, match="^singular covariance$"):
+        em._m_step(data, config, resp, None, None, em._start_constants(data))
+    assert len(calls) == 1
+    # without the singular component one stacked factorization builds both
+    calls.clear()
+    ux[10:30, 0] = 1.0
+    model, _ = em._m_step(data, config, resp, None, None, em._start_constants(data))
+    assert len(calls) == 1
     for g in range(2):
         w = resp[:, g] * ux[:, g]
         mu = w @ x / w.sum()
         cov = (w[:, None] * (x - mu)).T @ (x - mu) / 30.0
-        if g == 0:
-            cov = cov + 1e-8 * np.trace(cov) / 2 * np.eye(2)
         np.testing.assert_allclose(model.scatter[g], cov, rtol=1e-12)
         np.testing.assert_allclose(model.center[g], mu, rtol=1e-12)
-    # without the singular component the stacked factorization builds both
-    flags.clear()
-    ux[10:30, 0] = 1.0
-    _, _, ridged = em._m_step(data, FitConfig(G=2, variant="t_cwm"), resp, None, None,
-                              em._start_constants(data))
-    assert not ridged and flags == []
 
 
 # ------------------------------------------------------------------------ fit
@@ -739,8 +735,8 @@ def test_fit_exact_line_is_degenerate(variant):
 
 
 def _near_constant_x2():
-    # x2 varies by 1e-8 about 1e-3: the x covariance does not factor without
-    # a ridge at any M-step, while the design [x, 1] still does
+    # x2 varies by 1e-8 about 1e-3: the x covariance does not factor at any
+    # M-step, while the design [x, 1] still does
     r = np.random.default_rng(0)
     x1 = r.normal(size=40)
     x = np.column_stack([x1, 1e-3 + 1e-8 * r.normal(size=40)])
@@ -749,8 +745,8 @@ def _near_constant_x2():
 
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: fit(_near_constant_x2(), FitConfig(G=2)),
-                 DegenerateFitError, "covariance required repeated regularization",
-                 id="repeated-regularization"),
+                 DegenerateFitError, "singular covariance",
+                 id="singular-covariance"),
 ])
 def test_degenerate_start_is_reported(call, error, message):
     with pytest.raises(error, match=message):
@@ -867,7 +863,7 @@ def assert_m_step_hands_off_its_distances(data, config):
     for bit a fresh ``_component_distances`` of the model it returns."""
     const = em._start_constants(data)
     resp = initialize(data, config, np.random.default_rng([0, 0]))
-    model, dist, _ = em._m_step(data, config, resp, None, None, const)
+    model, dist = em._m_step(data, config, resp, None, None, const)
     for _ in range(3):
         for got, want in zip(dist, _component_distances(model, data.x, data.y)):
             if want is None:
@@ -876,7 +872,7 @@ def assert_m_step_hands_off_its_distances(data, config):
                 np.testing.assert_array_equal(got, want)
         terms = em._log_component_terms(model, dist)
         resp = np.exp(terms - densities.log_sum_exp(terms, axis=1)[:, None])
-        model, dist, _ = em._m_step(data, config, resp, model, dist, const)
+        model, dist = em._m_step(data, config, resp, model, dist, const)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -1442,14 +1438,16 @@ def test_stabilized_drops_an_overflowing_extrapolation_quietly(variant):
 
 
 def _count_run_start(monkeypatch, fail=None):
-    """Start indices _run_start is called with; with ``fail``, each call
-    raises DegenerateFitError(fail) instead of fitting."""
+    """Start indices _run_start is called with; with ``fail``, a reason or a
+    dict of reasons by start index, each call (or each call of a start in
+    the dict) raises DegenerateFitError(reason) instead of fitting."""
     run_start, calls = em._run_start, []
 
     def counted(data, config, resp, start_index):
         calls.append(start_index)
-        if fail is not None:
-            raise DegenerateFitError(fail)
+        reason = fail.get(start_index) if isinstance(fail, dict) else fail
+        if reason is not None:
+            raise DegenerateFitError(reason)
         return run_start(data, config, resp, start_index)
 
     monkeypatch.setattr(em, "_run_start", counted)
@@ -1520,6 +1518,32 @@ def test_fit_every_start_degenerate_with_duplicates_raises(monkeypatch):
         for j, k in enumerate(first))
 
 
+def test_fit_survives_one_degenerate_start(monkeypatch):
+    # ex6_s2's ten starts draw two partitions, first drawn by starts 0 and 1:
+    # when start 0 degenerates, fit() returns start 1's fit
+    data = generate(builtin_scenario("ex6_s2").with_seed(1))
+    config = FitConfig(G=2, seed=1)
+    partitions = _partitions(data, config)
+    first = [partitions.index(p) for p in partitions]
+    assert sorted(set(first)) == [0, 1]
+    resp1 = initialize(data, config, np.random.default_rng([config.seed, 1]))
+    want = em._run_start(data, config, resp1, 1)
+    fail = {0: "singular covariance"}
+    calls = _count_run_start(monkeypatch, fail)
+    got = fit(data, config)
+    assert calls == [0, 1] and got.start_index == 1
+    assert_same_fit(got, want)
+    # when start 1 degenerates too, each start is named with its reason
+    fail[1] = "singular covariance"
+    calls.clear()
+    with pytest.raises(DegenerateFitError) as err:
+        fit(data, config)
+    assert calls == [0, 1]
+    assert str(err.value) == "; ".join(
+        f"start {j}: singular covariance" if k == j else f"start {j}: duplicate of start {k}"
+        for j, k in enumerate(first))
+
+
 def test_fit_relabel_equivariance_given_labels():
     # EM from the true partition and from the same partition relabelled
     r = np.random.default_rng(4)
@@ -1547,6 +1571,29 @@ def test_fit_refuses_a_constant_y(variant):
         fit(Dataset(x, np.full(len(x), 5.0)), FitConfig(G=2, variant=variant))
 
 
+@pytest.mark.parametrize("name", ("ex4_s2", "ex6_s2"))
+@pytest.mark.parametrize("which", ("x", "y"))
+def test_fit_refuses_data_whose_squares_overflow(name, which):
+    # x or y scaled so far that the M-step's sums of squares overflow is a
+    # fault of the data: fit() names it before any start runs, instead of
+    # failing every start, after overflow warnings, for a reason that does
+    # not name it.  At every smaller scale no warning is raised: a scaled y
+    # fits, and a scaled x fits or fails its starts (its uncentred design
+    # [x, 1] can be singular)
+    spec = builtin_scenario(name).with_seed(1)
+    data = generate(spec)
+    for k in (100, 130, 150, 152, 168):
+        x, y = (data.x * 10.0**k, data.y) if which == "x" else (data.x, data.y * 10.0**k)
+        for variant in VARIANTS:
+            config = FitConfig(G=len(spec.groups), variant=variant, n_starts=2, max_iter=20)
+            if k >= 152:
+                with pytest.raises(ValueError, match=f"^{which} is too large"):
+                    fit(Dataset(x, y), config)
+                continue
+            try:
+                assert_no_warning(fit, Dataset(x, y), config)
+            except DegenerateFitError:
+                assert which == "x"
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("spread, refused", [(1e-14, True), (1e-12, True), (1e-10, False)])
 def test_fit_refuses_a_y_spread_at_its_rounding_scale(variant, spread, refused):
