@@ -360,6 +360,9 @@ _LANCZOS_COEF = (
     1.5056327351493116e-7,
 )
 
+#: Below this x (about 7.5e-155), trigamma(x) > 1 / x^2 overflows the floats.
+_TRIGAMMA_TINY = 1.0 / math.sqrt(np.finfo(float).max)
+
 
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for a finite x > 0 (not a bool); x < 0.5 reflects to 1 - x."""
@@ -368,6 +371,8 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError(f"log_gamma requires x > 0, got {x}")
+    if x < 1e-300:  # -log x - gamma x + O(x^2), where pi / sin(pi x) overflows
+        return -math.log(x)
     if x < 0.5:
         # log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
         return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
@@ -402,12 +407,14 @@ def digamma(x: float) -> float:
 
 def trigamma(x: float) -> float:
     """Trigamma of a real x > 0 (not a bool, not NaN) via recurrence to x >= 6
-    plus the asymptotic series."""
+    plus the asymptotic series; inf where it overflows the floats."""
     if type(x) is bool:
         raise ValueError(f"trigamma requires a real x, got {x!r}")
     x = float(x)
     if not x > 0.0:  # NaN too
         raise ValueError(f"trigamma requires x > 0, got {x}")
+    if x < _TRIGAMMA_TINY:
+        return math.inf
     acc = 0.0
     while x < 6.0:
         acc += 1.0 / (x * x)

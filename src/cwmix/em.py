@@ -110,7 +110,6 @@ import numpy as np
 # distances); perfbench/tracing.py still looks it up in this module.
 from .densities import (  # noqa: F401
     _integer,
-    _log_det,
     _real,
     _seed,
     _share_exp,
@@ -323,8 +322,8 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
     ``delta`` and ``weights`` are non-negative vectors of one nonempty
     length with a positive weight sum, each distance at most
     ``_DOF_STAT_MAX`` and each weight at most ``_DOF_STAT_MAX`` over the
-    length, and ``q`` is a positive integer; anything else (a NaN or an
-    infinity too) raises ValueError before any arithmetic on them.
+    length, ``q`` is a positive integer and ``start`` None or a finite real;
+    anything else (a NaN or an infinity too) raises ValueError at once.
     """
     q = _integer("q", q, low=1)
     delta = np.asarray(delta, dtype=float)
@@ -337,7 +336,7 @@ def estimate_dof(delta, weights, q: int, start: float | None = None) -> float:
         raise ValueError("delta and weights must be non-negative vectors of one nonempty length, "
                          "bounded so that the dof score stays finite")
     lo, hi = DOF_BRACKET
-    nu = 0.5 * (lo + hi) if start is None else min(max(float(start), lo), hi)
+    nu = 0.5 * (lo + hi) if start is None else min(max(_real("start", start), lo), hi)
     value, _, b, wb = _dof_score(nu, q, delta, weights, mass)
     if not math.isfinite(value):
         raise ValueError("non-finite dof score")
@@ -534,7 +533,7 @@ def _m_step(data, config, resp, old, old_dist, const):
     mass = resp.sum(axis=0)
     if np.any(mass < d + 2):
         raise DegenerateFitError("cluster responsibility mass below d + 2")
-    mu = covs = chols = log_det = dist_x = None
+    mu = covs = chols = dist_x = None
     if spec.x_law is not None:
         wx = (resp if ux is None else resp * ux).T
         # without t weights the weight sums are the masses, bit for bit
@@ -543,7 +542,6 @@ def _m_step(data, config, resp, old, old_dist, const):
         weighted = np.ascontiguousarray(wx)[:, None, :] * centered
         covs = weighted @ centered.transpose(0, 2, 1) / mass[:, None, None]
         (covs, chols), _ = _regularize_cov(covs)
-        log_det = _log_det(chols)
         dist_x = _whitened_sq(chols, centered)
     wy = resp if uy is None else resp * uy
     slopes, intercepts = _weighted_ls(const.outer, const.design_y, wy)
@@ -555,23 +553,21 @@ def _m_step(data, config, resp, old, old_dist, const):
     if spec.x_law == "t":
         # the ECME dof step, on the distances to the laws just set
         delta_y = resid**2 / noise_var[:, None]
-        joint = spec.y_law == "joint_t"
         if old is None:
-            nus = zetas = np.full(G, _INIT_DOF)
-        elif joint:
-            nus = _solve_dof(old.nu, d + 1, dist_x + delta_y, resp)
-        else:
+            nus = np.full(G, _INIT_DOF)
+            zetas = nus if spec.y_law == "t" else None
+        elif spec.y_law == "t":
             nus = _solve_dof(old.nu, d, dist_x, resp)
             zetas = _solve_dof(old.zeta, 1, delta_y, resp)
-        if joint:  # the conditional dof of a joint t law
-            zetas = nus + d
+        else:  # fmt's one dof, on the joint distance
+            nus = _solve_dof(old.nu, d + 1, dist_x + delta_y, resp)
     theta = log_gate = None
     if spec.gated:
         old_theta = old.theta if old is not None else np.zeros((G - 1, d + 1))
         old_log_gate = old_dist.log_gate if old_dist is not None else None
         theta, log_gate = _fit_gating(x, resp, old_theta, old_log_gate, const.design, const.outer)
     stack = _Stack(config.variant, mass / mass.sum(), slopes, intercepts, np.sqrt(noise_var),
-                   mu, covs, chols, log_det, nus, zetas, theta)
+                   mu, covs, chols, nus, zetas, theta)
     return stack, Distances(dist_x, resid, log_gate)
 
 
@@ -588,17 +584,14 @@ def _coordinates(stack: _Stack) -> np.ndarray:
     """The unconstrained coordinates of ``stack`` as one vector, the space
     SQUAREM extrapolates in: log weights, slopes, intercepts and log noise
     scales; when x is modelled, the centres and each x scatter's Cholesky
-    factor, its diagonal as logs; log dofs (fmt's y dof is nu + d, not a
-    coordinate of its own); the gating rows."""
+    factor, its diagonal as logs; the log dofs of each dof field the record
+    holds (``nu``, then ``zeta``); the gating rows."""
     parts = [np.log(stack.weight), stack.slope.ravel(), stack.intercept, np.log(stack.noise_scale)]
     if stack.chol is not None:
         rows, cols = _tril_indices(stack.chol.shape[-1])
         parts += [stack.center.ravel(), np.log(np.diagonal(stack.chol, axis1=1, axis2=2)).ravel(),
                   stack.chol[:, rows, cols].ravel()]
-    if stack.nu is not None:
-        parts.append(np.log(stack.nu))
-        if VARIANT_SPECS[stack.variant].y_law == "t":
-            parts.append(np.log(stack.zeta))
+    parts += [np.log(dofs) for dofs in (stack.nu, stack.zeta) if dofs is not None]
     if stack.theta is not None:
         parts.append(stack.theta.ravel())
     return np.concatenate(parts)
@@ -619,7 +612,7 @@ def _from_coordinates(like: _Stack, coords: np.ndarray) -> _Stack:
 
     weight = np.exp(take(G))
     slope, intercept, noise_scale = take(G, d), take(G), np.exp(take(G))
-    center = scatter = chol = log_det = nu = zeta = theta = None
+    center = scatter = chol = None
     if like.chol is not None:
         center = take(G, d)
         chol = np.zeros((G, d, d))
@@ -628,22 +621,19 @@ def _from_coordinates(like: _Stack, coords: np.ndarray) -> _Stack:
         rows, cols = _tril_indices(d)
         chol[:, rows, cols] = take(G, rows.size)
         scatter = chol @ chol.transpose(0, 2, 1)
-        log_det = _log_det(chol)
-    if like.nu is not None:
-        lo, hi = DOF_BRACKET
-        log_lo, log_hi = math.log(lo), math.log(hi)
+    lo, hi = DOF_BRACKET
 
-        def take_dofs():
-            logs = np.clip(take(G), log_lo, log_hi)
-            # a dof clamped to an edge is that edge, not exp's rounding of it
-            return np.where(logs == log_hi, hi, np.clip(np.exp(logs), lo, hi))
+    def take_dofs(like_dofs):
+        if like_dofs is None:
+            return None
+        logs = np.clip(take(G), math.log(lo), math.log(hi))
+        # a dof clamped to an edge is that edge, not exp's rounding of it
+        return np.where(logs == math.log(hi), hi, np.clip(np.exp(logs), lo, hi))
 
-        nu = take_dofs()
-        zeta = nu + d if VARIANT_SPECS[like.variant].y_law == "joint_t" else take_dofs()
-    if like.theta is not None:
-        theta = take(*like.theta.shape)
+    nu, zeta = take_dofs(like.nu), take_dofs(like.zeta)
+    theta = None if like.theta is None else take(*like.theta.shape)
     return _Stack(like.variant, weight / weight.sum(), slope, intercept, noise_scale,
-                  center, scatter, chol, log_det, nu, zeta, theta)
+                  center, scatter, chol, nu, zeta, theta)
 
 
 # -------------------------------------------------------------------- driver
@@ -673,8 +663,8 @@ def _stabilized(data, config, like: _Stack, c0, r, v, step: float, const):
     ``DegenerateFitError``, a non-finite log-likelihood, or a floating-point
     overflow, invalid operation or division by zero on the way, which a
     long step can cause.  A Cholesky factor whose diagonal leaves the
-    positive floats fails so: exp overflows, or the log-determinant of an
-    underflowed zero divides by zero."""
+    positive floats fails so: exp overflows, or the E-step's log-determinant
+    of an underflowed zero divides by zero."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             stack = _from_coordinates(like, c0 + 2.0 * step * r + step * step * v)
@@ -770,16 +760,11 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     the data and the start's own generator; then each distinct one is
     fitted once, by the first start that drew it, in start order.  The
     fit is deterministic given the partition, so a repeat would equal the
-    earlier result and lose the tie to it.  A fault of the data raises
-    ValueError before any start runs: a constant y, which every line fits
-    exactly, or an x or y whose entries v overflow 4 (d + 1) N max|v|^2, a
-    bound on the M-step's sums of squares."""
+    earlier result and lose the tie to it.  A constant y, which every line
+    fits exactly, raises ValueError before any start runs; ``Dataset``
+    already refused an x or y too large for the M-step's sums of squares."""
     if data.y.min() == data.y.max():
         raise ValueError("y is constant")
-    with np.errstate(over="ignore"):
-        for name, values in (("x", data.x), ("y", data.y)):
-            if not np.isfinite(4.0 * (data.d + 1) * data.n * np.max(np.abs(values)) ** 2):
-                raise ValueError(f"{name} is too large: its sums of squares overflow")
     distinct = {}  # partition -> (the first start that drew it, its responsibilities)
     drawer = []  # each start's first drawer of its partition
     for start in range(config.n_starts):

@@ -8,8 +8,8 @@ The six variants are two laws (Gaussian, t) times three ways to treat x
 depends on the variant reads that table, not the variant name.  A joint
 Gaussian over (x, y) is exactly a Gaussian CWM component, so fmg shares
 gaussian_cwm's row and its EM update.  fmt's "joint_t" conditional is that of
-a joint t: its dof is tied to nu + d and its scale grows with the Mahalanobis
-distance of x.
+a joint t: its dof is nu + d, derived where it is read, and its scale grows
+with the Mahalanobis distance of x.
 
 A ``CwmModel`` is the validated public form.  Evaluation and EM read and
 write ``_Stack`` instead: one namedtuple of G-stacked parameter arrays.
@@ -224,8 +224,14 @@ class Dataset:
         y = np.asarray(self.y, dtype=float).ravel()
         if x.ndim != 2 or x.shape[0] != y.shape[0] or min(x.shape) < 1:
             raise ValueError("x must be N-by-d with one y per row")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        # one max|v| per array finds both faults: a non-finite entry, and one
+        # so large that 4 (d + 1) N max^2, a bound on EM's sums of squares, overflows
+        tops = [float(np.max(np.abs(v))) for v in (x, y)]
+        if not all(map(math.isfinite, tops)):
             raise ValueError("non-finite values in data")
+        for name, top in zip("xy", tops):
+            if not math.isfinite(4.0 * (x.shape[1] + 1) * x.shape[0] * (top * top)):
+                raise ValueError(f"{name} is too large: its sums of squares overflow")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if self.labels is not None:
@@ -267,15 +273,15 @@ def _labels(values) -> np.ndarray:
 Distances = namedtuple("Distances", ["x", "resid", "log_gate"])
 
 
-#: Every parameter of a model as G-stacked arrays, the form EM iterates on:
-#: ``weight``, ``intercept`` and ``noise_scale`` of length G, ``slope`` G-by-d;
-#: when x is modelled, the x laws' ``center`` (G-by-d), ``scatter`` (covariance
-#: or t scale matrix), its Cholesky factor ``chol`` (both G-by-d-by-d) and
-#: ``log_det`` (length G); for t laws, the x dofs ``nu`` and the y dofs
-#: ``zeta``; when gated, ``theta``, the (G-1)-by-(d+1) gating rows (w, w0) of
-#: every component but the baseline.  A field that does not apply is None.
+#: Every fitted parameter of a model as G-stacked arrays, the form EM iterates
+#: on: ``weight``, ``intercept`` and ``noise_scale`` of length G, ``slope``
+#: G-by-d; when x is modelled, the x laws' ``center`` (G-by-d), ``scatter``
+#: and its Cholesky factor ``chol`` (both G-by-d-by-d); the t x laws' dofs
+#: ``nu`` and t_cwm's y dofs ``zeta`` (fmt's y dof, nu + d, is derived where
+#: it is read); when gated, ``theta``, the (G-1)-by-(d+1) gating rows (w, w0)
+#: of every component but the baseline.  A field that does not apply is None.
 _Stack = namedtuple("_Stack", ["variant", "weight", "slope", "intercept", "noise_scale",
-                               "center", "scatter", "chol", "log_det", "nu", "zeta", "theta"])
+                               "center", "scatter", "chol", "nu", "zeta", "theta"])
 
 
 def _stack(model: CwmModel) -> _Stack:
@@ -284,36 +290,35 @@ def _stack(model: CwmModel) -> _Stack:
     comps = model.components
     margs = [c.x_marginal for c in comps]
     conds = [c.y_conditional for c in comps]
-    center = scatter = chol = log_det = nu = zeta = theta = None
+    center = scatter = chol = nu = zeta = theta = None
     if spec.x_law is not None:
         center = np.array([m.center for m in margs])
         scatter = np.array([m.scatter for m in margs])
         chol = np.array([m.chol for m in margs])
-        log_det = _log_det(chol)
     if spec.x_law == "t":
         nu = np.array([m.dof for m in margs])
-    if spec.y_law != "gaussian":
+    if spec.y_law == "t":
         zeta = np.array([c.dof for c in conds])
     if spec.gated:
         rows = [np.append(g.slope, g.intercept) for g in model.gating[1:]]
         theta = np.array(rows).reshape(len(rows), model.d + 1)
     return _Stack(model.variant, np.array([c.weight for c in comps]),
                   np.array([c.map.slope for c in conds]), np.array([c.map.intercept for c in conds]),
-                  np.array([c.noise_scale for c in conds]), center, scatter, chol, log_det,
-                  nu, zeta, theta)
+                  np.array([c.noise_scale for c in conds]), center, scatter, chol, nu, zeta, theta)
 
 
 def _unstack(stack: _Stack) -> CwmModel:
     """The validated ``CwmModel`` of a stacked record."""
     spec = VARIANT_SPECS[stack.variant]
     G, d = stack.slope.shape
+    y_dofs = stack.nu + d if spec.y_law == "joint_t" else stack.zeta
     comps = []
     for g in range(G):
         marg = None
         if spec.x_law is not None:
             marg = _law(stack.center[g], stack.scatter[g], None if stack.nu is None else stack.nu[g])
         cond = Conditional(LinearMap(stack.slope[g], stack.intercept[g]), stack.noise_scale[g],
-                           dof=None if stack.zeta is None else stack.zeta[g])
+                           dof=None if y_dofs is None else y_dofs[g])
         comps.append(Component(stack.weight[g], marg, cond))
     gating = None
     if spec.gated:
@@ -360,26 +365,28 @@ def _log_component_terms(stack: _Stack, dist: Distances) -> np.ndarray:
     its distances ``dist`` to the components (``_component_distances``).
 
     Every density is evaluated from those distances as one G-by-N
-    expression, with per-component scales, dofs and log-determinants as
-    G-by-1 columns; the result is the transpose of that G-by-N array.
+    expression, with per-component scales, dofs and log-determinants (from
+    the Cholesky factors) as G-by-1 columns; the result is its transpose.
     """
     d = stack.slope.shape[1]
     spec = VARIANT_SPECS[stack.variant]
     scale_sq = stack.noise_scale[:, None] ** 2
+    y_dof = None if stack.zeta is None else stack.zeta[:, None]
     if spec.y_law == "joint_t":
-        # joint-t factorization: conditional scale grows with the
-        # marginal Mahalanobis distance of x
+        # joint-t factorization: the conditional dof is nu + d, and the
+        # conditional scale grows with the marginal Mahalanobis distance of x
         nu = stack.nu[:, None]
-        scale_sq = scale_sq * (nu + dist.x) / (nu + d)
+        y_dof = nu + d
+        scale_sq = scale_sq * (nu + dist.x) / y_dof
     maha_y = dist.resid**2 / scale_sq
-    if spec.y_law == "gaussian":
+    if y_dof is None:
         ll = gaussian_log_density(maha_y, 1, np.log(scale_sq))
     else:
-        ll = student_log_density(maha_y, 1, np.log(scale_sq), stack.zeta[:, None])
+        ll = student_log_density(maha_y, 1, np.log(scale_sq), y_dof)
     if spec.x_law == "t":
-        ll = ll + student_log_density(dist.x, d, stack.log_det[:, None], stack.nu[:, None])
+        ll = ll + student_log_density(dist.x, d, _log_det(stack.chol)[:, None], stack.nu[:, None])
     elif spec.x_law == "gaussian":
-        ll = ll + gaussian_log_density(dist.x, d, stack.log_det[:, None])
+        ll = ll + gaussian_log_density(dist.x, d, _log_det(stack.chol)[:, None])
     log_weight = dist.log_gate if spec.gated else np.log(stack.weight[:, None])
     return (log_weight + ll).T
 

@@ -430,6 +430,20 @@ def test_trigamma_against_oracle():
         assert trigamma(x) == pytest.approx(oracles.trigamma(x), rel=1e-10)
 
 
+@pytest.mark.parametrize("x", (1e-320, 1e-310, 1e-200, 1e-160))
+def test_special_functions_at_tiny_x(x):
+    # log Gamma(x) = -log x - gamma x + O(x^2) stays finite where the
+    # reflection's pi / sin(pi x) overflows, and trigamma(x) > 1 / x^2 is inf
+    # (as scipy's polygamma gives it) where 1 / x^2 overflows, also where
+    # x * x underflows to 0; scipy's gammaln overflows below about 5.6e-309,
+    # so it is compared only where it is finite
+    from scipy.special import gammaln, polygamma
+    assert log_gamma(x) == pytest.approx(oracles.log_gamma(x), rel=1e-15)
+    if math.isfinite(gammaln(x)):
+        assert log_gamma(x) == pytest.approx(gammaln(x), rel=1e-15)
+    assert trigamma(x) == oracles.trigamma(x) == polygamma(1, x) == math.inf
+
+
 def test_trigamma_domain_error():
     for x in (0.0, -1.0, -0.5):
         with pytest.raises(ValueError):

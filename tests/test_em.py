@@ -349,6 +349,10 @@ def test_estimate_dof_invalid_statistic():
     for delta, weights, start in [([1e308], [1.0], 0.5), ([1.0, 1.0], [1e308, 1e308], None)]:
         with pytest.raises(ValueError):
             estimate_dof(delta, weights, 1, start=start)
+    # a start is a finite real, as every other real argument of the package
+    for start in (10**400, True, "3", float("nan"), math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^start must be finite"):
+            estimate_dof([1.0, 2.0], [1.0, 1.0], 1, start=start)
 
 
 DOF_ROOTS = (0.6, 1.0, 2.5, 7.0, 20.0, 60.0, 120.0, 190.0)
@@ -1076,6 +1080,23 @@ def test_fit_fmt_one_group_joint_t():
     assert abs(comp.x_marginal.scale[0, 0] - 4.0) < 0.6
 
 
+def test_fmt_record_holds_one_dof():
+    # the record EM iterates on keeps fitted parameters only: no
+    # log-determinant, and fmt's y dof nu + d is not a field of its own; the
+    # fitted model's conditional dofs are its x dofs + d exactly
+    spec = builtin_scenario("ex4_s2").with_seed(1)
+    data = generate(spec)
+    config = FitConfig(G=len(spec.groups), variant="fmt", n_starts=1)
+    resp = initialize(data, config, np.random.default_rng([config.seed, 0]))
+    record = em._m_step(data, config, resp, None, None, em._start_constants(data))[0]
+    assert "log_det" not in record._fields
+    assert record.nu is not None and record.zeta is None
+    model = fit(data, config).model
+    assert _stack(model).zeta is None
+    for comp in model.components:
+        assert comp.y_conditional.dof == comp.x_marginal.dof + data.d
+
+
 def test_fit_fmrc_recovers_gated_structure():
     r = np.random.default_rng(88)
     n = 500
@@ -1406,7 +1427,7 @@ def test_coordinates_round_trip_every_variant(variant, d):
     stack = _stack(random_model(np.random.default_rng(d), variant, G=3, d=d))
     if stack.nu is not None:
         nu = np.array([200.0, 0.5, 7.0])
-        stack = stack._replace(nu=nu, zeta=nu + d if variant == "fmt" else nu[::-1].copy())
+        stack = stack._replace(nu=nu, zeta=None if stack.zeta is None else nu[::-1].copy())
     back = em._from_coordinates(stack, em._coordinates(stack))
     assert back.variant == stack.variant
     for field in stack._fields[1:]:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import gaussian_component
+from helpers import gaussian_component, random_model
+from cwmix.datagen import builtin_scenario, generate
 from cwmix.em import FitConfig, FitResult, fit
 from cwmix.metrics import (
     bic,
@@ -30,6 +31,9 @@ from cwmix.model import (
     CwmModel,
     Dataset,
     LinearMap,
+    classify,
+    joint_logpdf,
+    posterior,
 )
 
 
@@ -444,3 +448,23 @@ def test_bic_joint_nested_identity_for_joint_models():
     data = two_line_data(np.random.default_rng(22), 50, 70)
     res = fit(data, FitConfig(G=2, n_starts=3, seed=2))
     assert bic_joint_nested(res, data) == bic(res)
+
+
+@pytest.mark.parametrize("scorer", ["posterior", "joint_logpdf", "classify", "iwf", "wilks_lambda"])
+def test_scorers_refuse_data_whose_squares_overflow(scorer):
+    # one x of 1e160 makes 4 (d + 1) N max|x|^2 overflow, which fit() refuses;
+    # every scorer reads (x, y) through Dataset and refuses it too, instead
+    # of returning NaN posteriors, a -inf density or an overflowing Lambda
+    data = generate(builtin_scenario("ex6_s2").with_seed(1))
+    model = random_model(np.random.default_rng(0), "gaussian_cwm", G=2, d=data.d)
+    x = data.x.copy()
+    x[0, 0] = 1e160
+    score = {
+        "posterior": lambda: posterior(model, x, data.y),
+        "joint_logpdf": lambda: joint_logpdf(model, x, data.y),
+        "classify": lambda: classify(model, Dataset(x, data.y)),
+        "iwf": lambda: iwf(Dataset(x, data.y), model),
+        "wilks_lambda": lambda: wilks_lambda(Dataset(x, data.y), data.labels),
+    }[scorer]
+    with pytest.raises(ValueError, match="^x is too large: its sums of squares overflow$"):
+        score()
