@@ -22,15 +22,20 @@ numpy lanes: ``_steps`` writes the xoshiro256++ step once over a (4, L)
 uint64 state, and each of the L lanes makes B consecutive words.  The state
 transition is linear over GF(2), so lane j starts j B steps ahead through
 cached 256-by-256 bit matrices of 2^k steps (Haramoto et al. 2008), each
-the square of the one before.  Those matrices are multiplied as float32
-0/1 products, whose partial sums are integers of at most 256 and so exact
-under any BLAS kernel.  Only those exact products pass through BLAS; the
-affine maps are written out elementwise: x = center + sum_j z_j * L[:, j]
-and y = sum_j x_j * slope_j + intercept + eps, each sum taken left to
-right, so no BLAS kernel (which may fuse a multiply and an add) touches a
-drawn value; ``cholesky_lower`` sums the factor L's inner products left to
-right as well.  What is left of platform dependence is libm's ``log``,
-``sin`` and ``cos``, taken from ``math``.
+the square of the one before.  Those matrices and the lane starts are kept
+as float32 0/1 arrays and multiplied as float32 products, whose partial
+sums are integers of at most 256 and so exact under any BLAS kernel.
+``generate`` counts the words a dataset will read before it draws and
+takes them all in one lane pass; draws made on their own refill by the
+larger of what is missing, 2,048 words and twice the last refill, so that
+one-word-at-a-time callers do not pay a lane pass for every few words.
+Only the exact 0/1 products pass through BLAS; the affine maps are written
+out elementwise: x = center + sum_j z_j * L[:, j] and y = sum_j x_j *
+slope_j + intercept + eps, each sum taken left to right, so no BLAS kernel
+(which may fuse a multiply and an add) touches a drawn value;
+``cholesky_lower`` sums the factor L's inner products left to right as
+well.  What is left of platform dependence is libm's ``log``, ``sin`` and
+``cos``, taken from ``math``.
 
 A scenario is a list of groups, each drawing x from a Gaussian law and y
 from the line slope'x + intercept plus Gaussian noise, optionally
@@ -40,7 +45,6 @@ augmented with uniform background points over a box.  Tables quote sigma
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -113,47 +117,61 @@ def _bits(s: np.ndarray) -> np.ndarray:
 
 
 def _states(bits: np.ndarray) -> np.ndarray:
-    """Inverse of ``_bits``: the (L, 256) 0/1 rows as a (4, L) uint64 state."""
-    octets = np.packbits(bits, axis=1, bitorder="little")
+    """Inverse of ``_bits``: the (L, 256) 0/1 rows, of any numeric dtype, as
+    a (4, L) uint64 state."""
+    octets = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
     return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
 
 
 def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over GF(2) for uint8 0/1 matrices.  It is taken as a float32
-    product: every partial sum of 0/1 terms is an integer of at most 256,
-    exact in float32, so no BLAS kernel, blocking or fused multiply-add can
-    change a bit of it."""
-    p = a.astype(np.float32) @ b.astype(np.float32)
-    return (p.astype(np.uint16) & np.uint16(1)).astype(np.uint8)
+    """a @ b over GF(2) for 0/1 matrices, as float32 0/1 rows.  It is taken
+    as a float32 product: every partial sum of 0/1 terms is an integer of at
+    most 256, exact in float32, so no BLAS kernel, blocking or fused
+    multiply-add can change a bit of it; the sum mod 2 is its low bit."""
+    p = a @ b
+    return (p.astype(np.uint16) & np.uint16(1)).astype(np.float32)
 
 
-@functools.cache
+_JUMPS: dict[int, np.ndarray] = {}
+
+
 def _jump(k: int) -> np.ndarray:
-    """The 256-by-256 GF(2) matrix, as uint8 bits, that takes a state's bit
-    row 2^k steps ahead: ``_gf2_product(_bits(s), _jump(k))``.  The step is
-    linear in the state bits, so row i of the k = 0 matrix is the step
-    applied to the i-th unit state; each later one squares the one before."""
-    if k == 0:
-        i = np.arange(256)
-        unit = np.zeros((4, 256), np.uint64)
-        unit[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
-        _steps(unit, 1)
-        return _bits(unit)
-    half = _jump(k - 1)
-    return _gf2_product(half, half)
+    """The 256-by-256 GF(2) matrix, as float32 0/1 entries, that takes a
+    state's bit row 2^k steps ahead: ``_gf2_product(_bits(s), _jump(k))``.
+    The step is linear in the state bits, so row i of the k = 0 matrix is
+    the step applied to the i-th unit state; each later one squares the one
+    before.  Only the matrices asked for are kept (a lane pass asks for
+    k = b, b + 1, ...), each squared up from the nearest kept one below it."""
+    if k not in _JUMPS:
+        j = max((i for i in _JUMPS if i < k), default=None)
+        if j is None:
+            i = np.arange(256)
+            unit = np.zeros((4, 256), np.uint64)
+            unit[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
+            _steps(unit, 1)
+            j, m = 0, _bits(unit).astype(np.float32)
+        else:
+            m = _JUMPS[j]
+        for _ in range(j, k):
+            m = _gf2_product(m, m)
+        _JUMPS[k] = m
+    return _JUMPS[k]
 
 
 def _lanes(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """At least n words of the stream from the 4-word ``state``, and the state
-    after them.  L lanes of B = 2^b consecutive words run side by side, B
-    about sqrt(n / 16); lane j starts j B steps ahead, reached by doubling the
+    """At least n >= 1 words of the stream from the 4-word ``state``, and the
+    state after them.  L lanes of B = 2^b consecutive words run side by side, B
+    about sqrt(n / 4); lane j starts j B steps ahead, reached by doubling the
     set of lane starts through the jump matrices of B, 2 B, 4 B, ... steps."""
-    b = max(n.bit_length() - 4, 0) // 2
+    b = max(n.bit_length() - 2, 0) // 2
     count = -(-n // (1 << b))
-    starts = _bits(state[:, None])
-    k = b
-    while len(starts) < count:
-        starts = np.vstack((starts, _gf2_product(starts[: count - len(starts)], _jump(k))))
+    starts = np.empty((count, 256), np.float32)
+    starts[0] = _bits(state[:, None])[0]
+    done, k = 1, b
+    while done < count:
+        m = min(done, count - done)
+        starts[done : done + m] = _gf2_product(starts[:m], _jump(k))
+        done += m
         k += 1
     lanes = _states(starts)
     words = _steps(lanes, 1 << b).T.ravel()
@@ -191,7 +209,9 @@ class Xoshiro256:
     ``next_u64`` and ``words`` both read one buffer of words drawn ahead of
     the stream position; when it runs short, ``_lanes`` appends the larger
     of what is missing, 2,048 words and twice the last refill, and the
-    state moves past them.
+    state moves past them.  ``generate`` instead asks for the exact count
+    its dataset reads, in one lane pass, before its first draw; a redrawn
+    zero u1 or a Lemire rejection reads on through the refill above.
     """
 
     def __init__(self, seed: int):
@@ -202,10 +222,15 @@ class Xoshiro256:
         self._refilled = 0
         self._spare_normal: float | None = None
 
-    def _refill(self, n: int) -> None:
-        """Draw ahead until at least n words are left unread."""
-        self._refilled = max(n - (self._ahead.size - self._pos), 2048, 2 * self._refilled)
-        words, self._state = _lanes(self._state, self._refilled)
+    def _refill(self, n: int, sized: bool = False) -> None:
+        """Draw ahead until at least n words are left unread.  A ``sized``
+        request, whose n is what the caller will read, draws just what is
+        missing; any other draws the larger of that, 2,048 words and twice
+        the last such refill."""
+        missing = n - (self._ahead.size - self._pos)
+        if not sized:
+            missing = self._refilled = max(missing, 2048, 2 * self._refilled)
+        words, self._state = _lanes(self._state, missing)
         self._ahead = np.concatenate((self._ahead[self._pos :], words))
         self._pos = 0
 
@@ -364,10 +389,21 @@ def _draw_x(rng: Xoshiro256, law: GaussianParams, n: int) -> np.ndarray:
     return law.center + _rank_one_sum(rng.normals(n * law.dim).reshape(n, law.dim), law.chol.T)
 
 
+def _words_read(spec: ScenarioSpec) -> int:
+    """The words ``generate(spec)`` reads, but for a redrawn zero u1 or a
+    Lemire rejection: 2 per Box-Muller pair of the groups' x and y normals
+    (the spare carries across calls), d + 1 per noise row and N - 1 for the
+    shuffle."""
+    normals = sum(g.n for g in spec.groups) * (spec.d + 1)
+    noise = spec.noise.count * (spec.d + 1) if spec.noise is not None else 0
+    return 2 * -(-normals // 2) + noise + spec.n_total - 1
+
+
 def generate(spec: ScenarioSpec) -> Dataset:
     """Draw the scenario: per-group x and y in listed order, then noise rows,
     then one seeded row shuffle so fitting cannot exploit ordering."""
     rng = Xoshiro256(spec.seed)
+    rng._refill(_words_read(spec), sized=True)
     d = spec.d
     xs, ys, labels = [], [], []
     for g, group in enumerate(spec.groups, start=1):

@@ -393,11 +393,20 @@ def _log_component_terms(stack: _Stack, dist: Distances) -> np.ndarray:
 
 def _model_terms(model: CwmModel, data: Dataset) -> np.ndarray:
     """``_log_component_terms`` of ``model`` at the observations of ``data``,
-    whose x must have the model's d columns."""
+    whose x must have the model's d columns.  ``Dataset``'s bound keeps EM's
+    sums of squares finite, not a model's distances: an observation far out
+    against a narrow component overflows its whitened distance or residual,
+    and is refused here (log weights and the gate are finite on valid data)."""
     if data.d != model.d:
         raise ValueError(f"x must have {model.d} columns")
     stack = _stack(model)
-    return _log_component_terms(stack, _component_distances(stack, data.x, data.y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _log_component_terms(stack, _component_distances(stack, data.x, data.y))
+    finite = np.isfinite(terms)
+    if not finite.all():
+        raise ValueError(f"observation {np.argwhere(~finite)[0, 0]} is too far out for "
+                         "this model: its log density overflows")
+    return terms
 
 
 def joint_logpdf(model: CwmModel, x, y) -> np.ndarray:

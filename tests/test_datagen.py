@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ScalarStream, box_muller_stream, generate_scalar, xoshiro256pp_stream
 
@@ -110,6 +112,32 @@ def test_jump_matrices_move_a_state_two_to_k_steps():
     for k in range(13):
         ahead = _states(_gf2_product(_bits(state), _jump(k)))
         assert _steps(ahead, 4)[:, 0].tolist() == ref[2**k : 2**k + 4]
+
+
+_DRAWS = st.lists(st.tuples(
+    st.sampled_from(["next_u64", "words", "randoms", "normals", "permutation"]),
+    st.integers(0, 2500)), max_size=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 5000), _DRAWS)
+def test_sized_request_then_any_draws_read_one_stream(seed, sized, draws):
+    """The exact request generate() makes, then any mix of incremental draws
+    (which refill by the floor-and-doubling rule), read the one stream."""
+    rng, ref = Xoshiro256(seed), ScalarStream(seed)
+    rng._refill(sized, sized=True)
+    for kind, n in draws:
+        if kind == "next_u64":
+            assert rng.next_u64() == ref.next_u64()
+        elif kind == "words":
+            assert rng.words(n).tolist() == [ref.next_u64() for _ in range(n)]
+        elif kind == "randoms":
+            assert rng.randoms(n).tolist() == [ref.random() for _ in range(n)]
+        elif kind == "normals":
+            assert rng.normals(n).tolist() == [ref.normal() for _ in range(n)]
+        else:
+            assert np.array_equal(rng.permutation(n), ref.permutation(n))
+    assert rng.next_u64() == ref.next_u64()
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -264,6 +292,32 @@ def test_generate_matches_scalar_oracle(name, factor, seeds):
         assert np.array_equal(data.x, x)
         assert np.array_equal(data.y, y)
         assert np.array_equal(data.labels, labels)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_generate_draws_in_one_sized_lane_pass(name, monkeypatch):
+    """generate() counts the words its dataset reads and takes them in one
+    lane pass: it reads every word it asked for, and what is left unread is
+    lane rounding, less than one lane's length (the last _steps count)."""
+    passes, steps_counts, rngs = [], [], []
+    lanes, steps = datagen._lanes, datagen._steps
+    monkeypatch.setattr(datagen, "_lanes", lambda s, n: passes.append(n) or lanes(s, n))
+    monkeypatch.setattr(datagen, "_steps", lambda s, n: steps_counts.append(n) or steps(s, n))
+
+    class Recorded(Xoshiro256):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    monkeypatch.setattr(datagen, "Xoshiro256", Recorded)
+    for factor in (1, 10, 100):  # ex1-ex3 have no noise rows to scale
+        for seed in (1, 2, 3):
+            del passes[:], steps_counts[:], rngs[:]
+            generate(_scaled(name, factor).with_seed(seed))
+            (rng,) = rngs
+            assert len(passes) == 1
+            assert rng._pos == passes[0]
+            assert 0 <= rng._ahead.size - rng._pos < steps_counts[-1]
 
 
 def test_generate_does_not_refactor_the_x_laws(monkeypatch):

@@ -468,3 +468,22 @@ def test_scorers_refuse_data_whose_squares_overflow(scorer):
     }[scorer]
     with pytest.raises(ValueError, match="^x is too large: its sums of squares overflow$"):
         score()
+
+
+@pytest.mark.parametrize("scorer", ["posterior", "joint_logpdf", "classify", "iwf"])
+def test_scorers_refuse_a_distance_that_overflows(scorer):
+    # x = 1.4e153 passes Dataset's bound (10 points, d = 1), but whitened by
+    # an x variance of 0.01 its squared distance overflows; each scorer
+    # names the observation instead of warning and returning -inf or NaN
+    model = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 0.1, 1.0, 0.0, 1.0),))
+    x = np.linspace(-1.0, 1.0, 10)
+    x[3] = 1.4e153
+    data = Dataset(x, np.zeros(10))
+    score = {
+        "posterior": lambda: posterior(model, data.x, data.y),
+        "joint_logpdf": lambda: joint_logpdf(model, data.x, data.y),
+        "classify": lambda: classify(model, data),
+        "iwf": lambda: iwf(data, model),
+    }[scorer]
+    with pytest.raises(ValueError, match="^observation 3 is too far out for this model"):
+        score()
