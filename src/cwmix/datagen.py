@@ -25,10 +25,9 @@ cached 256-by-256 bit matrices of 2^k steps (Haramoto et al. 2008), each
 the square of the one before.  Those matrices and the lane starts are kept
 as float32 0/1 arrays and multiplied as float32 products, whose partial
 sums are integers of at most 256 and so exact under any BLAS kernel.
-``generate`` counts the words a dataset will read before it draws and
-takes them all in one lane pass; draws made on their own refill by the
-larger of what is missing, 2,048 words and twice the last refill, so that
-one-word-at-a-time callers do not pay a lane pass for every few words.
+A refill draws exactly the words that are missing, and ``generate``
+counts the words a dataset will read before it draws, so it takes them
+all in one lane pass.
 Only the exact 0/1 products pass through BLAS; the affine maps are written
 out elementwise: x = center + sum_j z_j * L[:, j] and y = sum_j x_j *
 slope_j + intercept + eps, each sum taken left to right, so no BLAS kernel
@@ -45,6 +44,7 @@ augmented with uniform background points over a box.  Tables quote sigma
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -132,30 +132,21 @@ def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (p.astype(np.uint16) & np.uint16(1)).astype(np.float32)
 
 
-_JUMPS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _jump(k: int) -> np.ndarray:
     """The 256-by-256 GF(2) matrix, as float32 0/1 entries, that takes a
     state's bit row 2^k steps ahead: ``_gf2_product(_bits(s), _jump(k))``.
     The step is linear in the state bits, so row i of the k = 0 matrix is
     the step applied to the i-th unit state; each later one squares the one
-    before.  Only the matrices asked for are kept (a lane pass asks for
-    k = b, b + 1, ...), each squared up from the nearest kept one below it."""
-    if k not in _JUMPS:
-        j = max((i for i in _JUMPS if i < k), default=None)
-        if j is None:
-            i = np.arange(256)
-            unit = np.zeros((4, 256), np.uint64)
-            unit[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
-            _steps(unit, 1)
-            j, m = 0, _bits(unit).astype(np.float32)
-        else:
-            m = _JUMPS[j]
-        for _ in range(j, k):
-            m = _gf2_product(m, m)
-        _JUMPS[k] = m
-    return _JUMPS[k]
+    before."""
+    if k == 0:
+        i = np.arange(256)
+        unit = np.zeros((4, 256), np.uint64)
+        unit[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
+        _steps(unit, 1)
+        return _bits(unit).astype(np.float32)
+    half = _jump(k - 1)
+    return _gf2_product(half, half)
 
 
 def _lanes(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,11 +198,11 @@ class Xoshiro256:
     uniforms and normals of the stream however the draws are batched: a
     normal left over from an odd count waits as the spare for the next call.
     ``next_u64`` and ``words`` both read one buffer of words drawn ahead of
-    the stream position; when it runs short, ``_lanes`` appends the larger
-    of what is missing, 2,048 words and twice the last refill, and the
-    state moves past them.  ``generate`` instead asks for the exact count
-    its dataset reads, in one lane pass, before its first draw; a redrawn
-    zero u1 or a Lemire rejection reads on through the refill above.
+    the stream position; when it runs short, ``_lanes`` appends just the
+    words that are missing, and the state moves past them.  ``generate``
+    asks for the count its dataset reads, in one lane pass, before its
+    first draw; a redrawn zero u1 or a Lemire rejection reads on through
+    further refills.
     """
 
     def __init__(self, seed: int):
@@ -219,18 +210,11 @@ class Xoshiro256:
         self._state = np.array([next(g) for _ in range(4)], np.uint64)
         self._ahead = np.empty(0, np.uint64)
         self._pos = 0  # the next word of the stream is self._ahead[self._pos]
-        self._refilled = 0
         self._spare_normal: float | None = None
 
-    def _refill(self, n: int, sized: bool = False) -> None:
-        """Draw ahead until at least n words are left unread.  A ``sized``
-        request, whose n is what the caller will read, draws just what is
-        missing; any other draws the larger of that, 2,048 words and twice
-        the last such refill."""
-        missing = n - (self._ahead.size - self._pos)
-        if not sized:
-            missing = self._refilled = max(missing, 2048, 2 * self._refilled)
-        words, self._state = _lanes(self._state, missing)
+    def _refill(self, n: int) -> None:
+        """Draw ahead just the words missing for n to be left unread."""
+        words, self._state = _lanes(self._state, n - (self._ahead.size - self._pos))
         self._ahead = np.concatenate((self._ahead[self._pos :], words))
         self._pos = 0
 
@@ -403,7 +387,7 @@ def generate(spec: ScenarioSpec) -> Dataset:
     """Draw the scenario: per-group x and y in listed order, then noise rows,
     then one seeded row shuffle so fitting cannot exploit ordering."""
     rng = Xoshiro256(spec.seed)
-    rng._refill(_words_read(spec), sized=True)
+    rng._refill(_words_read(spec))
     d = spec.d
     xs, ys, labels = [], [], []
     for g, group in enumerate(spec.groups, start=1):

@@ -396,16 +396,20 @@ def _model_terms(model: CwmModel, data: Dataset) -> np.ndarray:
     whose x must have the model's d columns.  ``Dataset``'s bound keeps EM's
     sums of squares finite, not a model's distances: an observation far out
     against a narrow component overflows its whitened distance or residual,
-    and is refused here (log weights and the gate are finite on valid data)."""
+    giving that component a -inf term, which the scorers weigh as zero.  An
+    observation is refused only when no component's term is finite (log
+    weights and the gate are finite on valid data); the row maximum is NaN
+    or infinite exactly then, or when a term is NaN or +inf."""
     if data.d != model.d:
         raise ValueError(f"x must have {model.d} columns")
     stack = _stack(model)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _log_component_terms(stack, _component_distances(stack, data.x, data.y))
-    finite = np.isfinite(terms)
-    if not finite.all():
-        raise ValueError(f"observation {np.argwhere(~finite)[0, 0]} is too far out for "
-                         "this model: its log density overflows")
+    if not np.isfinite(terms).all():  # row maxima only then: max(axis=1) is 20x slower
+        unusable = ~np.isfinite(terms.max(axis=1))
+        if unusable.any():
+            raise ValueError(f"observation {np.argmax(unusable)} is too far out for "
+                             "this model: its log density overflows")
     return terms
 
 

@@ -39,7 +39,7 @@ from cwmix.datagen import (
 from cwmix.densities import GaussianParams, StudentParams, cholesky_lower, solve_spd
 from cwmix.model import Dataset
 
-SIZES = (0, 1, 2, 7, 64, 1001, 2047, 2048, 2049, 70001)  # 2,048 is the least refill
+SIZES = (0, 1, 2, 7, 64, 1001, 2047, 2048, 2049, 70001)
 
 
 class ScriptedWords(Xoshiro256):
@@ -123,9 +123,9 @@ _DRAWS = st.lists(st.tuples(
 @given(st.integers(0, 2**64 - 1), st.integers(1, 5000), _DRAWS)
 def test_sized_request_then_any_draws_read_one_stream(seed, sized, draws):
     """The exact request generate() makes, then any mix of incremental draws
-    (which refill by the floor-and-doubling rule), read the one stream."""
+    (each refilling just what it misses), read the one stream."""
     rng, ref = Xoshiro256(seed), ScalarStream(seed)
-    rng._refill(sized, sized=True)
+    rng._refill(sized)
     for kind, n in draws:
         if kind == "next_u64":
             assert rng.next_u64() == ref.next_u64()

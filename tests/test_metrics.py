@@ -487,3 +487,25 @@ def test_scorers_refuse_a_distance_that_overflows(scorer):
     }[scorer]
     with pytest.raises(ValueError, match="^observation 3 is too far out for this model"):
         score()
+
+
+@pytest.mark.parametrize("scorer", ["posterior", "joint_logpdf", "classify", "iwf"])
+def test_scorers_weigh_an_overflowed_component_as_zero(scorer):
+    # the point of the test above overflows against the narrow component
+    # only; the wide one (x and y variances 1) still gives it a finite log
+    # density of about -1.96e306, so it is scored, wholly in the wide one
+    model = CwmModel("gaussian_cwm", (gaussian_component(0.5, 0.0, 0.1, 1.0, 0.0, 1.0),
+                                      gaussian_component(0.5, 0.0, 1.0, 1.0, 0.0, 1.0)))
+    x = np.linspace(-1.0, 1.0, 10)
+    x[3] = 1.4e153
+    data = Dataset(x, np.zeros(10))
+    if scorer == "posterior":
+        tau = posterior(model, data.x, data.y)
+        assert np.isfinite(tau).all() and tau[3, 0] < 1e-300 and tau[3, 1] == 1.0
+    elif scorer == "joint_logpdf":
+        f = joint_logpdf(model, data.x, data.y)
+        assert np.isfinite(f).all() and -1.97e306 < f[3] < -1.95e306
+    elif scorer == "classify":
+        assert classify(model, data)[3] == 2
+    else:
+        assert math.isfinite(iwf(data, model))
