@@ -21,20 +21,18 @@ next one of a single xoshiro256++ stream.  The stream is drawn ahead in
 numpy lanes: ``_steps`` writes the xoshiro256++ step once over a (4, L)
 uint64 state, and each of the L lanes makes B consecutive words.  The state
 transition is linear over GF(2), so lane j starts j B steps ahead through
-cached 256-by-256 bit matrices of 2^k steps (Haramoto et al. 2008), each
-the square of the one before.  Those matrices and the lane starts are kept
-as float32 0/1 arrays and multiplied as float32 products, whose partial
-sums are integers of at most 256 and so exact under any BLAS kernel.
+cached jumps of 2^k steps (Haramoto et al. 2008), each twice the one
+before.  A jump is kept as a uint64 XOR table with one row of 256 entries
+per byte of the state, and applied exactly, with table lookups and XOR.
 A refill draws exactly the words that are missing, and ``generate``
 counts the words a dataset will read before it draws, so it takes them
 all in one lane pass.
-Only the exact 0/1 products pass through BLAS; the affine maps are written
-out elementwise: x = center + sum_j z_j * L[:, j] and y = sum_j x_j *
-slope_j + intercept + eps, each sum taken left to right, so no BLAS kernel
-(which may fuse a multiply and an add) touches a drawn value;
-``cholesky_lower`` sums the factor L's inner products left to right as
-well.  What is left of platform dependence is libm's ``log``, ``sin`` and
-``cos``, taken from ``math``.
+No BLAS call reaches a drawn value: the affine maps are written out
+elementwise, x = center + sum_j z_j * L[:, j] and y = sum_j x_j * slope_j
++ intercept + eps, each sum taken left to right, where a BLAS kernel may
+fuse a multiply and an add; ``cholesky_lower`` sums the factor L's inner
+products left to right as well.  What is left of platform dependence is
+libm's ``log``, ``sin`` and ``cos``, taken from ``math``.
 
 A scenario is a list of groups, each drawing x from a Gaussian law and y
 from the line slope'x + intercept plus Gaussian noise, optionally
@@ -90,81 +88,92 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 def _steps(s: np.ndarray, n: int) -> np.ndarray:
     """Take n xoshiro256++ steps on every column of the (4, L) uint64 state
     ``s``, in place, and return the (n, L) words they output: column j is the
-    stream of lane j.  Every operand is a uint64, so the wraparound sums and
-    the shifts read alike under numpy 1.x's value-based casting and NEP 50."""
-    s0, s1, s2, s3 = s
-    out = np.empty((n, s.shape[1]), np.uint64)
-    t = np.empty_like(s0)
-    for word in out:
-        np.add(s0, s3, out=t)
-        np.bitwise_or(t << _U23, t >> _U41, out=word)
-        word += s0
+    stream of lane j.  The loop keeps s0 and s3 of every step (the words
+    depend on nothing else) and forms all the words after it.  Every operand
+    is a uint64, so the wraparound sums and the shifts read alike under
+    numpy 1.x's value-based casting and NEP 50."""
+    first = np.empty((n + 1, s.shape[1]), np.uint64)  # s0 before each step
+    last = np.empty_like(first)  # s3 before each step
+    first[0], last[0] = s[0], s[3]
+    s1, s2 = s[1], s[2]
+    t, u = np.empty_like(s1), np.empty_like(s1)
+    for i in range(n):
         np.left_shift(s1, _U17, out=t)
-        s2 ^= s0
-        s3 ^= s1
+        s2 ^= first[i]
+        np.bitwise_xor(last[i], s1, out=u)
         s1 ^= s2
-        s0 ^= s3
+        np.bitwise_xor(first[i], u, out=first[i + 1])
         s2 ^= t
-        np.bitwise_or(s3 << _U45, s3 >> _U19, out=s3)
+        np.left_shift(u, _U45, out=t)
+        np.right_shift(u, _U19, out=last[i + 1])
+        last[i + 1] |= t
+    s[0], s[3] = first[n], last[n]
+    first, last = first[:n], last[:n]
+    last += first  # each word is rotl(s0 + s3, 23) + s0
+    out = last << _U23
+    last >>= _U41
+    out |= last
+    out += first
     return out
 
 
-def _bits(s: np.ndarray) -> np.ndarray:
-    """The (4, L) states as an (L, 256) uint8 0/1 matrix: entry 64 w + b of
-    row j is bit b of word w of state j."""
-    octets = np.ascontiguousarray(s.T, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=1, bitorder="little")
-
-
-def _states(bits: np.ndarray) -> np.ndarray:
-    """Inverse of ``_bits``: the (L, 256) 0/1 rows, of any numeric dtype, as
-    a (4, L) uint64 state."""
-    octets = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
-
-
-def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over GF(2) for 0/1 matrices, as float32 0/1 rows.  It is taken
-    as a float32 product: every partial sum of 0/1 terms is an integer of at
-    most 256, exact in float32, so no BLAS kernel, blocking or fused
-    multiply-add can change a bit of it; the sum mod 2 is its low bit."""
-    p = a @ b
-    return (p.astype(np.uint16) & np.uint16(1)).astype(np.float32)
-
-
 @functools.cache
-def _jump(k: int) -> np.ndarray:
-    """The 256-by-256 GF(2) matrix, as float32 0/1 entries, that takes a
-    state's bit row 2^k steps ahead: ``_gf2_product(_bits(s), _jump(k))``.
-    The step is linear in the state bits, so row i of the k = 0 matrix is
-    the step applied to the i-th unit state; each later one squares the one
-    before."""
+def _rows(k: int) -> np.ndarray:
+    """The (256, 4) uint64 array whose row i is the unit state e_i (bit i % 64
+    of word i // 64) moved 2^k steps.  The step is linear over GF(2), so a
+    state moves as the XOR of the rows of its set bits."""
     if k == 0:
         i = np.arange(256)
         unit = np.zeros((4, 256), np.uint64)
         unit[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
         _steps(unit, 1)
-        return _bits(unit).astype(np.float32)
-    half = _jump(k - 1)
-    return _gf2_product(half, half)
+        rows = unit.T.copy()
+    else:
+        rows = _apply(_rows(k - 1), _table(k - 1))
+    rows.flags.writeable = False  # cached: every caller shares it
+    return rows
+
+
+@functools.cache
+def _table(k: int) -> np.ndarray:
+    """The jump of 2^k steps as a (32, 256, 4) uint64 lookup table: entry
+    [p, v] is the XOR of rows 8 p + b of ``_rows(k)`` over the set bits b of
+    the byte v, so it moves byte p of a state, read as v, 2^k steps."""
+    rows = _rows(k).reshape(32, 8, 4)
+    table = np.zeros((32, 256, 4), np.uint64)
+    for b in range(8):
+        np.bitwise_xor(table[:, : 1 << b], rows[:, b, None], out=table[:, 1 << b : 2 << b])
+    table.flags.writeable = False
+    return table
+
+
+_OFFSETS = 256 * np.arange(32)  # the first entry of byte p's part of a flat table
+
+
+def _apply(states: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The (m, 4) uint64 states moved by the jump of ``table``: the XOR over
+    their 32 little-endian bytes of the table entries those bytes pick."""
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    picked = table.reshape(-1, 4).take(octets + _OFFSETS, axis=0)
+    return np.bitwise_xor.reduce(picked, axis=1)
 
 
 def _lanes(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """At least n >= 1 words of the stream from the 4-word ``state``, and the
     state after them.  L lanes of B = 2^b consecutive words run side by side, B
     about sqrt(n / 4); lane j starts j B steps ahead, reached by doubling the
-    set of lane starts through the jump matrices of B, 2 B, 4 B, ... steps."""
+    set of lane starts through the XOR tables of B, 2 B, 4 B, ... steps."""
     b = max(n.bit_length() - 2, 0) // 2
     count = -(-n // (1 << b))
-    starts = np.empty((count, 256), np.float32)
-    starts[0] = _bits(state[:, None])[0]
+    starts = np.empty((count, 4), np.uint64)
+    starts[0] = state
     done, k = 1, b
     while done < count:
         m = min(done, count - done)
-        starts[done : done + m] = _gf2_product(starts[:m], _jump(k))
+        starts[done : done + m] = _apply(starts[:m], _table(k))
         done += m
         k += 1
-    lanes = _states(starts)
+    lanes = np.ascontiguousarray(starts.T)
     words = _steps(lanes, 1 << b).T.ravel()
     return words, lanes[:, -1].copy()
 
@@ -199,10 +208,10 @@ class Xoshiro256:
     normal left over from an odd count waits as the spare for the next call.
     ``next_u64`` and ``words`` both read one buffer of words drawn ahead of
     the stream position; when it runs short, ``_lanes`` appends just the
-    words that are missing, and the state moves past them.  ``generate``
-    asks for the count its dataset reads, in one lane pass, before its
-    first draw; a redrawn zero u1 or a Lemire rejection reads on through
-    further refills.
+    words that are missing (the buffer is not copied when nothing of it is
+    left unread), and the state moves past them.  ``generate`` asks for the
+    count its dataset reads, in one lane pass, before its first draw; a
+    redrawn zero u1 or a Lemire rejection reads on through further refills.
     """
 
     def __init__(self, seed: int):
@@ -215,8 +224,9 @@ class Xoshiro256:
     def _refill(self, n: int) -> None:
         """Draw ahead just the words missing for n to be left unread."""
         words, self._state = _lanes(self._state, n - (self._ahead.size - self._pos))
-        self._ahead = np.concatenate((self._ahead[self._pos :], words))
-        self._pos = 0
+        if self._pos < self._ahead.size:
+            words = np.concatenate((self._ahead[self._pos :], words))
+        self._ahead, self._pos = words, 0
 
     def next_u64(self) -> int:
         if self._pos == self._ahead.size:
@@ -367,12 +377,6 @@ def _rank_one_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_x(rng: Xoshiro256, law: GaussianParams, n: int) -> np.ndarray:
-    """n rows center + L z from the group's Gaussian x-law, z taking the
-    stream's next n d normals row by row."""
-    return law.center + _rank_one_sum(rng.normals(n * law.dim).reshape(n, law.dim), law.chol.T)
-
-
 def _words_read(spec: ScenarioSpec) -> int:
     """The words ``generate(spec)`` reads, but for a redrawn zero u1 or a
     Lemire rejection: 2 per Box-Muller pair of the groups' x and y normals
@@ -385,16 +389,21 @@ def _words_read(spec: ScenarioSpec) -> int:
 
 def generate(spec: ScenarioSpec) -> Dataset:
     """Draw the scenario: per-group x and y in listed order, then noise rows,
-    then one seeded row shuffle so fitting cannot exploit ordering."""
+    then one seeded row shuffle so fitting cannot exploit ordering.  All the
+    groups' normals are drawn in one call; each group reads its n d x normals
+    row by row (x = center + L z), then its n noise normals."""
     rng = Xoshiro256(spec.seed)
     rng._refill(_words_read(spec))
     d = spec.d
+    z = rng.normals(sum(g.n for g in spec.groups) * (d + 1))
     xs, ys, labels = [], [], []
     for g, group in enumerate(spec.groups, start=1):
-        x = _draw_x(rng, group.x_law, group.n)
-        eps = group.noise_sd * rng.normals(group.n)
+        n, law = group.n, group.x_law
+        zx, eps, z = z[: n * d], z[n * d : n * (d + 1)], z[n * (d + 1) :]
+        x = law.center + _rank_one_sum(zx.reshape(n, d), law.chol.T)
         xs.append(x)
-        ys.append(_rank_one_sum(x, group.slope[:, None])[:, 0] + group.intercept + eps)
+        line = _rank_one_sum(x, group.slope[:, None])[:, 0] + group.intercept
+        ys.append(line + group.noise_sd * eps)
         labels.append(np.full(group.n, g))
     if spec.noise is not None:
         lo, hi = np.array(spec.noise.box).T

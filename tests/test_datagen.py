@@ -24,14 +24,12 @@ from cwmix.datagen import (
     NoiseSpec,
     ScenarioSpec,
     Xoshiro256,
-    _bits,
-    _gf2_product,
-    _jump,
+    _apply,
     _lemire,
     _multiply_shift,
     _splitmix64,
-    _states,
     _steps,
+    _table,
     builtin_scenario,
     crab_perturb,
     generate,
@@ -57,8 +55,12 @@ class ScriptedWords(Xoshiro256):
         return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
 
 
+def _design(name):
+    return _full_d3_spec() if name == "full_d3" else builtin_scenario(name)
+
+
 def _scaled(name, factor):
-    spec = builtin_scenario(name)
+    spec = _design(name)
     groups = tuple(dataclasses.replace(g, n=g.n * factor) for g in spec.groups)
     noise = spec.noise and dataclasses.replace(spec.noise, count=spec.noise.count * factor)
     return dataclasses.replace(spec, groups=groups, noise=noise)
@@ -106,12 +108,30 @@ def test_interleaved_draws_read_one_stream():
 
 
 def test_jump_matrices_move_a_state_two_to_k_steps():
+    """The jump matrices, kept as XOR tables read a byte of the state at a time."""
     g = _splitmix64(13)
     state = np.array([next(g) for _ in range(4)], np.uint64)[:, None]
     ref = list(itertools.islice(xoshiro256pp_stream(13), 2**12 + 4))
     for k in range(13):
-        ahead = _states(_gf2_product(_bits(state), _jump(k)))
+        ahead = _apply(state.T, _table(k)).T
         assert _steps(ahead, 4)[:, 0].tolist() == ref[2**k : 2**k + 4]
+
+
+_STATES = st.lists(st.integers(0, 2**64 - 1), min_size=8, max_size=8).map(
+    lambda w: np.array(w, np.uint64).reshape(2, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_STATES)
+def test_jump_tables_double_and_are_linear(states):
+    """For every jump a x100 design takes (140,000 words: lanes of 2^8 words,
+    starts doubled up to 2^17 steps ahead), 2^(k+1) steps are 2^k steps
+    twice, and a jump moves s ^ t to the XOR of where it moves s and t."""
+    s, t = states[:1], states[1:]
+    for k in range(18):
+        table = _table(k)
+        assert np.array_equal(_apply(s, _table(k + 1)), _apply(_apply(s, table), table))
+        assert np.array_equal(_apply(s ^ t, table), _apply(s, table) ^ _apply(t, table))
 
 
 _DRAWS = st.lists(st.tuples(
@@ -294,7 +314,7 @@ def test_generate_matches_scalar_oracle(name, factor, seeds):
         assert np.array_equal(data.labels, labels)
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@pytest.mark.parametrize("name", [*SCENARIO_NAMES, "full_d3"])
 def test_generate_draws_in_one_sized_lane_pass(name, monkeypatch):
     """generate() counts the words its dataset reads and takes them in one
     lane pass: it reads every word it asked for, and what is left unread is
@@ -348,9 +368,9 @@ def _full_d3_spec():
     ("full_d3", "d43e2f71ec2fe8f5233a4f3f71e41b253220e7d6b266081de7c5cb310f41bd80"),
 ])
 def test_generate_digest(name, digest):
-    """Fixed bytes for a fixed seed, under every BLAS kernel: of the BLAS
-    calls, only exact 0/1 products reach a drawn value, and the d = 3
-    factors sum left to right."""
+    """Fixed bytes for a fixed seed, under every BLAS kernel: no BLAS call
+    reaches a drawn value (the stream jumps by XOR table lookups), and the
+    d = 3 factors sum left to right."""
     spec = (_full_d3_spec() if name == "full_d3" else builtin_scenario(name)).with_seed(1)
     data = generate(spec)
     assert _digest(data) == digest
