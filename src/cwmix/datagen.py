@@ -92,8 +92,7 @@ def _steps(s: np.ndarray, n: int) -> np.ndarray:
     depend on nothing else) and forms all the words after it.  Every operand
     is a uint64, so the wraparound sums and the shifts read alike under
     numpy 1.x's value-based casting and NEP 50."""
-    first = np.empty((n + 1, s.shape[1]), np.uint64)  # s0 before each step
-    last = np.empty_like(first)  # s3 before each step
+    first, last = np.empty((2, n + 1, s.shape[1]), np.uint64)  # s0, s3 before each step
     first[0], last[0] = s[0], s[3]
     s1, s2 = s[1], s[2]
     t, u = np.empty_like(s1), np.empty_like(s1)

@@ -125,8 +125,8 @@ _STATES = st.lists(st.integers(0, 2**64 - 1), min_size=8, max_size=8).map(
 @given(_STATES)
 def test_jump_tables_double_and_are_linear(states):
     """For every jump a x100 design takes (140,000 words: lanes of 2^8 words,
-    starts doubled up to 2^17 steps ahead), 2^(k+1) steps are 2^k steps
-    twice, and a jump moves s ^ t to the XOR of where it moves s and t."""
+    jumps of 2^8 up to 2^17 steps), 2^(k+1) steps are 2^k steps twice, and
+    a jump moves s ^ t to the XOR of where it moves s and t."""
     s, t = states[:1], states[1:]
     for k in range(18):
         table = _table(k)
