@@ -96,16 +96,16 @@ def _steps(s: np.ndarray, n: int) -> np.ndarray:
     first[0], last[0] = s[0], s[3]
     s1, s2 = s[1], s[2]
     t, u = np.empty_like(s1), np.empty_like(s1)
-    for i in range(n):
+    for s0, s0_next, s3, s3_next in zip(first, first[1:], last, last[1:]):
         np.left_shift(s1, _U17, out=t)
-        s2 ^= first[i]
-        np.bitwise_xor(last[i], s1, out=u)
+        s2 ^= s0
+        np.bitwise_xor(s3, s1, out=u)
         s1 ^= s2
-        np.bitwise_xor(first[i], u, out=first[i + 1])
+        np.bitwise_xor(s0, u, out=s0_next)
         s2 ^= t
         np.left_shift(u, _U45, out=t)
-        np.right_shift(u, _U19, out=last[i + 1])
-        last[i + 1] |= t
+        np.right_shift(u, _U19, out=s3_next)
+        s3_next |= t
     s[0], s[3] = first[n], last[n]
     first, last = first[:n], last[:n]
     last += first  # each word is rotl(s0 + s3, 23) + s0
@@ -146,15 +146,16 @@ def _table(k: int) -> np.ndarray:
     return table
 
 
-_OFFSETS = 256 * np.arange(32)  # the first entry of byte p's part of a flat table
+_OFFSETS = 256 * np.arange(32)[:, None]  # the first entry of byte p's part of a flat table
 
 
 def _apply(states: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The (m, 4) uint64 states moved by the jump of ``table``: the XOR over
-    their 32 little-endian bytes of the table entries those bytes pick."""
+    their 32 little-endian bytes of the table entries those bytes pick.  The
+    bytes index the leading axis, so the reduce XORs whole (m, 4) slabs."""
     octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
-    picked = table.reshape(-1, 4).take(octets + _OFFSETS, axis=0)
-    return np.bitwise_xor.reduce(picked, axis=1)
+    picked = table.reshape(-1, 4).take(octets.T + _OFFSETS, axis=0)
+    return np.bitwise_xor.reduce(picked, axis=0)
 
 
 def _lanes(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
