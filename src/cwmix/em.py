@@ -194,11 +194,11 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("G", "max_iter", "n_starts"):
-            _integer(name, getattr(self, name), low=1)
-        _seed(self.seed)
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low=1))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        _real("rel_tol", self.rel_tol, positive=True)
+        object.__setattr__(self, "rel_tol", _real("rel_tol", self.rel_tol, positive=True))
 
 
 @dataclass

@@ -7,6 +7,17 @@ N-long products in the M-step depend on the BLAS kernel, so compare hashes
 made on one machine only.  This is a tool, not a test: pytest does not
 collect this file.
 
+One loop, ``grid()``, fits every cell.  It feeds the hash as it goes and
+yields each cell's label and values; ``main()`` prints them, and the tier-1
+test in ``tests/test_digest.py`` compares them with the committed record
+``tests/grid_values.txt`` by ``record_moves()``.  That test holds on any
+machine and BLAS kernel: it fails when a cell appears or disappears, a
+failed fit's message changes, or a value but ``start`` moves by more than
+``RECORD_REL_TOL`` relative.  A change that moves numbers on purpose
+re-records the file in the same commit, with
+``PYTHONPATH=src python tests/digest.py --values | grep -F ' | ' > tests/grid_values.txt``,
+so the git diff names the moved cells.
+
 With ``--parts`` it first prints one line per cell, its design, data seed,
 variant and non-default options, then a short hash of each value it hashes
 there: ``trace`` (the log-likelihood trace, start index, convergence and
@@ -31,8 +42,8 @@ It hashes ``generate()`` on the 9 builtin designs at data seeds 1-3, then,
 for each of the 6 variants, the default 10-start ``fit()`` at the true G
 and every metric on its result (162 cells).  At data seed 1 it adds 24
 cells with a non-default ``FitConfig``: ``max_iter`` 1 and 2 on ex4_s2 and
-ex6_s2 (186 cells in all).  Last it hashes ``misclassification`` on 3,000 random label
-vectors.
+ex6_s2 (186 cells in all).  Last it hashes ``misclassification`` on 3,000
+random label vectors.
 """
 
 import argparse
@@ -119,13 +130,15 @@ def _read_values(path):
 
 def _relative_move(a, b):
     """The largest relative move between two values: numbers, bools, lists
-    of numbers, or None for a value a failed fit lacks (a move of inf)."""
+    of numbers, or None for a value a failed fit lacks (a move of inf, as is
+    a NaN against any number)."""
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return max(map(_relative_move, a, b), default=0.0)
     if a == b:
         return 0.0
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(a - b) / max(abs(a), abs(b))
+        move = abs(a - b) / max(abs(a), abs(b))
+        return math.inf if math.isnan(move) else move
     return math.inf
 
 
@@ -159,6 +172,59 @@ def diff(path_a, path_b):
         print(f"n_iter sum {group}: {sums[0]} -> {sums[1]}")
 
 
+#: How far, relatively, a recorded value may move before the grid test fails.
+#: OpenBLAS's generic x86-64 kernel moves no value of the grid by more than
+#: 9.97e-10 (an IWF) from the default kernel's, and a change of ``n_iter``
+#: (at most 500) or ``converged`` is a move of at least 1/500.
+RECORD_REL_TOL = 1e-7
+
+#: Every cell, in hash order: design, data seed, variant and non-default options.
+GRID = [*((name, seed, variant, {})
+          for name, seed, variant in itertools.product(SCENARIO_NAMES, (1, 2, 3), VARIANTS)),
+        *((name, 1, variant, {"max_iter": max_iter})
+          for name, variant, max_iter in itertools.product(("ex4_s2", "ex6_s2"), VARIANTS, (1, 2)))]
+
+
+def grid(h):
+    """Fit every cell of ``GRID``, hashing each dataset the first time it is
+    drawn and then each cell into ``h``; yield each cell's label, its
+    ``_Parts`` and its ``--values`` record."""
+    drawn = {}
+    for name, seed, variant, options in GRID:
+        if (name, seed) not in drawn:
+            spec = builtin_scenario(name).with_seed(seed)
+            data = generate(spec)
+            for value in (data.x, data.y, data.labels):
+                _update(h, value)
+            drawn[name, seed] = data, len(spec.groups)
+        data, G = drawn[name, seed]
+        parts = _Parts(h)
+        values = _cell(parts, data, G, variant, seed, **options)
+        label = " ".join([name, str(seed), variant, *(f"{k}={v}" for k, v in options.items())])
+        yield label, parts, values
+
+
+def record_moves(recorded, fitted):
+    """What moved from ``recorded`` to ``fitted``, two {cell label: values}
+    maps, as one line each: a cell only one of them holds, a changed
+    ``error``, and each value of ``VALUE_KEYS`` but ``start`` that moved by
+    more than ``RECORD_REL_TOL``.  ``start`` is not compared: OpenBLAS's
+    kernels break ties between equally good starts differently."""
+    lines = [f"cell {'only in the record' if label in recorded else 'not in the record'}: {label}"
+             for label in sorted(recorded.keys() ^ fitted.keys())]
+    for label, old in recorded.items():
+        if label not in fitted:
+            continue
+        new = fitted[label]
+        if old.get("error") != new.get("error"):
+            lines.append(f"{label} error: {old.get('error')!r} -> {new.get('error')!r}")
+        for key in VALUE_KEYS:
+            move = _relative_move(old.get(key), new.get(key))
+            if key != "start" and move > RECORD_REL_TOL:
+                lines.append(f"{label} {key}: {old.get(key)!r} -> {new.get(key)!r} (relative {move:.2e})")
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parts", action="store_true",
@@ -174,30 +240,12 @@ def main():
     start = time.perf_counter()
     h = hashlib.sha256()
     cells = 0
-
-    def run_cell(label, data, G, variant, seed, **options):
-        parts = _Parts(h)
-        values = _cell(parts, data, G, variant, seed, **options)
-        label = " ".join([label, variant, *(f"{k}={v}" for k, v in options.items())])
+    for label, parts, values in grid(h):
         if args.parts:
             print(label, parts.line())
         if args.values:
             print(label, "|", json.dumps(values))
-
-    for name, seed in itertools.product(SCENARIO_NAMES, (1, 2, 3)):
-        spec = builtin_scenario(name).with_seed(seed)
-        data = generate(spec)
-        for value in (data.x, data.y, data.labels):
-            _update(h, value)
-        for variant in VARIANTS:
-            run_cell(f"{name} {seed}", data, len(spec.groups), variant, seed)
-            cells += 1
-    for name in ("ex4_s2", "ex6_s2"):
-        spec = builtin_scenario(name).with_seed(1)
-        data, G = generate(spec), len(spec.groups)
-        for variant, max_iter in itertools.product(VARIANTS, (1, 2)):
-            run_cell(f"{name} 1", data, G, variant, 1, max_iter=max_iter)
-            cells += 1
+        cells += 1
     parts = _Parts(h)
     rng = np.random.default_rng(7)
     for _ in range(3000):

@@ -1,10 +1,18 @@
-"""``tests/digest.py --diff``: the comparison of two ``--values`` outputs that
-a change which moves numbers cites.  It reads hand-written files and fits
-nothing."""
+"""``tests/digest.py``: the grid of fits checked against its committed
+record, the rule that check applies, and ``--diff``, the comparison of two
+``--values`` outputs.  Only the grid test fits; the others read hand-written
+records."""
 
+import hashlib
 import json
+import pathlib
+
+import pytest
 
 import digest
+
+#: The committed record of the grid's values.
+RECORD = pathlib.Path(__file__).with_name("grid_values.txt")
 
 FITTED = {"loglik": -100.0, "n_iter": 12, "start": 0, "converged": True,
           "wilks": [0.25, 0.5], "iwf": 0.75, "bic": [210.0, 220.0]}
@@ -84,3 +92,48 @@ def test_diff_sums_the_iterations_of_each_variant_and_options(tmp_path, capsys):
         "n_iter sum fmr max_iter=2: 2 over 1 cells -> 2 over 1 cells",
         "n_iter sum fmrc: 50 over 1 cells -> 25 over 1 cells",
     ]
+
+
+def test_the_grid_fits_as_recorded():
+    recorded = digest._read_values(RECORD)
+    assert len(recorded) == 186
+    fitted = {label: values for label, _, values in digest.grid(hashlib.sha256())}
+    moves = digest.record_moves(recorded, fitted)
+    assert not moves, "\n".join([
+        f"{len(moves)} moves from {RECORD}:", *moves, "if they are meant, re-record with: "
+        "PYTHONPATH=src python tests/digest.py --values | grep -F ' | ' > tests/grid_values.txt"])
+
+
+CELL = "ex1 1 t_cwm"
+FAILED = {"error": "collapsed noise variance"}
+
+
+@pytest.mark.parametrize("recorded, fitted, moves", [
+    pytest.param({CELL: FITTED}, {CELL: dict(FITTED, loglik=-100.00002)},
+                 [f"{CELL} loglik: -100.0 -> -100.00002 (relative 2.00e-07)"], id="float-by-2e-7"),
+    pytest.param({CELL: FITTED}, {CELL: dict(FITTED, n_iter=13)},
+                 [f"{CELL} n_iter: 12 -> 13 (relative 7.69e-02)"], id="n_iter-by-one"),
+    pytest.param({CELL: FITTED}, {CELL: dict(FITTED, converged=False)},
+                 [f"{CELL} converged: True -> False (relative 1.00e+00)"], id="converged-flipped"),
+    pytest.param({CELL: FITTED}, {CELL: dict(FITTED, wilks=[0.25, float("nan")])},
+                 [f"{CELL} wilks: [0.25, 0.5] -> [0.25, nan] (relative inf)"], id="value-now-nan"),
+    pytest.param({CELL: FITTED}, {CELL: FAILED},
+                 [f"{CELL} error: None -> 'collapsed noise variance'"]
+                 + [f"{CELL} {key}: {FITTED[key]!r} -> None (relative inf)"
+                    for key in digest.VALUE_KEYS if key != "start"], id="now-fails"),
+    pytest.param({CELL: FAILED}, {CELL: FITTED},
+                 [f"{CELL} error: 'collapsed noise variance' -> None"]
+                 + [f"{CELL} {key}: None -> {FITTED[key]!r} (relative inf)"
+                    for key in digest.VALUE_KEYS if key != "start"], id="now-fits"),
+    pytest.param({CELL: FAILED}, {CELL: {"error": "singular covariance"}},
+                 [f"{CELL} error: 'collapsed noise variance' -> 'singular covariance'"], id="error-changed"),
+    pytest.param({CELL: FITTED, "ex2 1 fmg": FITTED}, {CELL: FITTED},
+                 ["cell only in the record: ex2 1 fmg"], id="label-missing"),
+    pytest.param({CELL: FITTED}, {CELL: FITTED, "ex2 1 fmg": FITTED},
+                 ["cell not in the record: ex2 1 fmg"], id="label-extra"),
+    pytest.param({CELL: FITTED}, {CELL: dict(FITTED, iwf=0.75 * (1 + 5e-8))}, [], id="float-by-5e-8"),
+    pytest.param({CELL: FITTED}, {CELL: dict(FITTED, start=3)}, [], id="start-changed"),
+    pytest.param({CELL: FAILED}, {CELL: FAILED}, [], id="same-failure"),
+])
+def test_record_rule_names_each_move_beyond_its_bound(recorded, fitted, moves):
+    assert digest.record_moves(recorded, fitted) == moves

@@ -130,6 +130,18 @@ def test_fit_config_accepts_numpy_integers():
     assert fit(data, config).n_iter <= 5
 
 
+def test_fit_config_keeps_the_numbers_its_checks_return():
+    # the stop rule compares against the float the check accepted, not an
+    # exact rational, and a numpy integer leaves as a Python int
+    config = FitConfig(G=np.int64(2), max_iter=np.int32(5), n_starts=np.uint8(2),
+                       seed=np.uint64(3), rel_tol=Fraction(1, 3))
+    assert [type(getattr(config, name)) for name in ("G", "max_iter", "n_starts", "seed", "rel_tol")] \
+        == [int, int, int, int, float]
+    assert (config.G, config.max_iter, config.n_starts, config.seed) == (2, 5, 2, 3)
+    assert config.rel_tol == 1 / 3
+    assert type(FitConfig(G=2, rel_tol=np.float32(0.5)).rel_tol) is float
+
+
 # ----------------------------------------------------------------- initialize
 
 def test_initialize_kmeans_separated_blobs():
