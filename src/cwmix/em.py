@@ -92,9 +92,8 @@ returns one partition to several starts, and a start is fitted given its
 partition alone.  Each start's k-means builds contiguous coordinate rows of
 (x, y): it sums the squared distances as G-by-N rows, one coordinate at a
 time into two preallocated buffers, takes each point's nearest centre from
-G - 1 strict comparisons of those rows (the first on ties, as argmin), and
-takes the centroids from ``np.bincount``, so it keeps no N-by-G-by-D
-temporary.
+those rows (``model._first_best``), and takes the centroids from
+``np.bincount``, so it keeps no N-by-G-by-D temporary.
 """
 
 from __future__ import annotations
@@ -129,6 +128,7 @@ from .model import (
     Dataset,
     Distances,
     _component_distances,
+    _first_best,
     _gate_logits,
     _log_component_terms,
     _matmul,
@@ -247,14 +247,7 @@ def _kmeans_labels(columns: np.ndarray, G: int, rng) -> np.ndarray:
             np.square(np.subtract(columns[0], centers[0][:, None], out=dist), out=dist)
             for column, center in zip(columns[1:], centers[1:]):
                 dist += np.square(np.subtract(column, center[:, None], out=term), out=term)
-            # the nearest centre, the first on ties as argmin gives it, from
-            # G - 1 strict comparisons of contiguous rows (cheaper than an
-            # argmin across the short G axis); dist[0] keeps the running minimum
-            new_assign = np.zeros(n, dtype=np.intp)
-            for g in range(1, G):
-                closer = dist[g] < dist[0]
-                np.putmask(new_assign, closer, g)
-                np.putmask(dist[0], closer, dist[g])
+            new_assign = _first_best(dist, np.less)
             if assign is not None and np.array_equal(new_assign, assign):
                 return assign
             assign = new_assign

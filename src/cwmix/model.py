@@ -333,6 +333,20 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[-1] == 1 else a @ b
 
 
+def _first_best(rows: np.ndarray, better) -> np.ndarray:
+    """Each column's best row of the contiguous G-by-N ``rows``, the first on
+    ties as argmin and argmax give it, from G - 1 strict ``better``
+    comparisons (``np.less`` or ``np.greater``) of whole rows, cheaper than
+    an arg-best across the short G axis.  ``rows[0]`` is overwritten with
+    the running best."""
+    best = np.zeros(rows.shape[1], dtype=np.intp)
+    for g in range(1, rows.shape[0]):
+        wins = better(rows[g], rows[0])
+        np.putmask(best, wins, g)
+        np.putmask(rows[0], wins, rows[g])
+    return best
+
+
 def _gate_logits(xb: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """G-by-N gating logits: 0 for the baseline, w'x + w0 from the rows of
     ``theta`` for the others.  The E-step and the gating M-step
@@ -431,16 +445,7 @@ def classify(model: CwmModel, data: Dataset) -> np.ndarray:
     """Maximum-posterior group index per observation: the arg-max of the
     component terms log(weight_g density_g), which normalizing to posteriors
     would only shift per observation; ties go to the lowest index."""
-    rows = _model_terms(model, data).T
-    # G - 1 strict comparisons of contiguous rows, the first index winning
-    # ties as argmax gives it; top keeps the running maximum
-    top = rows[0].copy()
-    labels = np.ones(top.shape[0], dtype=np.intp)
-    for g in range(1, rows.shape[0]):
-        higher = rows[g] > top
-        np.putmask(labels, higher, g + 1)
-        np.putmask(top, higher, rows[g])
-    return labels
+    return _first_best(_model_terms(model, data).T, np.greater) + 1
 
 
 # ----------------------------------------------------------- nesting maps

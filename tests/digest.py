@@ -32,9 +32,11 @@ then a JSON object of the values themselves, floats as repr: ``loglik``
 (Lambda on the true and the predicted labels), ``iwf`` and ``bic``
 (``bic`` and ``bic_joint_nested``), or ``error`` for a failed fit.
 ``PYTHONPATH=src python tests/digest.py --diff A B`` reads two such
-outputs, made on one machine, fits nothing, and prints for each value the
-cells whose value moved, with both values and the relative move, then a
-line with the count of moved cells and the largest relative move.  Last it
+outputs, made on one machine, and fits nothing.  After any cell only one
+file holds, it prints an ``error`` line for each cell that failed in both
+files with different messages.  Then, for each value, it prints the cells
+whose value moved, with both values and the relative move, then a line with
+the count of moved cells and the largest relative move.  Last it
 prints, for each variant and set of options, the summed ``n_iter`` of the
 fitted cells in each file, with their counts.
 
@@ -122,10 +124,16 @@ def _cell(parts, data, G, variant, seed, **options):
 
 
 def _read_values(path):
-    """{cell label: its values} from the ``--values`` lines of a digest output."""
+    """{cell label: its values} from the ``--values`` lines of a digest
+    output; a label that appears twice is a ``ValueError``."""
+    values = {}
     with open(path) as f:
-        return {label: json.loads(record)
-                for label, sep, record in (line.partition(" | ") for line in f) if sep}
+        for label, sep, record in (line.partition(" | ") for line in f):
+            if sep:
+                if label in values:
+                    raise ValueError(f"{path}: cell {label} appears twice")
+                values[label] = json.loads(record)
+    return values
 
 
 def _relative_move(a, b):
@@ -148,6 +156,10 @@ def diff(path_a, path_b):
     for label in sorted(a.keys() ^ b.keys()):
         print(f"cell only in {path_a if label in a else path_b}: {label}")
     common = [label for label in a if label in b]
+    for label in common:
+        old, new = a[label].get("error"), b[label].get("error")
+        if None not in (old, new) and old != new:
+            print(f"error {label}: {old!r} -> {new!r}")
     for key in VALUE_KEYS:
         moved = []
         for label in common:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from cwmix.densities import GaussianParams, StudentParams
-from cwmix.model import Component, Conditional, CwmModel, Dataset, LinearMap
+from cwmix.model import Component, Conditional, CwmModel, LinearMap
 
 
 def random_spd(rng, q, scale=1.0):
@@ -58,9 +58,3 @@ def random_model(rng, variant="gaussian_cwm", G=2, d=1, equal_weights=False):
 
 def random_points(rng, n, d):
     return rng.normal(size=(n, d), scale=4), rng.normal(size=n, scale=6)
-
-
-def random_dataset(rng, n=60, d=1, G=2):
-    x, y = random_points(rng, n, d)
-    labels = rng.integers(1, G + 1, size=n)
-    return Dataset(x, y, labels)

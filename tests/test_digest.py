@@ -94,10 +94,30 @@ def test_diff_sums_the_iterations_of_each_variant_and_options(tmp_path, capsys):
     ]
 
 
+def test_diff_reports_a_changed_failure_message(tmp_path, capsys):
+    a = write_values(tmp_path / "a.txt", {"ex1 1 fmt": {"error": "collapsed noise variance"}})
+    b = write_values(tmp_path / "b.txt", {"ex1 1 fmt": {"error": "singular covariance"}})
+    digest.diff(a, b)
+    assert capsys.readouterr().out.splitlines() == [
+        "error ex1 1 fmt: 'collapsed noise variance' -> 'singular covariance'"] + [
+        f"{key}: 0 of 1 cells moved" for key in digest.VALUE_KEYS] + [
+        "n_iter sum fmt: 0 over 0 cells -> 0 over 0 cells"]
+
+
+def test_reading_values_refuses_a_repeated_label(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text("".join(f"{label} | {json.dumps(FITTED)}\n"
+                            for label in ("ex1 1 fmt", "ex2 1 fmg", "ex1 1 fmt")))
+    with pytest.raises(ValueError, match="cell ex1 1 fmt appears twice"):
+        digest._read_values(path)
+
+
 def test_the_grid_fits_as_recorded():
     recorded = digest._read_values(RECORD)
     assert len(recorded) == 186
-    fitted = {label: values for label, _, values in digest.grid(hashlib.sha256())}
+    cells = [(label, values) for label, _, values in digest.grid(hashlib.sha256())]
+    fitted = dict(cells)
+    assert len(fitted) == len(cells) == len(digest.GRID)  # no label repeats
     moves = digest.record_moves(recorded, fitted)
     assert not moves, "\n".join([
         f"{len(moves)} moves from {RECORD}:", *moves, "if they are meant, re-record with: "

@@ -1476,12 +1476,12 @@ def _count_run_start(monkeypatch, fail=None):
     the dict) raises DegenerateFitError(reason) instead of fitting."""
     run_start, calls = em._run_start, []
 
-    def counted(data, config, resp, start_index):
+    def counted(data, config, resp, start_index, *args, **kwargs):
         calls.append(start_index)
         reason = fail.get(start_index) if isinstance(fail, dict) else fail
         if reason is not None:
             raise DegenerateFitError(reason)
-        return run_start(data, config, resp, start_index)
+        return run_start(data, config, resp, start_index, *args, **kwargs)
 
     monkeypatch.setattr(em, "_run_start", counted)
     return calls

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import random_model, random_points, random_spd
+from helpers import gaussian_component, random_model, random_points, random_spd
 from cwmix.datagen import SCENARIO_NAMES, builtin_scenario, generate
 from cwmix.densities import (
     GaussianParams,
@@ -45,14 +45,6 @@ from cwmix.model import (
 )
 
 rng = np.random.default_rng(20240818)
-
-
-def gaussian_component(weight, mu, sigma, slope, intercept, noise_sd):
-    return Component(
-        weight,
-        GaussianParams(np.atleast_1d(float(mu)), np.atleast_2d(sigma**2)),
-        Conditional(LinearMap(np.atleast_1d(float(slope)), float(intercept)), noise_sd),
-    )
 
 
 def example1_model():
