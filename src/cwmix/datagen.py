@@ -22,8 +22,9 @@ numpy lanes: ``_steps`` writes the xoshiro256++ step once over a (4, L)
 uint64 state, and each of the L lanes makes B consecutive words.  The state
 transition is linear over GF(2), so lane j starts j B steps ahead through
 cached jumps of 2^k steps (Haramoto et al. 2008), each twice the one
-before.  A jump is kept as a uint64 XOR table with one row of 256 entries
-per byte of the state, and applied exactly, with table lookups and XOR.
+before.  A jump is kept as a uint64 XOR table with one row of 16 entries
+per nibble of the state, 32 KB per jump, cached only for the jumps a lane
+pass reads, and applied exactly, with table lookups and XOR.
 A refill draws exactly the words that are missing, and ``generate``
 counts the words a dataset will read before it draws, so it takes them
 all in one lane pass.
@@ -120,7 +121,10 @@ def _steps(s: np.ndarray, n: int) -> np.ndarray:
 def _rows(k: int) -> np.ndarray:
     """The (256, 4) uint64 array whose row i is the unit state e_i (bit i % 64
     of word i // 64) moved 2^k steps.  The step is linear over GF(2), so a
-    state moves as the XOR of the rows of its set bits."""
+    state moves as the XOR of the rows of its set bits.  The rows of k > 0
+    are those of k - 1 moved 2^(k - 1) steps, through a table of one row of
+    16 entries per nibble (32 KB) built for that doubling and then dropped:
+    only the jumps a lane pass reads stay cached, in ``_table``."""
     if k == 0:
         i = np.arange(256)
         unit = np.zeros((4, 256), np.uint64)
@@ -128,33 +132,56 @@ def _rows(k: int) -> np.ndarray:
         _steps(unit, 1)
         rows = unit.T.copy()
     else:
-        rows = _apply(_rows(k - 1), _table(k - 1))
+        rows = _apply(_rows(k - 1), _xor_table(_rows(k - 1)))
     rows.flags.writeable = False  # cached: every caller shares it
     return rows
 
 
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """The (64, 16, 4) uint64 lookup table, 32 KB, of the jump whose unit
+    states move to ``rows``: entry [q, v] is the XOR of rows 4 q + b over the
+    set bits b of the nibble v, so it moves nibble q of a state (bits
+    4 q .. 4 q + 3), read as v, as far as the jump goes."""
+    rows = rows.reshape(64, 4, 4)
+    table = np.zeros((64, 16, 4), np.uint64)
+    for b in range(4):
+        np.bitwise_xor(table[:, : 1 << b], rows[:, b, None], out=table[:, 1 << b : 2 << b])
+    return table
+
+
 @functools.cache
 def _table(k: int) -> np.ndarray:
-    """The jump of 2^k steps as a (32, 256, 4) uint64 lookup table: entry
-    [p, v] is the XOR of rows 8 p + b of ``_rows(k)`` over the set bits b of
-    the byte v, so it moves byte p of a state, read as v, 2^k steps."""
-    rows = _rows(k).reshape(32, 8, 4)
-    table = np.zeros((32, 256, 4), np.uint64)
-    for b in range(8):
-        np.bitwise_xor(table[:, : 1 << b], rows[:, b, None], out=table[:, 1 << b : 2 << b])
+    """The jump of 2^k steps as ``_xor_table(_rows(k))``: one row of 16
+    entries per nibble of the state, 32 KB per jump, cached only for the
+    jumps a lane pass reads (``_rows`` builds and drops the others)."""
+    table = _xor_table(_rows(k))
     table.flags.writeable = False
     return table
 
 
-_OFFSETS = 256 * np.arange(32)[:, None]  # the first entry of byte p's part of a flat table
+# Nibble q = 2 p + h of a state is the low (h = 0) or high (h = 1) half of
+# its byte p, and its table entries start at flat row 16 q = 32 p + 16 h:
+# _NIBBLES[h, v] is the row, past 32 p, that nibble picks when the byte reads
+# v.  The uint8 mask and shift, like _steps' uint64 operands, read alike
+# under numpy 1.x's value-based casting and NEP 50.
+_OCTET = np.arange(256, dtype=np.uint8)
+_NIBBLES = np.stack(
+    (_OCTET & np.uint8(15), (_OCTET >> np.uint8(4)) + np.uint8(16))
+).astype(np.intp)
+_OFFSETS = 32 * np.arange(32)[:, None]  # flat row 32 p starts byte p's two nibbles
 
 
 def _apply(states: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The (m, 4) uint64 states moved by the jump of ``table``: the XOR over
-    their 32 little-endian bytes of the table entries those bytes pick.  The
-    bytes index the leading axis, so the reduce XORs whole (m, 4) slabs."""
+    """The (m, 4) uint64 states moved by the jump of ``table`` (one row of
+    16 entries per nibble, 32 KB per jump, cached only for lane jumps): the
+    XOR over their 64 nibbles of the table entries those nibbles pick.  One
+    gather from ``_NIBBLES`` turns each of the 32 little-endian bytes into
+    the table rows of its two nibbles; these index the leading axis, so the
+    reduce XORs whole (m, 4) slabs."""
     octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
-    picked = table.reshape(-1, 4).take(octets.T + _OFFSETS, axis=0)
+    picks = _NIBBLES.take(octets.T, axis=1)
+    picks += _OFFSETS
+    picked = table.reshape(-1, 4).take(picks.reshape(64, -1), axis=0)
     return np.bitwise_xor.reduce(picked, axis=0)
 
 

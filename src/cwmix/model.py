@@ -211,7 +211,9 @@ class CwmModel:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Observations (x, y) with optional group labels, read by ``_labels``."""
+    """Observations (x, y) with optional group labels, read by ``_labels``.
+    x is N-by-d, or a vector of N points at d = 1, and y holds one value per
+    row, as a vector or an N-by-1 column (or a scalar for one point)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -221,9 +223,13 @@ class Dataset:
         x = np.asarray(self.x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        y = np.asarray(self.y, dtype=float).ravel()
-        if x.ndim != 2 or x.shape[0] != y.shape[0] or min(x.shape) < 1:
+        y = np.asarray(self.y, dtype=float)
+        # one y per row, from a vector or an N-by-1 column (a scalar at N = 1):
+        # ravel would read a (3, 2) y beside six rows as six interleaved values
+        if (x.ndim != 2 or x.shape[0] != y.size or min(x.shape) < 1
+                or y.shape[1:] not in ((), (1,))):
             raise ValueError("x must be N-by-d with one y per row")
+        y = y.ravel()
         # one max|v| per array finds both faults: a non-finite entry, and one
         # so large that 4 (d + 1) N max^2, a bound on EM's sums of squares, overflows
         tops = [float(np.max(np.abs(v))) for v in (x, y)]

@@ -108,7 +108,7 @@ def test_interleaved_draws_read_one_stream():
 
 
 def test_jump_matrices_move_a_state_two_to_k_steps():
-    """The jump matrices, kept as XOR tables read a byte of the state at a time."""
+    """The jump matrices, kept as XOR tables read a nibble of the state at a time."""
     g = _splitmix64(13)
     state = np.array([next(g) for _ in range(4)], np.uint64)[:, None]
     ref = list(itertools.islice(xoshiro256pp_stream(13), 2**12 + 4))
@@ -132,6 +132,28 @@ def test_jump_tables_double_and_are_linear(states):
         table = _table(k)
         assert np.array_equal(_apply(s, _table(k + 1)), _apply(_apply(s, table), table))
         assert np.array_equal(_apply(s ^ t, table), _apply(s, table) ^ _apply(t, table))
+
+
+def test_only_the_jumps_a_lane_pass_reads_stay_cached(monkeypatch):
+    """From empty caches, a set-up leaves just the 32 KB tables its lane pass
+    read cached: with L lanes of 2^b words, the jumps of 2^k steps for k = b
+    .. b + ceil(log2 L) - 1.  The tables that derive the rows below them are
+    dropped."""
+    calls, steps = [], datagen._steps
+    monkeypatch.setattr(datagen, "_steps", lambda s, n: calls.append((s.shape[1], n)) or steps(s, n))
+    for factor in (1, 100):
+        datagen._rows.cache_clear()
+        datagen._table.cache_clear()
+        generate(_scaled("ex4_s2", factor).with_seed(1))
+        lanes, length = calls[-1]  # the lane pass is the last _steps call
+        b = length.bit_length() - 1
+        read = range(b, b + (lanes - 1).bit_length())
+        cached = datagen._table.cache_info()
+        assert cached.currsize == len(read)
+        for k in read:  # each is a hit, so the cache holds these and no other
+            table = _table(k)
+            assert table.shape == (64, 16, 4) and table.nbytes == 64 * 16 * 4 * 8
+        assert datagen._table.cache_info().hits == cached.hits + len(read)
 
 
 _DRAWS = st.lists(st.tuples(

@@ -630,6 +630,15 @@ def test_dataset_validation():
         Dataset(np.zeros((20, 0)), np.arange(20.0))
     d = Dataset(np.ones((3, 1)), np.ones(3), np.array([1, NOISE, 2]))
     assert d.n == 3 and d.d == 1
+    # one y per row: a vector or an N-by-1 column, never a raveled block
+    x, y = np.arange(6.0)[:, None], np.arange(6.0)
+    assert np.array_equal(Dataset(x, y[:, None]).y, y)
+    for bad in (y.reshape(3, 2), y.reshape(1, 6), y.reshape(1, 2, 3), y.reshape(6, 1, 1)):
+        with pytest.raises(ValueError, match="one y per row"):
+            Dataset(x, bad)
+    for read in (joint_logpdf, posterior):
+        with pytest.raises(ValueError, match="one y per row"):
+            read(example1_model(), x, y.reshape(3, 2))
 
 
 def _edited_model(variant, path, **change):
