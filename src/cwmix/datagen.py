@@ -12,7 +12,8 @@ algorithms, spelled out so another implementation can match the stream:
                  pair is returned on the next call, so draws consume the
                  stream in fixed order however they are batched
     bounded ints Lemire multiply-shift with rejection (unbiased), taken on
-                 32-bit halves for all of a shuffle's bounds at once
+                 32-bit halves for all of a shuffle's bounds at once; the
+                 words after a rejected one are read again for the bounds left
     shuffling    backward Fisher-Yates over row indices
 
 Draws are taken in bulk (``words``, ``randoms``, ``normals``) and give the
@@ -46,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -205,22 +205,11 @@ def _lanes(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return words, lanes[:, -1].copy()
 
 
-def _lemire(n: int, draw) -> int:
-    """Unbiased integer in [0, n) by Lemire's multiply-shift over the words
-    ``draw()`` returns, redrawing while the low half is below 2^64 mod n."""
-    m = draw() * n
-    if (m & _MASK64) < n:
-        threshold = (1 << 64) % n
-        while (m & _MASK64) < threshold:
-            m = draw() * n
-    return m >> 64
-
-
 def _multiply_shift(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lemire's j = w b >> 64 for uint64 words w and bounds b <= 2^32, taken
     on w's 32-bit halves so that no product leaves uint64, and the mask of
-    words whose low half w b mod 2^64 is below b: only those can ``_lemire``
-    reject, since its threshold 2^64 mod b is below b."""
+    words whose low half w b mod 2^64 is below b: only those can Lemire's
+    rule reject, since its threshold 2^64 mod b is below b."""
     hi, lo = w >> _U32, w & _LOW32
     return (hi * b + (lo * b >> _U32)) >> _U32, w * b < b
 
@@ -233,12 +222,13 @@ class Xoshiro256:
     ``words(n)``, ``randoms(n)`` and ``normals(n)`` return the next n words,
     uniforms and normals of the stream however the draws are batched: a
     normal left over from an odd count waits as the spare for the next call.
-    ``next_u64`` and ``words`` both read one buffer of words drawn ahead of
-    the stream position; when it runs short, ``_lanes`` appends just the
+    Every draw reads through ``words``, from one buffer of words drawn ahead
+    of the stream position; when it runs short, ``_lanes`` appends just the
     words that are missing (the buffer is not copied when nothing of it is
     left unread), and the state moves past them.  ``generate`` asks for the
     count its dataset reads, in one lane pass, before its first draw; a
-    redrawn zero u1 or a Lemire rejection reads on through further refills.
+    redrawn zero u1 reads on through further refills, and a word Lemire's
+    rule rejects is skipped by re-reading the buffer after it.
     """
 
     def __init__(self, seed: int):
@@ -256,10 +246,7 @@ class Xoshiro256:
         self._ahead, self._pos = words, 0
 
     def next_u64(self) -> int:
-        if self._pos == self._ahead.size:
-            self._refill(1)
-        self._pos += 1
-        return self._ahead.item(self._pos - 1)
+        return self.words(1).item()
 
     def words(self, n: int) -> np.ndarray:
         """The next n words as a uint64 array."""
@@ -304,19 +291,27 @@ class Xoshiro256:
 
     def permutation(self, n: int) -> np.ndarray:
         """Backward Fisher-Yates permutation of range(n).  The n - 1 words are
-        drawn at once and bound by n, n - 1, ..., 2 together.  A rare Lemire
-        rejection (probability below n^2 / 2^64) redoes the bounds with
-        ``_lemire`` one word at a time, reading on into the stream."""
+        drawn at once and bound by n, n - 1, ..., 2 together.  Lemire's rule
+        rejects a word whose low half w b mod 2^64 is below 2^64 mod b
+        (probability below n^2 / 2^64): the swaps before it stand, and the
+        stream position moves back to just after it, to redo the rest."""
         n = _integer("n", n, low=0)
-        w = self.words(max(n - 1, 0))
-        js, unsure = _multiply_shift(w, np.arange(n, 1, -1, dtype=np.uint64))
-        js = js.tolist()
-        if unsure.any():
-            draw = chain(w.tolist(), iter(self.next_u64, None)).__next__
-            js = [_lemire(i + 1, draw) for i in range(n - 1, 0, -1)]
         perm = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), js):
-            perm[i], perm[j] = perm[j], perm[i]
+        top = n - 1  # the swaps for i = top, top - 1, ..., 1 are left
+        while top > 0:
+            w = self.words(top)
+            bounds = np.arange(top + 1, 1, -1, dtype=np.uint64)
+            js, unsure = _multiply_shift(w, bounds)
+            kept = top
+            if unsure.any():
+                b = bounds[unsure]
+                rejected = np.flatnonzero(unsure)[w[unsure] * b < (0 - b) % b]
+                if rejected.size:
+                    kept = rejected.item(0)
+                    self._pos -= top - kept - 1  # read again from the word after it
+            for i, j in zip(range(top, top - kept, -1), js[:kept].tolist()):
+                perm[i], perm[j] = perm[j], perm[i]
+            top -= kept
         return np.array(perm, dtype=np.intp)
 
 

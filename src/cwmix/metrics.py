@@ -154,6 +154,8 @@ def bic_joint_nested(fit: FitResult, data: Dataset) -> float:
     """
     if data.n != fit.responsibilities.shape[0]:
         raise ValueError(f"data has {data.n} rows, but the fit has {fit.responsibilities.shape[0]}")
+    if data.d != fit.model.d:
+        raise ValueError(f"x must have {fit.model.d} columns")
     if fit.model.spec.x_law is not None:
         return _bic(fit)
     mu = data.x.mean(axis=0)

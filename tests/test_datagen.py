@@ -25,7 +25,6 @@ from cwmix.datagen import (
     ScenarioSpec,
     Xoshiro256,
     _apply,
-    _lemire,
     _multiply_shift,
     _splitmix64,
     _steps,
@@ -42,17 +41,17 @@ SIZES = (0, 1, 2, 7, 64, 1001, 2047, 2048, 2049, 70001)
 
 class ScriptedWords(Xoshiro256):
     """A generator whose words come from ``script`` first, then from the
-    seed-0 stream, so that rare branches can be forced."""
+    seed-0 stream, so that rare branches can be forced: the script is loaded
+    into the buffer of words drawn ahead, which every draw reads."""
 
     def __init__(self, script):
         super().__init__(0)
-        self._script = list(script)
+        self._ahead = np.array(script, np.uint64)
 
-    def next_u64(self):
-        return self._script.pop(0) if self._script else super().next_u64()
 
-    def words(self, n):
-        return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+def _scripted_pair(script):
+    """A scripted generator and the scalar oracle reading the same words."""
+    return ScriptedWords(script), ScalarStream(words=itertools.chain(script, xoshiro256pp_stream(0)))
 
 
 def _design(name):
@@ -208,8 +207,7 @@ def test_normals_carry_the_spare_across_calls():
     [1 << 62, 0, 0, 1 << 61],  # a zero u2 is kept; the next zero u1 is redrawn
 ])
 def test_normals_redraw_a_zero_u1(script):
-    bulk = ScriptedWords(script)
-    one = ScalarStream(words=itertools.chain(script, xoshiro256pp_stream(0)))
+    bulk, one = _scripted_pair(script)
     assert bulk.normals(5).tolist() == [one.normal() for _ in range(5)]
     assert bulk.next_u64() == one.next_u64()
 
@@ -227,33 +225,46 @@ _HI = 0xF000000000000000  # j = n - 1 for n <= 16
 _LO = 0x1000000000000000  # j = 0 for n <= 16
 
 
-@pytest.mark.parametrize("n, script", [
-    (3, [0]),  # bound 3 rejects 0; the redraw is the second word drawn in bulk
-    (5, [0xC000000000000000, 0x8000000000000000, 0, _HI, _LO]),  # same at bound 3
-    (5, [0, 0, _HI, _LO, _HI, 0, _LO]),  # bound 5 rejects twice, bound 3 once
+@pytest.mark.parametrize("n, script, sized", [
+    # bound 3 rejects 0; the redraw is the second word drawn in bulk
+    pytest.param(3, [0], 0, id="3-script0"),
+    # same at bound 3
+    pytest.param(5, [0xC000000000000000, 0x8000000000000000, 0, _HI, _LO], 0, id="5-script1"),
+    # bound 5 rejects twice, bound 3 once
+    pytest.param(5, [0, 0, _HI, _LO, _HI, 0, _LO], 0, id="5-script2"),
+    # bound 3 rejects the last word drawn ahead, so its redo reads a refill
+    pytest.param(4, [_HI, 0, 0], 0, id="last-word-drawn-ahead"),
+    # bound 5 rejects twice in a row, inside the words drawn ahead
+    pytest.param(6, [_HI, 0, 0, _LO, _HI, _LO, _HI], 0, id="two-in-a-row"),
+    # bound 3 rejects while a sized refill holds the later draws' words
+    pytest.param(5, [_HI, _LO, 0, _HI, _LO], 12, id="sized-refill"),
+    # bound 2 never rejects (2^64 mod 2 = 0): a flagged low half of 0 is kept
+    pytest.param(2, [1 << 63], 0, id="n-2"),
 ])
-def test_permutation_lemire_rejection(n, script):
+def test_permutation_lemire_rejection(n, script, sized):
     """A rejected word is replaced by the next word of the stream, whether it
-    was drawn in bulk or not; the other words move down one bound each."""
-    bulk = ScriptedWords(script)
-    tail = ScriptedWords([])
-    ref = ScalarStream(words=itertools.chain(script, iter(tail.next_u64, None)))
+    was drawn in bulk or not; the other words move down one bound each, and
+    the draws after the shuffle read on from the word after its last."""
+    bulk, ref = _scripted_pair(script)
+    if sized:
+        bulk._refill(sized)
     assert np.array_equal(bulk.permutation(n), ref.permutation(n))
+    assert bulk.randoms(3).tolist() == [ref.random() for _ in range(3)]
     assert bulk.next_u64() == ref.next_u64()
 
 
 def test_bounded_int_threshold_is_two_to_64_mod_n():
-    # 2^64 mod 3 = 1: a low half of 0 is rejected, a low half of 1 is kept
-    rng = ScriptedWords([0, _HI])
-    assert _lemire(3, rng.next_u64) == 2
-    assert rng.next_u64() == 0x53175D61490B23DF  # two script words used
-    rng = ScriptedWords([0xAAAAAAAAAAAAAAAB])  # 3 * w = 2^65 + 1
-    assert _lemire(3, rng.next_u64) == 2
-    assert rng.next_u64() == 0x53175D61490B23DF
-    # 2^64 mod 4 = 0: nothing is rejected
-    rng = ScriptedWords([0, _HI])
-    assert _lemire(4, rng.next_u64) == 0
-    assert rng.next_u64() == _HI
+    """The shuffle's first bound n picks the last entry of the permutation."""
+    for n, script, j in [
+        (3, [0, _HI], 2),  # 2^64 mod 3 = 1: a low half of 0 is rejected
+        (3, [0xAAAAAAAAAAAAAAAB], 2),  # 3 w = 2^65 + 1: a low half of 1 is kept
+        (4, [0, _HI], 0),  # 2^64 mod 4 = 0: nothing is rejected
+    ]:
+        rng, ref = _scripted_pair(script)
+        perm = rng.permutation(n)
+        assert perm[-1] == j
+        assert np.array_equal(perm, ref.permutation(n))
+        assert rng.next_u64() == ref.next_u64()
 
 
 def _word_with_low_half(b, low):
@@ -271,7 +282,7 @@ def _check_multiply_shift(words, bounds):
         assert j == (w * b) >> 64
         assert flag == ((w * b) % 2**64 < b)
         if not flag:
-            assert _lemire(b, iter([w]).__next__) == j
+            assert ScalarStream(words=[w]).bounded_int(b) == j
 
 
 def test_multiply_shift_equals_lemire_on_random_words():

@@ -342,6 +342,8 @@ def test_misclassification_errors():
 _twelve = Dataset(np.random.default_rng(4).normal(size=(12, 1)), np.random.default_rng(5).normal(size=12))
 _noise_only = Dataset(np.zeros((3, 1)), np.zeros(3), [NOISE] * 3)
 _one_line = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0, 1.0),))
+_one_regression = CwmModel("fmr", (Component(1.0, None, Conditional(LinearMap(np.array([1.0]), 0.0), 1.0)),))
+_four_by_three = Dataset(np.random.default_rng(6).normal(size=(4, 3)), np.zeros(4))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -379,6 +381,11 @@ _one_line = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0
     # BIC's N is the fit's count of rows; data of another size is not its data
     pytest.param(lambda: bic_joint_nested(dummy_fit(_one_line, -5.0), _twelve),
                  "data has 12 rows, but the fit has 4", id="bic-joint-nested-rows"),
+    # nor is data whose x has another column count than the fit's d
+    pytest.param(lambda: bic_joint_nested(dummy_fit(_one_line, -5.0), _four_by_three),
+                 "x must have 1 columns", id="bic-joint-nested-columns-gaussian-cwm"),
+    pytest.param(lambda: bic_joint_nested(dummy_fit(_one_regression, -5.0), _four_by_three),
+                 "x must have 1 columns", id="bic-joint-nested-columns-fmr"),
 ])
 def test_invalid_metric_input_is_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
