@@ -239,8 +239,12 @@ class Xoshiro256:
         self._spare_normal: float | None = None
 
     def _refill(self, n: int) -> None:
-        """Draw ahead just the words missing for n to be left unread."""
-        words, self._state = _lanes(self._state, n - (self._ahead.size - self._pos))
+        """Draw ahead just the words missing for n to be left unread; none
+        when n are already left."""
+        missing = n - (self._ahead.size - self._pos)
+        if missing <= 0:
+            return
+        words, self._state = _lanes(self._state, missing)
         if self._pos < self._ahead.size:
             words = np.concatenate((self._ahead[self._pos :], words))
         self._ahead, self._pos = words, 0

@@ -94,6 +94,12 @@ partition alone.  Each start's k-means builds contiguous coordinate rows of
 time into two preallocated buffers, takes each point's nearest centre from
 those rows (``model._first_best``), and takes the centroids from
 ``np.bincount``, so it keeps no N-by-G-by-D temporary.
+
+A ``FitResult`` keeps the fitted model, its log-likelihood trace and a
+reference to the data, and no N-sized array of its own: its
+responsibilities are the model's posterior at the data, which
+``model.posterior`` computes as the last recorded E-step did, bit for bit,
+and which the result computes again on each read.
 """
 
 from __future__ import annotations
@@ -134,6 +140,7 @@ from .model import (
     _matmul,
     _Stack,
     _unstack,
+    posterior,
 )
 
 DOF_BRACKET = (0.5, 200.0)
@@ -209,19 +216,28 @@ class FitResult:
     E-step scored, and ``loglik_trace`` the observed log-likelihood after
     each recorded iteration (a plain one or a kept SQUAREM stabilizing one),
     ``n_iter`` of them; it never decreases beyond a plain iteration's
-    rounding.  ``responsibilities`` is the N-by-G matrix of posterior
-    memberships from that last E-step.  ``converged`` tells whether the
-    ``rel_tol`` stop rule ended the fit (False when ``max_iter`` did), and
-    ``start_index`` names the start k that fitted it, the first start that
-    drew its partition.
+    rounding.  ``data`` is the ``Dataset`` the start was fitted to, held by
+    reference, not copied, so the result keeps it alive.  ``converged``
+    tells whether the ``rel_tol`` stop rule ended the fit (False when
+    ``max_iter`` did), and ``start_index`` names the start k that fitted it,
+    the first start that drew its partition.
     """
 
     model: CwmModel
     loglik_trace: np.ndarray
-    responsibilities: np.ndarray
+    data: Dataset
     converged: bool
     n_iter: int
     start_index: int
+
+    @property
+    def responsibilities(self) -> np.ndarray:
+        """The N-by-G posterior memberships of ``data`` under ``model``,
+        computed afresh on each access from the data as they are then; on
+        the fitted data they equal the last recorded E-step's bit for bit.
+        Nothing is cached, so read it once into a variable to use it more
+        than once."""
+        return posterior(self.model, self.data.x, self.data.y)
 
 
 # ------------------------------------------------------------ initialization
@@ -736,7 +752,7 @@ def _run_start(data, config, resp, start_index):
     return FitResult(
         model=_unstack(stack),
         loglik_trace=np.asarray(trace),
-        responsibilities=resp,
+        data=data,
         converged=converged,
         n_iter=len(trace),
         start_index=start_index,

@@ -137,11 +137,11 @@ def _bic(fit: FitResult, ll_x: float = 0.0, k_x: int = 0) -> float:
         warnings.warn("BIC computed from a non-converged fit", RuntimeWarning)
     model = fit.model
     k = free_parameters(model.variant, model.G, model.d) + k_x
-    return float(-2.0 * (fit.loglik_trace[-1] + ll_x) + k * math.log(fit.responsibilities.shape[0]))
+    return float(-2.0 * (fit.loglik_trace[-1] + ll_x) + k * math.log(fit.data.n))
 
 
 def bic(fit: FitResult) -> float:
-    """-2 loglik + k log N (smaller is better), N the fit's responsibility rows."""
+    """-2 loglik + k log N (smaller is better), N the fit's data rows."""
     return _bic(fit)
 
 
@@ -152,8 +152,8 @@ def bic_joint_nested(fit: FitResult, data: Dataset) -> float:
     Gaussian x-marginal — the nesting that makes their likelihood comparable
     with joint models; joint fits pass through to plain bic().
     """
-    if data.n != fit.responsibilities.shape[0]:
-        raise ValueError(f"data has {data.n} rows, but the fit has {fit.responsibilities.shape[0]}")
+    if data.n != fit.data.n:
+        raise ValueError(f"data has {data.n} rows, but the fit has {fit.data.n}")
     if data.d != fit.model.d:
         raise ValueError(f"x must have {fit.model.d} columns")
     if fit.model.spec.x_law is not None:

@@ -381,7 +381,9 @@ def plain_em(data, config, resp):
     M-step from the current responsibilities, then one E-step of the record
     it set, until the log-likelihood's relative change is below
     ``config.rel_tol`` or ``config.max_iter`` iterations have run.  Returns
-    the start's ``FitResult`` (start index 0)."""
+    the start's ``FitResult`` (start index 0) and the responsibilities of
+    its last E-step, kept here rather than read back through the result,
+    which would score its model again."""
     from cwmix import em
 
     const = em._start_constants(data)
@@ -399,5 +401,6 @@ def plain_em(data, config, resp):
         converged = len(trace) > 1 and abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < config.rel_tol
         if converged:
             break
-    return em.FitResult(model=em._unstack(stack), loglik_trace=np.asarray(trace), responsibilities=resp,
-                        converged=converged, n_iter=len(trace), start_index=0)
+    result = em.FitResult(model=em._unstack(stack), loglik_trace=np.asarray(trace), data=data,
+                          converged=converged, n_iter=len(trace), start_index=0)
+    return result, resp

@@ -6,6 +6,7 @@ oracles.py, and generate() against the one-point-at-a-time generator kept
 there.
 """
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -179,6 +180,29 @@ def test_sized_request_then_any_draws_read_one_stream(seed, sized, draws):
         else:
             assert np.array_equal(rng.permutation(n), ref.permutation(n))
     assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("calls", [
+    pytest.param([("refill", 0)], id="zero"),
+    # 15 words are left unread when 10 are asked for
+    pytest.param([("refill", 20), ("words", 5), ("refill", 10)], id="drawn-ahead"),
+])
+def test_refill_draws_nothing_when_no_word_is_missing(calls):
+    """A refill for no more words than are left unread draws none, and after
+    every call the stream reads on as the scalar oracle's."""
+    ref = ScalarStream(17)
+    stream = [ref.next_u64() for _ in range(64)]
+    rng, read = Xoshiro256(17), 0
+    for kind, n in calls:
+        if kind == "words":
+            assert rng.words(n).tolist() == stream[read : read + n]
+            read += n
+        else:
+            left, state = rng._ahead.size - rng._pos, rng._state.copy()
+            rng._refill(n)
+            assert rng._ahead.size - rng._pos == max(n, left)
+            assert np.array_equal(rng._state, state) == (n <= left)
+        assert copy.deepcopy(rng).words(12).tolist() == stream[read : read + 12]
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -14,6 +14,8 @@ import pytest
 
 import oracles
 from helpers import gaussian_component, random_model
+from cwmix import em
+from cwmix import model as model_module
 from cwmix.datagen import builtin_scenario, generate
 from cwmix.em import FitConfig, FitResult, fit
 from cwmix.metrics import (
@@ -26,6 +28,7 @@ from cwmix.metrics import (
 )
 from cwmix.model import (
     NOISE,
+    VARIANTS,
     Component,
     Conditional,
     CwmModel,
@@ -53,7 +56,7 @@ def dummy_fit(model, loglik, converged=True, n=4):
     return FitResult(
         model=model,
         loglik_trace=np.array([loglik - 1.0, loglik]),
-        responsibilities=np.full((n, model.G), 1.0 / model.G),
+        data=Dataset(np.zeros((n, model.d)), np.zeros(n)),
         converged=converged,
         n_iter=2,
         start_index=0,
@@ -455,6 +458,32 @@ def test_bic_joint_nested_identity_for_joint_models():
     data = two_line_data(np.random.default_rng(22), 50, 70)
     res = fit(data, FitConfig(G=2, n_starts=3, seed=2))
     assert bic_joint_nested(res, data) == bic(res)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_bic_counts_the_data_rows_without_scoring_them(monkeypatch, variant):
+    # N is the fit's count of data rows: no BIC builds a posterior to count them
+    spec = builtin_scenario("ex4_s2").with_seed(1)
+    data = generate(spec)
+    res = fit(data, FitConfig(G=len(spec.groups), variant=variant, seed=1))
+
+    def refuse(*args):
+        raise AssertionError("the data were scored")
+
+    monkeypatch.setattr(em, "posterior", refuse)
+    monkeypatch.setattr(model_module, "_model_terms", refuse)
+    with pytest.raises(AssertionError, match="scored"):
+        res.responsibilities
+    n, d = data.n, data.d
+    k = free_parameters(variant, res.model.G, d)
+    want = -2.0 * res.loglik_trace[-1] + k * math.log(n)
+    assert bic(res) == pytest.approx(want, rel=1e-12)
+    if res.model.spec.x_law is None:  # completed by the ML Gaussian x-marginal
+        centered = data.x - data.x.mean(axis=0)
+        logdet = np.linalg.slogdet(centered.T @ centered / n)[1]
+        ll_x = -0.5 * n * (d * math.log(2 * math.pi) + logdet + d)
+        want += -2.0 * ll_x + (d + d * (d + 1) // 2) * math.log(n)
+    assert bic_joint_nested(res, data) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("scorer", ["posterior", "joint_logpdf", "classify", "iwf", "wilks_lambda"])
