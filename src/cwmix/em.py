@@ -96,10 +96,10 @@ those rows (``model._first_best``), and takes the centroids from
 ``np.bincount``, so it keeps no N-by-G-by-D temporary.
 
 A ``FitResult`` keeps the fitted model, its log-likelihood trace and a
-reference to the data, and no N-sized array of its own: its
-responsibilities are the model's posterior at the data, which
-``model.posterior`` computes as the last recorded E-step did, bit for bit,
-and which the result computes again on each read.
+reference to the data, and no N-sized array of its own: its iteration count
+is the trace's length, and its responsibilities are the model's posterior
+at the data, which ``model.posterior`` computes as the last recorded E-step
+did, bit for bit, and which the result computes again on each read.
 """
 
 from __future__ import annotations
@@ -214,21 +214,25 @@ class FitResult:
 
     ``model`` is the fitted ``CwmModel``, the record that the last recorded
     E-step scored, and ``loglik_trace`` the observed log-likelihood after
-    each recorded iteration (a plain one or a kept SQUAREM stabilizing one),
-    ``n_iter`` of them; it never decreases beyond a plain iteration's
-    rounding.  ``data`` is the ``Dataset`` the start was fitted to, held by
-    reference, not copied, so the result keeps it alive.  ``converged``
-    tells whether the ``rel_tol`` stop rule ended the fit (False when
-    ``max_iter`` did), and ``start_index`` names the start k that fitted it,
-    the first start that drew its partition.
+    each recorded iteration (a plain one or a kept SQUAREM stabilizing one);
+    it never decreases beyond a plain iteration's rounding, and its length
+    is ``n_iter``.  ``data`` is the ``Dataset`` the start was fitted to,
+    held by reference, not copied, so the result keeps it alive.
+    ``converged`` tells whether the ``rel_tol`` stop rule ended the fit
+    (False when ``max_iter`` did), and ``start_index`` names the start k
+    that fitted it, the first start that drew its partition.
     """
 
     model: CwmModel
     loglik_trace: np.ndarray
     data: Dataset
     converged: bool
-    n_iter: int
     start_index: int
+
+    @property
+    def n_iter(self) -> int:
+        """The number of recorded iterations, ``len(loglik_trace)``."""
+        return len(self.loglik_trace)
 
     @property
     def responsibilities(self) -> np.ndarray:
@@ -754,7 +758,6 @@ def _run_start(data, config, resp, start_index):
         loglik_trace=np.asarray(trace),
         data=data,
         converged=converged,
-        n_iter=len(trace),
         start_index=start_index,
     )
 

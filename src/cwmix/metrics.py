@@ -12,7 +12,7 @@ import numpy as np
 
 from .densities import GaussianParams, _integer, gaussian_logpdf
 from .em import FitResult
-from .model import NOISE, VARIANT_SPECS, CwmModel, Dataset, _labels, _matmul, _stack, posterior
+from .model import NOISE, VARIANT_SPECS, VARIANTS, CwmModel, Dataset, _labels, _matmul, _stack, posterior
 
 
 def wilks_lambda(data: Dataset, labels) -> float:
@@ -56,19 +56,14 @@ def wilks_lambda(data: Dataset, labels) -> float:
     return float(min(1.0, math.exp(logdet_w - logdet_t)))
 
 
-def iwf(data: Dataset, model: CwmModel, include_noise: bool = True) -> float:
+def iwf(data: Dataset, model: CwmModel) -> float:
     """Root-mean-square of y minus the posterior-weighted local regression mean.
 
-    With ``include_noise`` False the NOISE-labeled rows are left out.  The
-    local means are laid out G-by-N, one row per component, from the stacked
+    It reads ``data``'s x and y, not its labels, and scores every row; the
+    grouped rows' score is ``iwf`` of a ``Dataset`` of those rows.  The local
+    means are laid out G-by-N, one row per component, from the stacked
     record, and summed against the posterior's rows left to right."""
-    if include_noise or data.labels is None:
-        x, y = data.x, data.y
-    else:
-        keep = data.labels != NOISE
-        if not keep.any():
-            raise ValueError("no grouped observations")
-        x, y = data.x[keep], data.y[keep]
+    x, y = data.x, data.y
     post = posterior(model, x, y).T
     stack = _stack(model)
     local = _matmul(stack.slope, np.ascontiguousarray(x.T)) + stack.intercept[:, None]
@@ -117,9 +112,9 @@ def misclassification(true_labels, predicted_labels, G: int):
 
 def free_parameters(variant: str, G: int, d: int) -> int:
     """Free-parameter count per variant (marginal + regression + mixing/gating)."""
-    spec = VARIANT_SPECS.get(variant)
-    if spec is None:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    spec = VARIANT_SPECS[variant]
     _integer("G", G, low=1)
     _integer("d", d, low=1)
     per_component = d + 2  # slope, intercept, noise variance
@@ -145,21 +140,18 @@ def bic(fit: FitResult) -> float:
     return _bic(fit)
 
 
-def bic_joint_nested(fit: FitResult, data: Dataset) -> float:
-    """BIC on the joint (x, y) scale of a fit to ``data``, for cross-variant comparison.
+def bic_joint_nested(fit: FitResult) -> float:
+    """BIC on the joint (x, y) scale of ``fit`` alone, for cross-variant comparison.
 
     Conditional-only fits (fmr, fmrc) are completed with a single pooled
-    Gaussian x-marginal — the nesting that makes their likelihood comparable
-    with joint models; joint fits pass through to plain bic().
+    Gaussian x-marginal of ``fit.data`` — the nesting that makes their
+    likelihood comparable with joint models; joint fits pass through to plain bic().
     """
-    if data.n != fit.data.n:
-        raise ValueError(f"data has {data.n} rows, but the fit has {fit.data.n}")
-    if data.d != fit.model.d:
-        raise ValueError(f"x must have {fit.model.d} columns")
     if fit.model.spec.x_law is not None:
         return _bic(fit)
-    mu = data.x.mean(axis=0)
-    centered = data.x - mu
-    cov = centered.T @ centered / data.n
-    ll_x = float(np.sum(gaussian_logpdf(data.x, GaussianParams(mu, cov))))
-    return _bic(fit, ll_x, data.d + data.d * (data.d + 1) // 2)
+    x, n, d = fit.data.x, fit.data.n, fit.data.d
+    mu = x.mean(axis=0)
+    centered = x - mu
+    cov = centered.T @ centered / n
+    ll_x = float(np.sum(gaussian_logpdf(x, GaussianParams(mu, cov))))
+    return _bic(fit, ll_x, d + d * (d + 1) // 2)

@@ -593,6 +593,6 @@ def model_from_dict(doc: dict) -> CwmModel:
         gating = tuple(LinearMap(g["w"], g["w0"]) for g in doc["gating"])
     model = CwmModel(doc["variant"], tuple(components), gating)
     for key in ("G", "d"):
-        if doc[key] != getattr(model, key):
+        if _integer(key, doc[key]) != getattr(model, key):
             raise ValueError(f"{key} is {doc[key]!r}, but the components give {getattr(model, key)}")
     return model

@@ -117,7 +117,7 @@ def _cell(parts, data, G, variant, seed, **options):
     parts.put("wilks", wilks)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "BIC computed from a non-converged fit", RuntimeWarning)
-        bics = [bic(result), bic_joint_nested(result, data)]
+        bics = [bic(result), bic_joint_nested(result)]
     parts.put("bic", bics)
     return dict(zip(VALUE_KEYS, (float(result.loglik_trace[-1]), result.n_iter, result.start_index,
                                  result.converged, wilks, fit_iwf, bics)))

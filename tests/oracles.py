@@ -3,9 +3,11 @@
 Everything here is computed by a different route than the library under test:
 direct formulas in mpmath extended precision, scipy special functions,
 brute-force enumeration, or an earlier algorithm that the current one must
-match, bit for bit or within a bound fixed beforehand.  Only ``plain_em``
-reaches into cwmix: it is the library's EM loop before SQUAREM, run on the
+match, bit for bit or within a bound fixed beforehand.  Two reach into
+cwmix.  ``plain_em`` is the library's EM loop before SQUAREM, run on the
 library's own M- and E-steps, so it stands for the iteration itself.
+``projected_gradient`` differentiates the library's log-likelihood by finite
+differences, so it judges a fit without reading any M-step formula.
 """
 
 import math
@@ -402,5 +404,50 @@ def plain_em(data, config, resp):
         if converged:
             break
     result = em.FitResult(model=em._unstack(stack), loglik_trace=np.asarray(trace), data=data,
-                          converged=converged, n_iter=len(trace), start_index=0)
+                          converged=converged, start_index=0)
     return result, resp
+
+
+# --- KKT certificate ---------------------------------------------------------
+
+def projected_gradient(data, model):
+    """(gradient, dof): the projected gradient of the log-likelihood
+    ``joint_logpdf(model, x, y).sum()`` in SQUAREM's unconstrained
+    coordinates (``em._coordinates``), and a mask of the coordinates that
+    are log dofs.
+
+    Each coordinate c takes a central difference of step h = 1e-5 max(1, |c|),
+    through ``em._from_coordinates`` and ``model._unstack``.  A dof on a
+    ``DOF_BRACKET`` edge, where the coordinates are clamped, takes a
+    one-sided difference into the bracket instead, and its entry is the
+    derivative only when the likelihood rises into the bracket, and 0 when
+    it rises beyond the edge: a maximum on the edge is stationary there."""
+    from cwmix import em, model as cwm
+
+    stack = cwm._stack(model)
+    coords = em._coordinates(stack)
+
+    def loglik(c):
+        fitted = cwm._unstack(em._from_coordinates(stack, c))
+        return math.fsum(cwm.joint_logpdf(fitted, data.x, data.y))
+
+    dofs = [v for v in (stack.nu, stack.zeta) if v is not None]
+    dof_values = np.concatenate(dofs) if dofs else np.empty(0)
+    first_dof = coords.size - dof_values.size - (0 if stack.theta is None else stack.theta.size)
+    dof = np.zeros(coords.size, dtype=bool)
+    dof[first_dof:first_dof + dof_values.size] = True
+    lo, hi = em.DOF_BRACKET
+    edge = np.zeros(coords.size)  # +1 on the bracket's upper edge, -1 on its lower
+    edge[dof] = (dof_values == hi).astype(float) - (dof_values == lo)
+    at_centre = loglik(coords)
+    gradient = np.empty_like(coords)
+    for i, c in enumerate(coords):
+        step = np.zeros_like(coords)
+        step[i] = h = 1e-5 * max(1.0, abs(c))
+        if edge[i] > 0:  # only a fall of the dof stays in the bracket
+            gradient[i] = min(0.0, (at_centre - loglik(coords - step)) / h)
+        elif edge[i] < 0:
+            gradient[i] = max(0.0, (loglik(coords + step) - at_centre) / h)
+        else:
+            gradient[i] = (loglik(coords + step) - loglik(coords - step)) / (2.0 * h)
+    return gradient, dof

@@ -1450,6 +1450,41 @@ def test_failed_stabilizing_step_is_discarded(monkeypatch, variant):
     assert_same_fit(got, *oracles.plain_em(data, config, resp0))
 
 
+#: The largest projected gradient of the log-likelihood allowed at a tight
+#: fit, in SQUAREM's coordinates: for every coordinate but the log dofs, and
+#: for an interior log dof.  Fixed before the test ran, from measured
+#: largest gradients of 1.03e-4 (ex6_s2 fmrc) and 3.7e-6 (ex4_s2 t_cwm), alike
+#: on the default and the Prescott OpenBLAS kernels.
+KKT_GRADIENT = 5e-4
+KKT_DOF_GRADIENT = 2e-5
+
+
+@pytest.mark.parametrize("name", ("ex1", "ex4_s2", "ex6_s2"))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tight_fit_is_stationary(name, variant):
+    # the point EM stops at is stationary for the observed log-likelihood,
+    # judged by finite differences rather than by any M-step formula (the
+    # ECME dof step, fmt's joint weight, the gating step); a dof on a bracket
+    # edge need only have the likelihood rise beyond the edge
+    spec = builtin_scenario(name).with_seed(1)
+    data = generate(spec)
+    res = fit(data, FitConfig(G=len(spec.groups), variant=variant, seed=1, n_starts=1, rel_tol=1e-14))
+    assert res.converged
+    gradient, dof = oracles.projected_gradient(data, res.model)
+    assert np.max(np.abs(gradient[~dof])) <= KKT_GRADIENT
+    assert np.all(np.abs(gradient[dof]) <= KKT_DOF_GRADIENT)
+
+
+def test_fit_result_counts_its_iterations_from_its_trace():
+    # n_iter is the trace's length, not a field a constructor could set apart
+    assert "n_iter" not in {field.name for field in dataclasses.fields(em.FitResult)}
+    data = make_example1(np.random.default_rng(1), 30, 40)
+    res = fit(data, FitConfig(G=2, n_starts=1))
+    assert res.n_iter == len(res.loglik_trace) > 0
+    with pytest.raises(AttributeError):
+        res.n_iter = 1
+
+
 @pytest.mark.parametrize("d", (1, 2, 3))
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_coordinates_round_trip_every_variant(variant, d):

@@ -58,7 +58,6 @@ def dummy_fit(model, loglik, converged=True, n=4):
         loglik_trace=np.array([loglik - 1.0, loglik]),
         data=Dataset(np.zeros((n, model.d)), np.zeros(n)),
         converged=converged,
-        n_iter=2,
         start_index=0,
     )
 
@@ -210,15 +209,18 @@ def test_iwf_invariant_under_relabeling():
 
 
 def test_iwf_noise_switch():
+    # iwf reads no labels: the grouped rows' score is iwf on those rows alone
     x = np.linspace(-2, 2, 20)
     y = 2.0 * x + 1.0
     x_all = np.concatenate([x, [0.0]])[:, None]
     y_all = np.concatenate([y, [500.0]])  # one wild noise row
     labels = np.array([1] * 20 + [NOISE])
     data = Dataset(x_all, y_all, labels)
+    keep = labels != NOISE
     m = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 2.0, 2.0, 1.0, 1.0),))
-    assert iwf(data, m, include_noise=False) == pytest.approx(0.0, abs=1e-12)
-    assert iwf(data, m, include_noise=True) > 10.0
+    assert iwf(Dataset(x_all[keep], y_all[keep]), m) == pytest.approx(0.0, abs=1e-12)
+    assert iwf(data, m) > 10.0
+    assert iwf(data, m) == iwf(Dataset(x_all, y_all), m)
 
 
 # ------------------------------------------------------------ misclassification
@@ -343,10 +345,6 @@ def test_misclassification_errors():
 
 
 _twelve = Dataset(np.random.default_rng(4).normal(size=(12, 1)), np.random.default_rng(5).normal(size=12))
-_noise_only = Dataset(np.zeros((3, 1)), np.zeros(3), [NOISE] * 3)
-_one_line = CwmModel("gaussian_cwm", (gaussian_component(1.0, 0.0, 1.0, 1.0, 0.0, 1.0),))
-_one_regression = CwmModel("fmr", (Component(1.0, None, Conditional(LinearMap(np.array([1.0]), 0.0), 1.0)),))
-_four_by_three = Dataset(np.random.default_rng(6).normal(size=(4, 3)), np.zeros(4))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -378,17 +376,6 @@ _four_by_three = Dataset(np.random.default_rng(6).normal(size=(4, 3)), np.zeros(
                  id="misclassification-bool-G"),
     pytest.param(lambda: misclassification([1, 2], [2, 1], 2.0), "G must be an integer",
                  id="misclassification-float-G"),
-    # with the NOISE rows left out nothing is left to score
-    pytest.param(lambda: iwf(_noise_only, _one_line, include_noise=False), "no grouped observations",
-                 id="iwf-nothing-but-noise"),
-    # BIC's N is the fit's count of rows; data of another size is not its data
-    pytest.param(lambda: bic_joint_nested(dummy_fit(_one_line, -5.0), _twelve),
-                 "data has 12 rows, but the fit has 4", id="bic-joint-nested-rows"),
-    # nor is data whose x has another column count than the fit's d
-    pytest.param(lambda: bic_joint_nested(dummy_fit(_one_line, -5.0), _four_by_three),
-                 "x must have 1 columns", id="bic-joint-nested-columns-gaussian-cwm"),
-    pytest.param(lambda: bic_joint_nested(dummy_fit(_one_regression, -5.0), _four_by_three),
-                 "x must have 1 columns", id="bic-joint-nested-columns-fmr"),
 ])
 def test_invalid_metric_input_is_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -426,6 +413,9 @@ def test_free_parameters(variant, G, d, expected):
 def test_free_parameters_unknown_variant():
     with pytest.raises(ValueError):
         free_parameters("nope", 2, 1)
+    # a list is no variant name, refused as FitConfig and CwmModel refuse it
+    with pytest.raises(ValueError, match=re.escape("unknown variant ['fmr']")):
+        free_parameters(["fmr"], 2, 1)
 
 
 def test_bic_real_fits_match_hand_formula():
@@ -451,13 +441,13 @@ def test_bic_joint_nested_completes_fmr():
     cov = centered.T @ centered / data.n
     ll_x = -0.5 * data.n * (math.log(2 * math.pi * cov[0, 0]) + 1.0)  # ML Gaussian fit
     want = -2.0 * (res.loglik_trace[-1] + ll_x) + (7 + 2) * math.log(data.n)
-    assert bic_joint_nested(res, data) == pytest.approx(want, rel=1e-12)
+    assert bic_joint_nested(res) == pytest.approx(want, rel=1e-12)
 
 
 def test_bic_joint_nested_identity_for_joint_models():
     data = two_line_data(np.random.default_rng(22), 50, 70)
     res = fit(data, FitConfig(G=2, n_starts=3, seed=2))
-    assert bic_joint_nested(res, data) == bic(res)
+    assert bic_joint_nested(res) == bic(res)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -483,7 +473,7 @@ def test_bic_counts_the_data_rows_without_scoring_them(monkeypatch, variant):
         logdet = np.linalg.slogdet(centered.T @ centered / n)[1]
         ll_x = -0.5 * n * (d * math.log(2 * math.pi) + logdet + d)
         want += -2.0 * ll_x + (d + d * (d + 1) // 2) * math.log(n)
-    assert bic_joint_nested(res, data) == pytest.approx(want, rel=1e-12)
+    assert bic_joint_nested(res) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("scorer", ["posterior", "joint_logpdf", "classify", "iwf", "wilks_lambda"])

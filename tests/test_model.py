@@ -709,6 +709,11 @@ _unit = GaussianParams([0.0], [[1.0]])
                  id="dict-G-mismatch"),
     pytest.param(lambda: _edited_model("fmr", (), d=7), "d is 7, but the components give 1",
                  id="dict-d-mismatch"),
+    # a count is an integer: True and 1.0 equal 1, but are no count
+    pytest.param(lambda: model_from_dict(dict(model_to_dict(CwmModel("fmr", (Component(1.0, None, _cond),))),
+                                              G=True)),
+                 "G must be an integer, got True", id="dict-G-bool"),
+    pytest.param(lambda: _edited_model("fmr", (), d=1.0), "d must be an integer, got 1.0", id="dict-d-float"),
     pytest.param(lambda: CwmModel("fmr", (Component(1.0, _unit, _cond),)), "carry no x-marginal",
                  id="marginal-not-allowed"),
     pytest.param(lambda: CwmModel("gaussian_cwm", (Component(1.0, None, _cond),)), "require an x-marginal",
